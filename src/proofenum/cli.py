@@ -13,8 +13,7 @@ from .grammar import (DEFAULT_CAP, CapExceeded, NotPositive, build_grammar,
                       render_grammar)
 from .ljplus import (IllFormed, NamedContext, check_proof, proof_from_json,
                      proof_to_json, render_proof, term_height)
-from .syntax import (Formula, NotNegative, SyntaxError_,
-                     ensure_distinct_binders, parse_formula, render)
+from .syntax import Formula, NotNegative, SyntaxError_, parse_formula, render
 from .sysf import is_positive_type, parse_sysf_type, phi, render_sysf_term
 
 EXIT_OK = 0
@@ -101,8 +100,7 @@ def _cmd_terms(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    goal = ensure_distinct_binders(
-        _parse_goal(_read_input(args.input), args.sysf))
+    goal = _parse_goal(_read_input(args.input), args.sysf)
     data = json.load(sys.stdin)
     entries = data["terms"] if isinstance(data, dict) else data
     failures = 0
@@ -177,6 +175,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CapExceeded as exc:
         print(f"error: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

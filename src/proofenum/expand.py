@@ -9,15 +9,17 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .grammar import DEFAULT_CAP, build_grammar, enumerate_schemes
-from .ljb import (Bracket, CleaningTrace, Fml, LJBContext, LJBSequent,
-                  MergeStep, annotate, expose, is_normal, item_free_vars,
-                  merge_pairs, normalize_chain, replay, scheme_check)
+from .ljb import (Bracket, CleaningTrace, Fml, InvariantError, LJBContext,
+                  LJBSequent, MergeStep, annotate, expose, is_normal,
+                  iter_fmls, merge_pairs, normalize_chain, replay,
+                  scheme_check)
 from .ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext, ProofTerm,
                      Spine, _match_formula, render_proof, rename_proof,
                      term_height)
 from .syntax import (Atom, Forall, Formula, Impl, NotNegative, all_names,
                      bound_vars, decompose_negative, ensure_distinct_binders,
-                     free_vars, fresh_name, is_negative, rename, render)
+                     free_vars, fresh_name, is_negative, rename, render,
+                     union_all)
 
 Scheme = ProofTerm
 
@@ -97,10 +99,7 @@ def flatten_det(ctx: LJBContext, goal: Formula,
                 hyps.append((it.fid, f"h{len(hyps)}",
                              rename(it.formula, env)))
                 continue
-            occ: set = set()
-            for sub in it.inner.items:
-                occ |= item_free_vars(sub)
-            occ &= it.binds
+            occ = union_all(sub.fvs for sub in it.inner.items) & it.binds
             env2 = {k: v for k, v in env.items() if k not in it.binds}
             for v in sorted(occ):
                 nv = fresh_name(v, avoid)
@@ -160,10 +159,12 @@ def _relabel(src: Flat, dst: Flat,
     for fid, pv, f in src.hyps:
         dpv, df = by_fid[fid]
         sig = _match_formula(f, df, sig, ())
-        assert sig is not None, "flattenings are not alpha-equivalent"
+        if sig is None:
+            raise InvariantError("flattenings are not alpha-equivalent")
         pmap[pv] = dpv
     sig = _match_formula(src.goal, dst.goal, sig, ())
-    assert sig is not None, "flattening goals are not alpha-equivalent"
+    if sig is None:
+        raise InvariantError("flattening goals are not alpha-equivalent")
     tmap = {k: v for k, v in sig.items() if k != v}
     pmap = {k: v for k, v in pmap.items() if k != v}
     return [rename_proof(t, tmap, pmap) for t in terms]
@@ -209,7 +210,9 @@ def _funcF(u: ProofTerm, src_goal: Formula, tgt_goal: Formula,
             out.extend(Spine(tgt_pv, tup) for tup in combos)
         return out
     if isinstance(u, LamTm):
-        assert isinstance(src_goal, Forall) and isinstance(tgt_goal, Forall)
+        if not (isinstance(src_goal, Forall) and isinstance(tgt_goal, Forall)):
+            raise InvariantError("term abstraction at a goal that is not "
+                                 "a forall")
         body_src = src_goal.body if u.var == src_goal.var else \
             rename(src_goal.body, {src_goal.var: u.var})
         if tgt_goal.var == u.var:
@@ -221,7 +224,9 @@ def _funcF(u: ProofTerm, src_goal: Formula, tgt_goal: Formula,
         return [LamTm(u.var, b)
                 for b in _funcF(u.body, body_src, body_tgt, src_types,
                                 copies, s1, s2, used)]
-    assert isinstance(src_goal, Impl) and isinstance(tgt_goal, Impl)
+    if not (isinstance(src_goal, Impl) and isinstance(tgt_goal, Impl)):
+        raise InvariantError("proof abstraction at a goal that is not an "
+                             "implication")
     a1, a2 = src_goal.lhs, src_goal.rhs
     b1, b2 = tgt_goal.lhs, tgt_goal.rhs
     nv = u.pvar if u.pvar not in used else fresh_name(u.pvar, used)
@@ -273,13 +278,15 @@ def _lift_step(before: LJBContext, step, after: LJBContext, goal: Formula,
         src_types[pv_a] = f_a
         pv_b, f_b = fb_by_fid[fid]
         s1 = _match_formula(f_a, f_b, s1, ())
-        assert s1 is not None, "merge flattenings do not align (copy 1)"
+        if s1 is None:
+            raise InvariantError("merge flattenings do not align (copy 1)")
         copies.setdefault(pv_a, []).append((1, pv_b, f_b))
     for fid_dropped, fid_kept in merge_pairs(before, step):
         pv_a, f_a = fa_by_fid[fid_kept]
         pv_b, f_b = fb_by_fid[fid_dropped]
         s2 = _match_formula(f_a, f_b, s2, ())
-        assert s2 is not None, "merge flattenings do not align (copy 2)"
+        if s2 is None:
+            raise InvariantError("merge flattenings do not align (copy 2)")
         copies.setdefault(pv_a, []).append((2, pv_b, f_b))
     frozen = {k: tuple(v) for k, v in copies.items()}
     used = frozenset(pv for _, pv, _ in fb.hyps)
@@ -335,7 +342,9 @@ def funcG(u: ProofTerm, source: LJBSequent, trace: CleaningTrace,
 def _H(session: Session, ctx: LJBContext, goal: Formula, flat: Flat,
        pi: Scheme) -> List[ProofTerm]:
     if isinstance(goal, Atom):
-        assert isinstance(pi, Spine)
+        if not isinstance(pi, Spine):
+            raise InvariantError(f"scheme {render_proof(pi)} is not a spine "
+                                 f"at the atomic goal {render(goal)}")
         by_fid = {fid: (pv, f) for fid, pv, f in flat.hyps}
         out: List[ProofTerm] = []
         for e in expose(ctx, goal):
@@ -366,7 +375,9 @@ def _H(session: Session, ctx: LJBContext, goal: Formula, flat: Flat,
         return sorted(set(out), key=render_proof)
 
     if isinstance(goal, Forall):
-        assert isinstance(pi, LamTm) and pi.var == goal.var
+        if not (isinstance(pi, LamTm) and pi.var == goal.var):
+            raise InvariantError(f"scheme {render_proof(pi)} does not "
+                                 f"abstract {goal.var} at {render(goal)}")
         bracketed = LJBContext((Bracket(frozenset(bound_vars(goal)), ctx),))
         chain, steps = normalize_chain(bracketed)
         nf = chain[-1]
@@ -387,9 +398,10 @@ def _H(session: Session, ctx: LJBContext, goal: Formula, flat: Flat,
         return sorted({LamTm(binder, t) for t in relabeled},
                       key=render_proof)
 
-    assert isinstance(pi, LamPf)
-    assert pi.annot == goal.lhs
-    nfid = max((it.fid for it in _iter_fmls(ctx)), default=-1) + 1
+    if not (isinstance(pi, LamPf) and pi.annot == goal.lhs):
+        raise InvariantError(f"scheme {render_proof(pi)} does not abstract "
+                             f"{render(goal.lhs)} at {render(goal)}")
+    nfid = max((it.fid for it in iter_fmls(ctx)), default=-1) + 1
     extended = LJBContext(ctx.items + (Fml(goal.lhs, nfid),))
     chain, steps = normalize_chain(extended)
     nf = chain[-1]
@@ -401,14 +413,6 @@ def _H(session: Session, ctx: LJBContext, goal: Formula, flat: Flat,
     relabeled = _relabel(flatten_det(chain[0], goal.rhs), target, lifted)
     return sorted({LamPf(pvar, flat.goal.lhs, t) for t in relabeled},
                   key=render_proof)
-
-
-def _iter_fmls(ctx: LJBContext):
-    for it in ctx.items:
-        if isinstance(it, Fml):
-            yield it
-        else:
-            yield from _iter_fmls(it.inner)
 
 
 def fresh_name_pvar(flat: Flat) -> str:
@@ -436,15 +440,40 @@ def funcH(session: Session, pi: Scheme, seq: LJBSequent,
 def enumerate_terms(goal: Formula, max_height: int,
                     cap: int = DEFAULT_CAP) -> List[ProofTerm]:
     """The complete set of beta-normal eta-long proof-terms of |- goal of
-    height <= max_height, via the scheme grammar."""
-    goal = ensure_distinct_binders(goal)
+    height <= max_height, via the scheme grammar.  The terms prove the
+    goal as given, with its own binder names in their annotations."""
+    distinct = ensure_distinct_binders(goal)
     session = Session()
-    grammar = build_grammar(goal, session, cap)
+    grammar = build_grammar(distinct, session, cap)
     schemes = enumerate_schemes(grammar, max_height)
-    seq = LJBSequent(LJBContext(), goal)
+    seq = LJBSequent(LJBContext(), distinct)
     flat = flatten(session, seq)
     out: set = set()
     for pi in schemes:
         out.update(funcH(session, pi, seq, flat))
+    if distinct is not goal:
+        out = {_onto_goal(t, goal, NamedContext()) for t in out}
     return sorted((t for t in out if term_height(t) <= max_height),
                   key=render_proof)
+
+
+def _onto_goal(t: ProofTerm, goal: Formula,
+               ctx: NamedContext) -> ProofTerm:
+    """Retype t, a proof of an alpha-variant of goal under ctx, against
+    goal itself: term binders take goal's names (fresh ones where ctx
+    has the name free, as check_proof requires) and annotations are
+    goal's own.  No first-order term is ever applied, so nothing else
+    in t changes."""
+    if isinstance(t, Spine):
+        args, _ = decompose_negative(ctx.lookup(t.head))
+        return Spine(t.head, tuple(_onto_goal(u, a, ctx)
+                                   for u, a in zip(t.args, args)))
+    if isinstance(t, LamTm):
+        taken = ctx.free_term_vars()
+        var, body = goal.var, goal.body
+        if var in taken:
+            var = fresh_name(var, taken | goal.fvs)
+            body = rename(body, {goal.var: var})
+        return LamTm(var, _onto_goal(t.body, body, ctx))
+    return LamPf(t.pvar, goal.lhs,
+                 _onto_goal(t.body, goal.rhs, ctx.extend(t.pvar, goal.lhs)))

@@ -57,13 +57,13 @@ def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP) -> Grammar:
         raise NotPositive(render(goal))
     goal = ensure_distinct_binders(goal)
 
-    ids: Dict[str, int] = {}
+    ids: Dict[Tuple[str, str], int] = {}
     nts: List[Nonterminal] = []
     prods: List[Production] = []
     work: deque = deque()
 
     def intern(seq: LJBSequent) -> int:
-        k = render_ljb_sequent(seq)
+        k = (seq.context.key, seq.goal.key)
         if k in ids:
             return ids[k]
         if len(nts) >= cap:

@@ -3,17 +3,27 @@ deduction rules of the bracket calculus, and the scheme checker."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, List, Optional, Tuple, Union
 
-from .syntax import (Atom, Forall, Formula, Impl, bound_vars, free_vars,
-                     render)
+from .syntax import (Atom, Forall, Formula, Impl, bound_vars, cached_field,
+                     key_hash, render, union_all)
 
 STEP_CAP = 10 ** 6
+
+_set = object.__setattr__
 
 
 class CleaningOverflow(RuntimeError):
     """Cleaning exceeded the step cap; signals an implementation bug."""
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant of cleaning or expansion does not hold:
+    signals an implementation bug or arguments that do not fit together
+    (a scheme for another goal, flattenings of other occurrences)."""
 
 
 class GoalNotForall(Exception):
@@ -28,24 +38,61 @@ class GoalNotImpl(Exception):
 # Contexts and items
 
 
-@dataclass(frozen=True)
+# Like formulas, items and contexts compute their canonical key once: the
+# rendered string, which orders canonical contexts and identifies the
+# sequents of the grammar.  Items also cache their free variables and
+# their formula occurrence ids.
+
+
+@dataclass(frozen=True, slots=True)
 class Fml:
     formula: Formula
     fid: int = -1
+    key: str = cached_field()
+    fvs: frozenset = cached_field()
+    fids: Tuple[int, ...] = cached_field()
+
+    __hash__ = key_hash
+
+    def __post_init__(self):
+        _set(self, "key", self.formula.key)
+        _set(self, "fvs", self.formula.fvs)
+        _set(self, "fids", (self.fid,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bracket:
     binds: frozenset
     inner: "LJBContext"
+    key: str = cached_field()
+    fvs: frozenset = cached_field()
+    fids: Tuple[int, ...] = cached_field()
+
+    __hash__ = key_hash
+
+    def __post_init__(self):
+        items = self.inner.items
+        _set(self, "key",
+             f"[{self.inner.key}]_{{{','.join(sorted(self.binds))}}}")
+        fvs = union_all(it.fvs for it in items)
+        _set(self, "fvs",
+             fvs - self.binds if not fvs.isdisjoint(self.binds) else fvs)
+        _set(self, "fids", tuple(itertools.chain.from_iterable(
+            it.fids for it in items)))
 
 
 Item = Union[Fml, Bracket]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LJBContext:
     items: Tuple[Item, ...] = ()
+    key: str = cached_field()
+
+    __hash__ = key_hash
+
+    def __post_init__(self):
+        _set(self, "key", ", ".join(it.key for it in self.items))
 
 
 @dataclass(frozen=True)
@@ -54,46 +101,13 @@ class LJBSequent:
     goal: Formula
 
 
-def render_item(it: Item) -> str:
-    if isinstance(it, Fml):
-        return render(it.formula)
-    inner = ", ".join(render_item(x) for x in it.inner.items)
-    binds = ",".join(sorted(it.binds))
-    return f"[{inner}]_{{{binds}}}"
-
-
 def render_context(ctx: LJBContext) -> str:
-    return ", ".join(render_item(it) for it in ctx.items)
+    return ctx.key
 
 
 def render_ljb_sequent(s: LJBSequent) -> str:
-    ctx = render_context(s.context)
-    return f"{ctx} |- {render(s.goal)}" if ctx else f"|- {render(s.goal)}"
-
-
-def item_free_vars(it: Item) -> frozenset:
-    if isinstance(it, Fml):
-        return free_vars(it.formula)
-    out: set = set()
-    for x in it.inner.items:
-        out |= item_free_vars(x)
-    return frozenset(out) - it.binds
-
-
-def context_free_vars(ctx: LJBContext) -> frozenset:
-    out: set = set()
-    for it in ctx.items:
-        out |= item_free_vars(it)
-    return frozenset(out)
-
-
-def item_fids(it: Item) -> Tuple[int, ...]:
-    if isinstance(it, Fml):
-        return (it.fid,)
-    out: Tuple[int, ...] = ()
-    for x in it.inner.items:
-        out += item_fids(x)
-    return out
+    ctx = s.context.key
+    return f"{ctx} |- {s.goal.key}" if ctx else f"|- {s.goal.key}"
 
 
 def erase_formulas(ctx: LJBContext) -> List[Formula]:
@@ -115,14 +129,23 @@ def iter_fmls(ctx: LJBContext) -> Iterator[Fml]:
             yield from iter_fmls(it.inner)
 
 
+_canon_key = attrgetter("key", "fids")
+
+
 def canon(ctx: LJBContext) -> LJBContext:
-    """Canonical (sorted) representation; multiset semantics unchanged."""
-    items = tuple(
-        it if isinstance(it, Fml) else Bracket(it.binds, canon(it.inner))
-        for it in ctx.items)
-    return LJBContext(tuple(sorted(items,
-                                   key=lambda i: (render_item(i),
-                                                  item_fids(i)))))
+    """Canonical (sorted) representation; multiset semantics unchanged.
+    Levels that are canonical already are returned as they are."""
+    items = [it if isinstance(it, Fml) else _canon_bracket(it)
+             for it in ctx.items]
+    items.sort(key=_canon_key)
+    if all(a is b for a, b in zip(items, ctx.items)):
+        return ctx
+    return LJBContext(tuple(items))
+
+
+def _canon_bracket(br: Bracket) -> Bracket:
+    inner = canon(br.inner)
+    return br if inner is br.inner else Bracket(br.binds, inner)
 
 
 def annotate(ctx: LJBContext) -> LJBContext:
@@ -188,12 +211,12 @@ def _find_step(ctx: LJBContext, path: Tuple[int, ...]) -> Optional[CleaningStep]
         if sub is not None:
             return sub
         for j, inner_it in enumerate(it.inner.items):
-            if not (item_free_vars(inner_it) & it.binds):
+            if inner_it.fvs.isdisjoint(it.binds):
                 return SplitStep(path, idx, j)
         if not it.inner.items:
             return DropStep(path, idx)
     for i in range(len(ctx.items) - 1):
-        if render_item(ctx.items[i]) == render_item(ctx.items[i + 1]):
+        if ctx.items[i].key == ctx.items[i + 1].key:
             return MergeStep(path, i, i + 1)
     return None
 
@@ -226,9 +249,10 @@ def merge_pairs(ctx: LJBContext, step: MergeStep) -> List[Tuple[int, int]]:
     level = ctx
     for idx in step.parent:
         level = level.items[idx].inner
-    kept = item_fids(level.items[step.keep])
-    dropped = item_fids(level.items[step.drop])
-    assert len(kept) == len(dropped)
+    kept = level.items[step.keep].fids
+    dropped = level.items[step.drop].fids
+    if len(kept) != len(dropped):
+        raise InvariantError("merged items have different occurrence counts")
     return list(zip(dropped, kept))
 
 
@@ -285,7 +309,9 @@ class ExposeEntry:
 def expose(ctx: LJBContext, goal_atom: Formula) -> List[ExposeEntry]:
     """All usable occurrences of hypotheses whose atomic head equals the
     goal, each with the bracket-restructured context."""
-    assert isinstance(goal_atom, Atom)
+    if not isinstance(goal_atom, Atom):
+        raise InvariantError(f"expose needs an atomic goal, got "
+                             f"{render(goal_atom)}")
     entries: List[ExposeEntry] = []
 
     def walk(level: LJBContext, chain, crossed: frozenset, path):
@@ -297,7 +323,7 @@ def expose(ctx: LJBContext, goal_atom: Formula) -> List[ExposeEntry]:
             args, head = _impl_parts(it.formula)
             if head is None or head != goal_atom:
                 continue
-            if free_vars(head) & crossed:
+            if not head.fvs.isdisjoint(crossed):
                 continue
             entries.append(ExposeEntry(
                 occurrence_id=len(entries),

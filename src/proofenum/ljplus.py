@@ -185,11 +185,6 @@ class LJPlusSequent:
     goal: Formula
 
 
-def render_sequent(s: LJPlusSequent) -> str:
-    hyps = ", ".join(f"{n}:{render(f)}" for n, f in s.context.hyps)
-    return f"{hyps} |- {render(s.goal)}"
-
-
 # ---------------------------------------------------------------------------
 # Alpha-equivalence of sequents
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Optional, Union
 
 
 class SyntaxError_(Exception):
@@ -24,38 +24,115 @@ class NotNegative(Exception):
 
 # ---------------------------------------------------------------------------
 # Terms and formulas
+#
+# Every node computes, once and at construction, its canonical key (the
+# rendered string, so `render` is a field read and orders by key are the
+# printed orders) and its free variables.  Its hash is the key's, which
+# the string itself caches.  The cached fields take no part in equality.
 
 
-@dataclass(frozen=True)
+def cached_field():
+    """A field that __post_init__ computes; not compared, not printed."""
+    return field(init=False, repr=False, compare=False)
+
+
+def key_hash(node) -> int:
+    return hash(node.key)
+
+
+_set = object.__setattr__
+_EMPTY: frozenset = frozenset()
+
+
+def union_all(sets) -> frozenset:
+    """Union of frozensets, reusing an operand when it covers the rest."""
+    out = _EMPTY
+    for s in sets:
+        if not s <= out:
+            out = s if out <= s else out | s
+    return out
+
+
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
+    key: str = cached_field()
+    fvs: frozenset = cached_field()
+
+    __hash__ = key_hash
+
+    def __post_init__(self):
+        _set(self, "key", self.name)
+        _set(self, "fvs", frozenset((self.name,)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fn:
     symbol: str
     args: tuple
+    key: str = cached_field()
+    fvs: frozenset = cached_field()
+
+    __hash__ = key_hash
+
+    def __post_init__(self):
+        _set(self, "key",
+             f"{self.symbol}({', '.join(a.key for a in self.args)})")
+        _set(self, "fvs", union_all(a.fvs for a in self.args))
 
 
 FoTerm = Union[Var, Fn]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     pred: str
     args: tuple = ()
+    key: str = cached_field()
+    fvs: frozenset = cached_field()
+
+    __hash__ = key_hash
+
+    def __post_init__(self):
+        if self.args:
+            _set(self, "key",
+                 f"{self.pred}({', '.join(a.key for a in self.args)})")
+            _set(self, "fvs", union_all(a.fvs for a in self.args))
+        else:
+            _set(self, "key", self.pred)
+            _set(self, "fvs", _EMPTY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Impl:
     lhs: "Formula"
     rhs: "Formula"
+    key: str = cached_field()
+    fvs: frozenset = cached_field()
+
+    __hash__ = key_hash
+
+    def __post_init__(self):
+        lhs = self.lhs.key
+        if not isinstance(self.lhs, Atom):
+            lhs = f"({lhs})"
+        _set(self, "key", f"{lhs} -> {self.rhs.key}")
+        _set(self, "fvs", union_all((self.lhs.fvs, self.rhs.fvs)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall:
     var: str
     body: "Formula"
+    key: str = cached_field()
+    fvs: frozenset = cached_field()
+
+    __hash__ = key_hash
+
+    def __post_init__(self):
+        _set(self, "key", f"forall {self.var}. {self.body.key}")
+        fvs = self.body.fvs
+        _set(self, "fvs", fvs - {self.var} if self.var in fvs else fvs)
 
 
 Formula = Union[Atom, Impl, Forall]
@@ -120,23 +197,8 @@ def fold_negative(args: Iterable[Formula], head: Atom) -> Formula:
 # ---------------------------------------------------------------------------
 # Variables
 
-def term_vars(t: FoTerm) -> Iterator[str]:
-    if isinstance(t, Var):
-        yield t.name
-    else:
-        for a in t.args:
-            yield from term_vars(a)
-
-
 def free_vars(f: Formula) -> frozenset:
-    if isinstance(f, Atom):
-        out = set()
-        for t in f.args:
-            out.update(term_vars(t))
-        return frozenset(out)
-    if isinstance(f, Impl):
-        return free_vars(f.lhs) | free_vars(f.rhs)
-    return free_vars(f.body) - {f.var}
+    return f.fvs
 
 
 def bound_vars(f: Formula) -> frozenset:
@@ -160,7 +222,9 @@ def subst_term(t: FoTerm, m: Mapping[str, str]) -> FoTerm:
 def rename(f: Formula, m: Mapping[str, str]) -> Formula:
     """Capture-avoiding renaming of free variable occurrences; binders
     shadow the map and are alpha-renamed when they would capture an
-    image."""
+    image.  Formulas the map does not touch are returned as they are."""
+    if f.fvs.isdisjoint(m):
+        return f
     if isinstance(f, Atom):
         return Atom(f.pred, tuple(subst_term(t, m) for t in f.args))
     if isinstance(f, Impl):
@@ -168,8 +232,6 @@ def rename(f: Formula, m: Mapping[str, str]) -> Formula:
     inner = {k: v for k, v in m.items() if k != f.var}
     relevant = free_vars(f.body) & set(inner)
     inner = {k: v for k, v in inner.items() if k in relevant}
-    if not inner:
-        return Forall(f.var, f.body)
     if f.var in inner.values():
         nv = fresh_name(f.var,
                         set(inner) | set(inner.values()) | all_names(f.body))
@@ -181,23 +243,8 @@ def rename(f: Formula, m: Mapping[str, str]) -> Formula:
 # ---------------------------------------------------------------------------
 # Printing
 
-def render_term(t: FoTerm) -> str:
-    if isinstance(t, Var):
-        return t.name
-    return f"{t.symbol}({', '.join(render_term(a) for a in t.args)})"
-
-
 def render(f: Formula) -> str:
-    if isinstance(f, Atom):
-        if not f.args:
-            return f.pred
-        return f"{f.pred}({', '.join(render_term(a) for a in f.args)})"
-    if isinstance(f, Impl):
-        lhs = render(f.lhs)
-        if isinstance(f.lhs, (Impl, Forall)):
-            lhs = f"({lhs})"
-        return f"{lhs} -> {render(f.rhs)}"
-    return f"forall {f.var}. {render(f.body)}"
+    return f.key
 
 
 # ---------------------------------------------------------------------------

@@ -134,3 +134,20 @@ def test_invalid_json_verify(monkeypatch):
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate", "P"])
+
+
+def test_deep_nesting_is_bad_input(capsys):
+    chain = " -> ".join(["P"] * 1201)
+    assert main(["check", chain]) == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: input nested too deeply"
+
+
+def test_terms_pipe_verify_repeated_binder(monkeypatch):
+    goal = "((forall x. Q(x)) -> P) -> forall x. P(x) -> P(x)"
+    code, out = run(["terms", goal, "--max-height", "5", "--format", "json"])
+    assert code == 0
+    code2, out2 = run(["verify", goal], stdin_text=out,
+                      monkeypatch=monkeypatch)
+    assert code2 == 0
+    assert out2.strip() == "verified 1/1"

@@ -1,10 +1,11 @@
 import pytest
 
-from proofenum.expand import (Duplication, InconsistentTrace, Session,
-                              enumerate_terms, flatten, funcF, funcG, funcH)
+from proofenum.expand import (Duplication, Flat, InconsistentTrace, Session,
+                              _relabel, enumerate_terms, flatten, funcF,
+                              funcG, funcH)
 from proofenum.grammar import build_grammar, enumerate_schemes
-from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent, annotate,
-                           normalize)
+from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
+                           LJBSequent, annotate, normalize)
 from proofenum.ljplus import (LJPlusSequent, NamedContext, Spine,
                               alpha_eq_sequent, check_proof, render_proof,
                               term_height)
@@ -217,3 +218,19 @@ def test_enumerate_terms_includes_duplicated_pair():
     out = enumerate_terms(goal, 11)
     assert len(out) == 3
     assert alpha_set(out) == oracle_set(goal, 11)
+
+
+def test_enumerate_terms_keeps_repeated_binders():
+    goal = parse_formula("((forall x. Q(x)) -> P) -> forall x. P(x) -> P(x)")
+    out = enumerate_terms(goal, 5)
+    assert out
+    assert all(check_proof(NamedContext(), t, goal) for t in out)
+    assert alpha_set(out) == oracle_set(goal, 5)
+
+
+def test_relabel_rejects_non_matching_flattenings():
+    p, q = parse_formula("P"), parse_formula("Q")
+    with pytest.raises(InvariantError):
+        _relabel(Flat(p, ((0, "h0", p),)), Flat(p, ((0, "h0", q),)),
+                 [Spine("h0")])
+    assert issubclass(InvariantError, RuntimeError)
