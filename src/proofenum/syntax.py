@@ -94,10 +94,14 @@ class Atom:
     __hash__ = key_hash
 
     def __post_init__(self):
-        if self.args:
+        args = self.args
+        if len(args) == 1:
+            _set(self, "key", f"{self.pred}({args[0].key})")
+            _set(self, "fvs", args[0].fvs)
+        elif args:
             _set(self, "key",
-                 f"{self.pred}({', '.join(a.key for a in self.args)})")
-            _set(self, "fvs", union_all(a.fvs for a in self.args))
+                 f"{self.pred}({', '.join(a.key for a in args)})")
+            _set(self, "fvs", union_all(a.fvs for a in args))
         else:
             _set(self, "key", self.pred)
             _set(self, "fvs", _EMPTY)
@@ -113,11 +117,11 @@ class Impl:
     __hash__ = key_hash
 
     def __post_init__(self):
-        lhs = self.lhs.key
-        if not isinstance(self.lhs, Atom):
-            lhs = f"({lhs})"
-        _set(self, "key", f"{lhs} -> {self.rhs.key}")
-        _set(self, "fvs", union_all((self.lhs.fvs, self.rhs.fvs)))
+        lhs, rhs = self.lhs, self.rhs
+        _set(self, "key", f"{lhs.key} -> {rhs.key}" if type(lhs) is Atom
+             else f"({lhs.key}) -> {rhs.key}")
+        a, b = lhs.fvs, rhs.fvs
+        _set(self, "fvs", a if b <= a else b if a <= b else a | b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,22 +254,16 @@ def render(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN = re.compile(r"\s*(->|[()\.,]|[A-Za-z_][A-Za-z0-9_']*)")
+_TOKEN = re.compile(r"\s*(?:(->|[()\.,]|[A-Za-z_][A-Za-z0-9_']*)|(\S))")
 
 
 def _tokenize(text: str):
-    pos = 0
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise SyntaxError_(f"unexpected character {stripped[0]!r}",
-                               len(text) - len(stripped))
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        tok, bad = m.groups()
+        if bad is not None:
+            raise SyntaxError_(f"unexpected character {bad!r}", m.start(2))
+        out.append((tok, m.start(1)))
     out.append((None, len(text)))
     return out
 
