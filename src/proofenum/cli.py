@@ -66,7 +66,7 @@ def _cmd_grammar(args) -> int:
 def _cmd_schemes(args) -> int:
     goal = _parse_goal(_read_input(args.input), args.sysf)
     session = Session()
-    g = build_grammar(goal, session, args.cap)
+    g = build_grammar(goal, session, args.cap, args.max_height)
     schemes = enumerate_schemes(g, args.max_height)
     if args.format == "json":
         print(json.dumps({"goal": render(goal),

@@ -444,7 +444,7 @@ def enumerate_terms(goal: Formula, max_height: int,
     goal as given, with its own binder names in their annotations."""
     distinct = ensure_distinct_binders(goal)
     session = Session()
-    grammar = build_grammar(distinct, session, cap)
+    grammar = build_grammar(distinct, session, cap, max_height)
     schemes = enumerate_schemes(grammar, max_height)
     seq = LJBSequent(LJBContext(), distinct)
     flat = flatten(session, seq)

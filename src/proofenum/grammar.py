@@ -50,9 +50,16 @@ class Grammar:
     productions: Tuple[Production, ...]
 
 
-def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP) -> Grammar:
+def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP,
+                  max_height: Optional[int] = None) -> Grammar:
     """Saturate the set of sequents reachable from |- goal and emit one
-    production per applicable rule instance."""
+    production per applicable rule instance.
+
+    With max_height, only nonterminals at breadth-first distance below
+    max_height from the start are expanded: a derivation of height
+    <= max_height uses no others.  The worklist is FIFO, so the result
+    is a prefix of the full grammar (same ids, sequents and production
+    order), and the cap counts only the nonterminals it holds."""
     if polarity(goal) not in (Polarity.POSITIVE_ONLY, Polarity.BOTH):
         raise NotPositive(render(goal))
     goal = ensure_distinct_binders(goal)
@@ -62,7 +69,7 @@ def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP) -> Grammar:
     prods: List[Production] = []
     work: deque = deque()
 
-    def intern(seq: LJBSequent) -> int:
+    def intern(seq: LJBSequent, depth: int) -> int:
         k = (seq.context.key, seq.goal.key)
         if k in ids:
             return ids[k]
@@ -71,28 +78,32 @@ def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP) -> Grammar:
         nt = Nonterminal(len(nts), seq)
         ids[k] = nt.id
         nts.append(nt)
-        work.append(nt)
+        work.append((nt, depth))
         return nt.id
 
-    start = intern(LJBSequent(LJBContext(), goal))
+    start = intern(LJBSequent(LJBContext(), goal), 0)
     while work:
-        nt = work.popleft()
+        nt, depth = work.popleft()
+        if max_height is not None and depth >= max_height:
+            break  # FIFO: every later entry is at least as deep
+        depth += 1  # of the premises
         seq = nt.sequent
         if isinstance(seq.goal, Atom):
             for entry in expose(seq.context, seq.goal):
                 premise_ctx, _ = normalize(entry.restructured)
                 premises = tuple(
-                    intern(LJBSequent(premise_ctx, a)) for a in entry.args)
+                    intern(LJBSequent(premise_ctx, a), depth)
+                    for a in entry.args)
                 prods.append(Production(
                     lhs=nt.id, kind="spine", premises=premises,
                     head=session.canonical_var(entry.formula),
                     occurrence_id=entry.occurrence_id))
         elif isinstance(seq.goal, Forall):
-            premise = intern(apply_rforall(seq))
+            premise = intern(apply_rforall(seq), depth)
             prods.append(Production(lhs=nt.id, kind="forall",
                                     premises=(premise,), var=seq.goal.var))
         else:
-            premise = intern(apply_rimpl(seq))
+            premise = intern(apply_rimpl(seq), depth)
             prods.append(Production(lhs=nt.id, kind="impl",
                                     premises=(premise,),
                                     head=session.canonical_var(seq.goal.lhs),
@@ -140,9 +151,7 @@ def enumerate_schemes(g: Grammar, max_height: int) -> List[Scheme]:
                 if all(choices):
                     combos = [()]
                     for ch in choices:
-                        combos = [pre + (s,)
-                                  for pre in combos
-                                  for s in sorted(ch, key=render_proof)]
+                        combos = [pre + (s,) for pre in combos for s in ch]
                     out.update(Spine(p.head, tup) for tup in combos)
             elif p.kind == "forall":
                 out.update(LamTm(p.var, b) for b in gen(p.premises[0], h - 1))

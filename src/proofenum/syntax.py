@@ -28,7 +28,9 @@ class NotNegative(Exception):
 # Every node computes, once and at construction, its canonical key (the
 # rendered string, so `render` is a field read and orders by key are the
 # printed orders) and its free variables.  Its hash is the key's, which
-# the string itself caches.  The cached fields take no part in equality.
+# the string itself caches.  Equality is the key's too, which needs no
+# recursion: the key is injective on the identifiers that the parser and
+# fresh_name make.
 
 
 def cached_field():
@@ -38,6 +40,10 @@ def cached_field():
 
 def key_hash(node) -> int:
     return hash(node.key)
+
+
+def key_eq(a, b) -> bool:
+    return type(a) is type(b) and a.key == b.key
 
 
 _set = object.__setattr__
@@ -60,6 +66,7 @@ class Var:
     fvs: frozenset = cached_field()
 
     __hash__ = key_hash
+    __eq__ = key_eq
 
     def __post_init__(self):
         _set(self, "key", self.name)
@@ -74,6 +81,7 @@ class Fn:
     fvs: frozenset = cached_field()
 
     __hash__ = key_hash
+    __eq__ = key_eq
 
     def __post_init__(self):
         _set(self, "key",
@@ -92,6 +100,7 @@ class Atom:
     fvs: frozenset = cached_field()
 
     __hash__ = key_hash
+    __eq__ = key_eq
 
     def __post_init__(self):
         args = self.args
@@ -115,6 +124,7 @@ class Impl:
     fvs: frozenset = cached_field()
 
     __hash__ = key_hash
+    __eq__ = key_eq
 
     def __post_init__(self):
         lhs, rhs = self.lhs, self.rhs
@@ -132,6 +142,7 @@ class Forall:
     fvs: frozenset = cached_field()
 
     __hash__ = key_hash
+    __eq__ = key_eq
 
     def __post_init__(self):
         _set(self, "key", f"forall {self.var}. {self.body.key}")

@@ -37,6 +37,14 @@ def corpus():
     return goals
 
 
+def d_family(k):
+    """D_k = (B1 -> ... -> Bk -> Q) -> Q with
+    Bi = forall xi. (P(xi) -> Q) -> P(xi) -> Q."""
+    bs = " -> ".join(f"(forall x{i}. (P(x{i}) -> Q) -> P(x{i}) -> Q)"
+                     for i in range(1, k + 1))
+    return parse_formula(f"({bs} -> Q) -> Q")
+
+
 def alpha_set(terms):
     return frozenset(render_proof(alpha_normalize(t)) for t in terms)
 

@@ -151,3 +151,15 @@ def test_terms_pipe_verify_repeated_binder(monkeypatch):
                       monkeypatch=monkeypatch)
     assert code2 == 0
     assert out2.strip() == "verified 1/1"
+
+
+def test_height_bounded_commands_ignore_cap_beyond_bound():
+    # The figure formula's grammar has 13 nonterminals, 10 of them
+    # within height 8: a cap of 11 stops `grammar` only.
+    assert run(["grammar", FIG_FORMULA, "--cap", "11"])[0] == 3
+    for command in ("schemes", "terms"):
+        argv = [command, FIG_FORMULA, "--max-height", "8"]
+        code, out = run(argv + ["--cap", "11"])
+        assert code == 0
+        assert (code, out) == run(argv)
+        assert out.strip()

@@ -8,18 +8,9 @@ import json
 from proofenum.expand import Session, enumerate_terms
 from proofenum.grammar import build_grammar, grammar_to_json
 from proofenum.ljplus import render_proof
-from proofenum.syntax import parse_formula
 from proofenum.sysf import parse_sysf_type, phi
 
-from conftest import SYSF_A2
-
-
-def d_family(k):
-    """D_k = (B1 -> ... -> Bk -> Q) -> Q with
-    Bi = forall xi. (P(xi) -> Q) -> P(xi) -> Q."""
-    bs = " -> ".join(f"(forall x{i}. (P(x{i}) -> Q) -> P(x{i}) -> Q)"
-                     for i in range(1, k + 1))
-    return parse_formula(f"({bs} -> Q) -> Q")
+from conftest import SYSF_A2, d_family
 
 
 def fingerprint(text):

@@ -7,7 +7,7 @@ from proofenum.grammar import (CapExceeded, NotPositive, build_grammar,
 from proofenum.ljplus import render_proof, term_height
 from proofenum.syntax import parse_formula
 
-from conftest import FIG_FORMULA, corpus
+from conftest import FIG_FORMULA, corpus, d_family
 
 
 def test_not_positive_rejected():
@@ -90,3 +90,30 @@ def test_uninhabited_examples():
         g = build_grammar(parse_formula(text), Session())
         assert not is_inhabited(g)
         assert enumerate_schemes(g, 8) == []
+
+
+def test_height_bound_gives_prefix_of_full_grammar():
+    goals = corpus() + [parse_formula(FIG_FORMULA), d_family(3)]
+    for goal in goals:
+        full = build_grammar(goal, Session())
+        for h in range(1, 11):
+            g = build_grammar(goal, Session(), max_height=h)
+            assert g.start == full.start
+            assert g.nonterminals == full.nonterminals[:len(g.nonterminals)]
+            assert g.productions == full.productions[:len(g.productions)]
+            assert enumerate_schemes(g, h) == enumerate_schemes(full, h)
+
+
+def test_height_bound_limits_saturation():
+    # D_5 has 3,889 nonterminals; height 9 reaches 117 of them.
+    g = build_grammar(d_family(5), Session(), max_height=9)
+    assert len(g.nonterminals) == 117
+    assert len(enumerate_schemes(g, 9)) == 1
+
+
+def test_cap_counts_only_nonterminals_within_height_bound():
+    goal = parse_formula(FIG_FORMULA)
+    with pytest.raises(CapExceeded):
+        build_grammar(goal, Session(), cap=12)
+    g = build_grammar(goal, Session(), cap=12, max_height=8)
+    assert len(g.nonterminals) == 10

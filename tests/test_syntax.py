@@ -135,3 +135,12 @@ def test_formula_size():
     assert formula_size(parse_formula("P")) == 1
     assert formula_size(parse_formula("P -> Q")) == 3
     assert formula_size(parse_formula("forall x. P -> Q")) == 4
+
+
+def test_deep_formulas_compare_without_recursion():
+    chain = " -> ".join(["P"] * 901)
+    a, b = parse_formula(chain), parse_formula(chain)
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != parse_formula(" -> ".join(["P"] * 900 + ["Q"]))
