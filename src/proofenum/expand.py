@@ -34,7 +34,10 @@ class InconsistentTrace(Exception):
 
 class Session:
     """Per-run registry assigning each negative formula (exact syntax, no
-    alpha-identification) its canonical proof variable c0, c1, ..."""
+    alpha-identification) its canonical proof variable c0, c1, ...
+
+    It holds only this registry.  Expansion state (the memos of expanded
+    and checked sub-schemes) belongs to the expander of one call."""
 
     def __init__(self) -> None:
         self._registry: Dict[Formula, str] = {}
@@ -167,6 +170,8 @@ def _relabel(src: Flat, dst: Flat,
         raise InvariantError("flattening goals are not alpha-equivalent")
     tmap = {k: v for k, v in sig.items() if k != v}
     pmap = {k: v for k, v in pmap.items() if k != v}
+    if not tmap and not pmap:
+        return list(terms)
     return [rename_proof(t, tmap, pmap) for t in terms]
 
 
@@ -339,8 +344,48 @@ def funcG(u: ProofTerm, source: LJBSequent, trace: CleaningTrace,
 # ---------------------------------------------------------------------------
 # Expansion of a whole scheme
 
-def _H(session: Session, ctx: LJBContext, goal: Formula, flat: Flat,
+class _Expander:
+    """The expansion of schemes for one enumerate_terms or funcH call.
+
+    Expanding a scheme, and checking it, depends only on the bracketed
+    sequent and on the scheme, so both are memoized, and schemes that
+    share a sub-scheme share its expansion and its check.  The memo key
+    is (context key, occurrence ids of each item, goal key, scheme).  The
+    occurrence ids are in it because the context key leaves them out
+    while flatten_det and _relabel match hypotheses by them.  The memos
+    live as long as the expander, that is one call."""
+
+    def __init__(self, session: Session) -> None:
+        self.session = session
+        self._terms: Dict[tuple, List[ProofTerm]] = {}
+        self._checks: Dict[tuple, bool] = {}
+
+    def H(self, ctx: LJBContext, goal: Formula,
+          pi: Scheme) -> List[ProofTerm]:
+        """The terms proving flatten_det(ctx, goal) that collapse to pi,
+        in no fixed order.  The list is shared: do not change it."""
+        key = _memo_key(ctx, goal, pi)
+        out = self._terms.get(key)
+        if out is None:
+            out = self._terms[key] = _H(self, ctx, goal, pi)
+        return out
+
+    def check(self, ctx: LJBContext, goal: Formula, pi: Scheme) -> bool:
+        key = _memo_key(ctx, goal, pi)
+        ok = self._checks.get(key)
+        if ok is None:
+            ok = self._checks[key] = scheme_check(
+                self.session, LJBSequent(ctx, goal), pi)
+        return ok
+
+
+def _memo_key(ctx: LJBContext, goal: Formula, pi: Scheme) -> tuple:
+    return (ctx.key, tuple(it.fids for it in ctx.items), goal.key, pi)
+
+
+def _H(ex: _Expander, ctx: LJBContext, goal: Formula,
        pi: Scheme) -> List[ProofTerm]:
+    flat = flatten_det(ctx, goal)
     if isinstance(goal, Atom):
         if not isinstance(pi, Spine):
             raise InvariantError(f"scheme {render_proof(pi)} is not a spine "
@@ -348,21 +393,20 @@ def _H(session: Session, ctx: LJBContext, goal: Formula, flat: Flat,
         by_fid = {fid: (pv, f) for fid, pv, f in flat.hyps}
         out: List[ProofTerm] = []
         for e in expose(ctx, goal):
-            if session.canonical_var(e.formula) != pi.head:
+            if ex.session.canonical_var(e.formula) != pi.head:
                 continue
             if len(e.args) != len(pi.args):
                 continue
             chain, steps = normalize_chain(e.restructured)
             nf = chain[-1]
-            if not all(scheme_check(session, LJBSequent(nf, a), sub)
+            if not all(ex.check(nf, a, sub)
                        for a, sub in zip(e.args, pi.args)):
                 continue
             pv_b, f_b = by_fid[e.fid]
             bargs, _ = decompose_negative(f_b)
             choice_sets: List[List[ProofTerm]] = []
             for i, (a, sub) in enumerate(zip(e.args, pi.args)):
-                inner = _H(session, nf, a, flatten_det(nf, a), sub)
-                lifted = _lift(chain, steps, a, inner)
+                lifted = _lift(chain, steps, a, ex.H(nf, a, sub))
                 choice_sets.append(_relabel(
                     flatten_det(chain[0], a),
                     Flat(bargs[i], flat.hyps), lifted))
@@ -372,7 +416,7 @@ def _H(session: Session, ctx: LJBContext, goal: Formula, flat: Flat,
             for ch in choice_sets:
                 combos = [pre + (x,) for pre in combos for x in ch]
             out.extend(Spine(pv_b, tup) for tup in combos)
-        return sorted(set(out), key=render_proof)
+        return list(dict.fromkeys(out))
 
     if isinstance(goal, Forall):
         if not (isinstance(pi, LamTm) and pi.var == goal.var):
@@ -381,9 +425,7 @@ def _H(session: Session, ctx: LJBContext, goal: Formula, flat: Flat,
         bracketed = LJBContext((Bracket(frozenset(bound_vars(goal)), ctx),))
         chain, steps = normalize_chain(bracketed)
         nf = chain[-1]
-        inner = _H(session, nf, goal.body,
-                   flatten_det(nf, goal.body), pi.body)
-        lifted = _lift(chain, steps, goal.body, inner)
+        lifted = _lift(chain, steps, goal.body, ex.H(nf, goal.body, pi.body))
         y = goal.var
         hyp_free: set = set()
         for _, _, f in flat.hyps:
@@ -395,8 +437,7 @@ def _H(session: Session, ctx: LJBContext, goal: Formula, flat: Flat,
             body_goal = rename(flat.goal.body, {y: binder})
         relabeled = _relabel(flatten_det(chain[0], goal.body),
                              Flat(body_goal, flat.hyps), lifted)
-        return sorted({LamTm(binder, t) for t in relabeled},
-                      key=render_proof)
+        return list(dict.fromkeys(LamTm(binder, t) for t in relabeled))
 
     if not (isinstance(pi, LamPf) and pi.annot == goal.lhs):
         raise InvariantError(f"scheme {render_proof(pi)} does not abstract "
@@ -405,14 +446,13 @@ def _H(session: Session, ctx: LJBContext, goal: Formula, flat: Flat,
     extended = LJBContext(ctx.items + (Fml(goal.lhs, nfid),))
     chain, steps = normalize_chain(extended)
     nf = chain[-1]
-    inner = _H(session, nf, goal.rhs, flatten_det(nf, goal.rhs), pi.body)
-    lifted = _lift(chain, steps, goal.rhs, inner)
+    lifted = _lift(chain, steps, goal.rhs, ex.H(nf, goal.rhs, pi.body))
     pvar = fresh_name_pvar(flat)
     target = Flat(flat.goal.rhs,
                   flat.hyps + ((nfid, pvar, flat.goal.lhs),))
     relabeled = _relabel(flatten_det(chain[0], goal.rhs), target, lifted)
-    return sorted({LamPf(pvar, flat.goal.lhs, t) for t in relabeled},
-                  key=render_proof)
+    return list(dict.fromkeys(LamPf(pvar, flat.goal.lhs, t)
+                              for t in relabeled))
 
 
 def fresh_name_pvar(flat: Flat) -> str:
@@ -428,9 +468,11 @@ def fresh_name_pvar(flat: Flat) -> str:
 def funcH(session: Session, pi: Scheme, seq: LJBSequent,
           flat: Flattening) -> List[ProofTerm]:
     """All proof-terms of the flattening of seq that collapse to the
-    scheme pi."""
-    fl = _flattening_to_flat(flat)
-    out = _H(session, flat.source.context, flat.source.goal, fl, pi)
+    scheme pi, sorted.  It runs the same expander as enumerate_terms,
+    on the annotated context of flat, and names the terms after flat."""
+    ctx, goal = flat.source.context, flat.source.goal
+    out = _relabel(flatten_det(ctx, goal), _flattening_to_flat(flat),
+                   _Expander(session).H(ctx, goal, pi))
     return sorted(set(out), key=render_proof)
 
 
@@ -446,11 +488,10 @@ def enumerate_terms(goal: Formula, max_height: int,
     session = Session()
     grammar = build_grammar(distinct, session, cap, max_height)
     schemes = enumerate_schemes(grammar, max_height)
-    seq = LJBSequent(LJBContext(), distinct)
-    flat = flatten(session, seq)
+    expander = _Expander(session)
     out: set = set()
     for pi in schemes:
-        out.update(funcH(session, pi, seq, flat))
+        out.update(expander.H(LJBContext(), distinct, pi))
     if distinct is not goal:
         out = {_onto_goal(t, goal, NamedContext()) for t in out}
     return sorted((t for t in out if term_height(t) <= max_height),

@@ -1,5 +1,6 @@
 import pytest
 
+import proofenum.expand
 from proofenum.expand import (Duplication, Flat, InconsistentTrace, Session,
                               _relabel, enumerate_terms, flatten, funcF,
                               funcG, funcH)
@@ -10,6 +11,7 @@ from proofenum.ljplus import (LJPlusSequent, NamedContext, Spine,
                               alpha_eq_sequent, check_proof, render_proof,
                               term_height)
 from proofenum.syntax import NotNegative, parse_formula, render
+from proofenum.sysf import parse_sysf_type, phi
 
 from conftest import FIG_FORMULA, alpha_set, oracle_set
 
@@ -226,6 +228,23 @@ def test_enumerate_terms_keeps_repeated_binders():
     assert out
     assert all(check_proof(NamedContext(), t, goal) for t in out)
     assert alpha_set(out) == oracle_set(goal, 5)
+
+
+def test_enumerate_terms_shares_sub_scheme_expansions(monkeypatch):
+    # The 37 Church-numeral schemes below height 40 are nested chains, so
+    # with shared sub-schemes each level is exposed once, not once per
+    # enclosing scheme (703 times).
+    calls = []
+    expose = proofenum.expand.expose
+
+    def counting_expose(*args):
+        calls.append(args)
+        return expose(*args)
+
+    monkeypatch.setattr(proofenum.expand, "expose", counting_expose)
+    goal = phi(parse_sysf_type("forall X. X -> (X->X) -> X"))
+    assert len(enumerate_terms(goal, 40)) == 37
+    assert len(calls) <= 40
 
 
 def test_relabel_rejects_non_matching_flattenings():
