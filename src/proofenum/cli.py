@@ -103,6 +103,8 @@ def _cmd_verify(args) -> int:
     goal = _parse_goal(_read_input(args.input), args.sysf)
     data = json.load(sys.stdin)
     entries = data["terms"] if isinstance(data, dict) else data
+    if not isinstance(entries, list):
+        raise ValueError(f"expected a list of terms, got {entries!r}")
     failures = 0
     for entry in entries:
         raw = entry["term"] if isinstance(entry, dict) and "term" in entry \

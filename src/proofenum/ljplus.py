@@ -70,15 +70,31 @@ def proof_to_json(t: ProofTerm) -> dict:
 
 
 def proof_from_json(d: dict) -> ProofTerm:
+    """The proof-term that proof_to_json wrote as d.  Raises ValueError
+    on JSON of another shape and KeyError on a missing field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a proof-term object, got {d!r}")
     kind = d["kind"]
     if kind == "spine":
-        return Spine(d["head"], tuple(proof_from_json(a) for a in d["args"]))
+        args = d["args"]
+        if not isinstance(args, list):
+            raise ValueError(f"expected a list of arguments, got {args!r}")
+        return Spine(_json_name(d, "head"),
+                     tuple(proof_from_json(a) for a in args))
     if kind == "lam_tm":
-        return LamTm(d["var"], proof_from_json(d["body"]))
+        return LamTm(_json_name(d, "var"), proof_from_json(d["body"]))
     if kind == "lam_pf":
-        return LamPf(d["pvar"], parse_formula(d["annot"]),
+        return LamPf(_json_name(d, "pvar"),
+                     parse_formula(_json_name(d, "annot")),
                      proof_from_json(d["body"]))
     raise ValueError(f"unknown proof-term kind {kind!r}")
+
+
+def _json_name(d: dict, field: str) -> str:
+    value = d[field]
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string as {field}, got {value!r}")
+    return value
 
 
 def free_pvars(t: ProofTerm) -> frozenset:

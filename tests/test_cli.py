@@ -126,9 +126,14 @@ def test_bad_max_height():
 
 
 def test_invalid_json_verify(monkeypatch):
-    code, _ = run(["verify", "P -> P"], stdin_text="not json",
-                  monkeypatch=monkeypatch)
-    assert code == 2
+    # malformed JSON, and well-formed JSON that is not a list of terms
+    for stdin_text in [
+            "not json", "5", "null", "[[1]]", '{"terms": 3}',
+            '[{"kind": "spine", "head": "h", "args": 5}]',
+            '[{"term": 5}]', '[{"kind": "spine", "head": 5, "args": []}]']:
+        code, _ = run(["verify", "P -> P"], stdin_text=stdin_text,
+                      monkeypatch=monkeypatch)
+        assert code == 2, stdin_text
 
 
 def test_unknown_subcommand_exits():
