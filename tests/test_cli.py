@@ -130,7 +130,9 @@ def test_invalid_json_verify(monkeypatch):
     for stdin_text in [
             "not json", "5", "null", "[[1]]", '{"terms": 3}',
             '[{"kind": "spine", "head": "h", "args": 5}]',
-            '[{"term": 5}]', '[{"kind": "spine", "head": 5, "args": []}]']:
+            '[{"term": 5}]', '[{"kind": "spine", "head": 5, "args": []}]',
+            '[{"kind": "lam_pf", "pvar": "h", "annot": 3, '
+            '"body": {"kind": "spine", "head": "h", "args": []}}]']:
         code, _ = run(["verify", "P -> P"], stdin_text=stdin_text,
                       monkeypatch=monkeypatch)
         assert code == 2, stdin_text
