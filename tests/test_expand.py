@@ -231,9 +231,9 @@ def test_enumerate_terms_keeps_repeated_binders():
 
 
 def test_enumerate_terms_shares_sub_scheme_expansions(monkeypatch):
-    # The 37 Church-numeral schemes below height 40 are nested chains, so
-    # with shared sub-schemes each level is exposed once, not once per
-    # enclosing scheme (703 times).
+    # The 37 Church-numeral schemes up to height 40 are nested chains:
+    # sharing sub-schemes exposes each level once (37 calls), while
+    # expanding every scheme on its own exposes 703 times.
     calls = []
     expose = proofenum.expand.expose
 
