@@ -6,9 +6,8 @@ from .expand import (Duplication, Flattening, InconsistentTrace, Session,
                      enumerate_terms, flatten, funcF, funcG, funcH)
 from .grammar import (CapExceeded, Grammar, NotPositive, Nonterminal,
                       Production, build_grammar, enumerate_schemes,
-                      is_inhabited)
-from .ljb import (Bracket, Fml, LJBContext, LJBSequent, expose, normalize,
-                  scheme_check)
+                      is_inhabited, scheme_check)
+from .ljb import Bracket, Fml, LJBContext, LJBSequent, expose, normalize
 from .ljplus import (IllFormed, LamPf, LamTm, LJPlusSequent, NamedContext,
                      ProofTerm, Spine, alpha_eq_sequent, check_proof,
                      oracle_enumerate, render_proof, term_height)

@@ -6,13 +6,16 @@ whole schemes)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import product
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .grammar import DEFAULT_CAP, build_grammar, enumerate_schemes
+from .grammar import (DEFAULT_CAP, Grammar, Production, build_grammar,
+                      enumerate_schemes, fits, productions_by_lhs, saturate,
+                      subschemes)
 from .ljb import (Bracket, CleaningTrace, Fml, InvariantError, LJBContext,
                   LJBSequent, MergeStep, annotate, expose, is_normal,
-                  iter_fmls, merge_pairs, normalize_chain, replay,
-                  scheme_check)
+                  merge_pairs, normalize_chain, replay)
 from .ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext, ProofTerm,
                      Spine, _match_formula, render_proof, rename_proof,
                      term_height)
@@ -36,8 +39,9 @@ class Session:
     """Per-run registry assigning each negative formula (exact syntax, no
     alpha-identification) its canonical proof variable c0, c1, ...
 
-    It holds only this registry.  Expansion state (the memos of expanded
-    and checked sub-schemes) belongs to the expander of one call."""
+    It holds only this registry.  Expansion state (the lift plans and
+    the terms of each nonterminal and sub-scheme) belongs to the
+    expander of one call."""
 
     def __init__(self) -> None:
         self._registry: Dict[Formula, str] = {}
@@ -207,12 +211,7 @@ def _funcF(u: ProofTerm, src_goal: Formula, tgt_goal: Formula,
             choice_sets = [
                 _funcF(a, c, rename(c, sig), src_types, copies, s1, s2, used)
                 for a, c in zip(u.args, s_args)]
-            if not all(choice_sets):
-                continue
-            combos: List[tuple] = [()]
-            for ch in choice_sets:
-                combos = [pre + (x,) for pre in combos for x in ch]
-            out.extend(Spine(tgt_pv, tup) for tup in combos)
+            out.extend(Spine(tgt_pv, tup) for tup in product(*choice_sets))
         return out
     if isinstance(u, LamTm):
         if not (isinstance(src_goal, Forall) and isinstance(tgt_goal, Forall)):
@@ -342,137 +341,127 @@ def funcG(u: ProofTerm, source: LJBSequent, trace: CleaningTrace,
 
 
 # ---------------------------------------------------------------------------
-# Expansion of a whole scheme
+# Expansion of a whole scheme along the grammar's productions
 
-class _Expander:
-    """The expansion of schemes for one enumerate_terms or funcH call.
-
-    Expanding a scheme, and checking it, depends only on the bracketed
-    sequent and on the scheme, so both are memoized, and schemes that
-    share a sub-scheme share its expansion and its check.  The memo key
-    is (context key, occurrence ids of each item, goal key, scheme).  The
-    occurrence ids are in it because the context key leaves them out
-    while flatten_det and _relabel match hypotheses by them.  The memos
-    live as long as the expander, that is one call."""
-
-    def __init__(self, session: Session) -> None:
-        self.session = session
-        self._terms: Dict[tuple, List[ProofTerm]] = {}
-        self._checks: Dict[tuple, bool] = {}
-
-    def H(self, ctx: LJBContext, goal: Formula,
-          pi: Scheme) -> List[ProofTerm]:
-        """The terms proving flatten_det(ctx, goal) that collapse to pi,
-        in no fixed order.  The list is shared: do not change it."""
-        key = _memo_key(ctx, goal, pi)
-        out = self._terms.get(key)
-        if out is None:
-            out = self._terms[key] = _H(self, ctx, goal, pi)
-        return out
-
-    def check(self, ctx: LJBContext, goal: Formula, pi: Scheme) -> bool:
-        key = _memo_key(ctx, goal, pi)
-        ok = self._checks.get(key)
-        if ok is None:
-            ok = self._checks[key] = scheme_check(
-                self.session, LJBSequent(ctx, goal), pi)
-        return ok
+@dataclass(frozen=True)
+class _Plan:
+    """How the terms of a production's premises become terms of its
+    left-hand side.  Each premise's terms prove the flattening of
+    chain[-1], which is the premise nonterminal's context up to
+    occurrence ids (cleaning does not look at them).  They are lifted
+    back along the chain, relabeled from source to target (the
+    flattening of the left-hand side, with the premise's goal) and
+    put together by wrap."""
+    production: Production
+    chain: Sequence[LJBContext]
+    steps: CleaningTrace
+    lifts: Tuple[Tuple[Formula, Flat, Flat], ...]  # (goal, source, target)
+    wrap: Callable[[tuple], ProofTerm]
 
 
-def _memo_key(ctx: LJBContext, goal: Formula, pi: Scheme) -> tuple:
-    return (ctx.key, tuple(it.fids for it in ctx.items), goal.key, pi)
-
-
-def _H(ex: _Expander, ctx: LJBContext, goal: Formula,
-       pi: Scheme) -> List[ProofTerm]:
+def _plans(seq: LJBSequent, prods: Sequence[Production]) -> List[_Plan]:
+    """The lift plans of the productions of seq, built from its
+    annotated context: each rule instance's premise context before
+    cleaning, premise goals, targets and wrap."""
+    if not prods:
+        return []
+    ctx, goal = annotate(seq.context), seq.goal
     flat = flatten_det(ctx, goal)
     if isinstance(goal, Atom):
-        if not isinstance(pi, Spine):
-            raise InvariantError(f"scheme {render_proof(pi)} is not a spine "
-                                 f"at the atomic goal {render(goal)}")
+        entries = expose(ctx, goal)
         by_fid = {fid: (pv, f) for fid, pv, f in flat.hyps}
-        out: List[ProofTerm] = []
-        for e in expose(ctx, goal):
-            if ex.session.canonical_var(e.formula) != pi.head:
-                continue
-            if len(e.args) != len(pi.args):
-                continue
-            chain, steps = normalize_chain(e.restructured)
-            nf = chain[-1]
-            if not all(ex.check(nf, a, sub)
-                       for a, sub in zip(e.args, pi.args)):
-                continue
-            pv_b, f_b = by_fid[e.fid]
-            bargs, _ = decompose_negative(f_b)
-            choice_sets: List[List[ProofTerm]] = []
-            for i, (a, sub) in enumerate(zip(e.args, pi.args)):
-                lifted = _lift(chain, steps, a, ex.H(nf, a, sub))
-                choice_sets.append(_relabel(
-                    flatten_det(chain[0], a),
-                    Flat(bargs[i], flat.hyps), lifted))
-            if not all(choice_sets):
-                continue
-            combos: List[tuple] = [()]
-            for ch in choice_sets:
-                combos = [pre + (x,) for pre in combos for x in ch]
-            out.extend(Spine(pv_b, tup) for tup in combos)
-        return list(dict.fromkeys(out))
-
-    if isinstance(goal, Forall):
-        if not (isinstance(pi, LamTm) and pi.var == goal.var):
-            raise InvariantError(f"scheme {render_proof(pi)} does not "
-                                 f"abstract {goal.var} at {render(goal)}")
-        bracketed = LJBContext((Bracket(frozenset(bound_vars(goal)), ctx),))
-        chain, steps = normalize_chain(bracketed)
-        nf = chain[-1]
-        lifted = _lift(chain, steps, goal.body, ex.H(nf, goal.body, pi.body))
-        y = goal.var
-        hyp_free: set = set()
-        for _, _, f in flat.hyps:
-            hyp_free |= free_vars(f)
-        if y not in hyp_free:
-            binder, body_goal = y, flat.goal.body
-        else:
-            binder = fresh_name(y, hyp_free | all_names(flat.goal))
-            body_goal = rename(flat.goal.body, {y: binder})
-        relabeled = _relabel(flatten_det(chain[0], goal.body),
-                             Flat(body_goal, flat.hyps), lifted)
-        return list(dict.fromkeys(LamTm(binder, t) for t in relabeled))
-
-    if not (isinstance(pi, LamPf) and pi.annot == goal.lhs):
-        raise InvariantError(f"scheme {render_proof(pi)} does not abstract "
-                             f"{render(goal.lhs)} at {render(goal)}")
-    nfid = max((it.fid for it in iter_fmls(ctx)), default=-1) + 1
-    extended = LJBContext(ctx.items + (Fml(goal.lhs, nfid),))
-    chain, steps = normalize_chain(extended)
-    nf = chain[-1]
-    lifted = _lift(chain, steps, goal.rhs, ex.H(nf, goal.rhs, pi.body))
-    pvar = fresh_name_pvar(flat)
-    target = Flat(flat.goal.rhs,
-                  flat.hyps + ((nfid, pvar, flat.goal.lhs),))
-    relabeled = _relabel(flatten_det(chain[0], goal.rhs), target, lifted)
-    return list(dict.fromkeys(LamPf(pvar, flat.goal.lhs, t)
-                              for t in relabeled))
+        rules = []
+        for p in prods:
+            e = entries[p.occurrence_id]
+            pv, f = by_fid[e.fid]
+            targets = [Flat(b, flat.hyps) for b in decompose_negative(f)[0]]
+            rules.append((p, e.restructured, e.args, targets,
+                          partial(Spine, pv)))
+    elif isinstance(goal, Forall):
+        y, body = goal.var, goal.body
+        hyp_free = union_all(f.fvs for _, _, f in flat.hyps)
+        if y in hyp_free:
+            y = fresh_name(y, hyp_free | all_names(goal))
+            body = rename(body, {goal.var: y})
+        rules = [(prods[0],
+                  LJBContext((Bracket(frozenset(bound_vars(goal)), ctx),)),
+                  (goal.body,), [Flat(body, flat.hyps)],
+                  lambda ts: LamTm(y, ts[0]))]
+    else:
+        n = len(flat.hyps)  # annotate numbers the occurrences from 0
+        pvar = f"h{n}"
+        rules = [(prods[0], LJBContext(ctx.items + (Fml(goal.lhs, n),)),
+                  (goal.rhs,),
+                  [Flat(goal.rhs, flat.hyps + ((n, pvar, goal.lhs),))],
+                  lambda ts: LamPf(pvar, goal.lhs, ts[0]))]
+    plans = []
+    for p, raw, goals, targets, wrap in rules:
+        chain, steps = normalize_chain(raw)
+        lifts = tuple((a, flatten_det(chain[0], a), t)
+                      for a, t in zip(goals, targets))
+        plans.append(_Plan(p, chain, steps, lifts, wrap))
+    return plans
 
 
-def fresh_name_pvar(flat: Flat) -> str:
-    taken = {pv for _, pv, _ in flat.hyps}
-    n = len(flat.hyps)
-    pv = f"h{n}"
-    while pv in taken:
-        n += 1
-        pv = f"h{n}"
-    return pv
+class _Expander:
+    """The expansion of schemes along the productions of one grammar,
+    for one enumerate_terms or funcH call.
+
+    The terms of a sub-scheme at a nonterminal prove the flattening of
+    the nonterminal's annotated sequent and depend only on the two, so
+    they are memoized by (nonterminal id, sub-scheme): schemes that
+    share a sub-scheme share its expansion (Wells & Yakobowski, LOPSTR
+    2004).  A scheme node expands through the productions that fit it;
+    a scheme that no production fits has no terms.  Lift plans are
+    built once per nonterminal, on first use.  The memos live as long
+    as the expander, that is one call."""
+
+    def __init__(self, grammar: Grammar) -> None:
+        self._grammar = grammar
+        self._by_lhs = productions_by_lhs(grammar)
+        self._plans: Dict[int, List[_Plan]] = {}
+        self._terms: Dict[Tuple[int, Scheme], List[ProofTerm]] = {}
+
+    def H(self, nt: int, pi: Scheme) -> List[ProofTerm]:
+        """The terms proving the flattening of nonterminal nt's annotated
+        sequent that collapse to pi, in no fixed order.  The list is
+        shared: do not change it."""
+        key = (nt, pi)
+        out = self._terms.get(key)
+        if out is None:
+            plans = self._plans.get(nt)
+            if plans is None:
+                plans = self._plans[nt] = _plans(
+                    self._grammar.nonterminals[nt].sequent,
+                    self._by_lhs.get(nt, ()))
+            out = self._terms[key] = list(dict.fromkeys(
+                t for plan in plans if fits(plan.production, pi)
+                for t in self._expand(plan, subschemes(pi))))
+        return out
+
+    def _expand(self, plan: _Plan,
+                subs: Sequence[Scheme]) -> List[ProofTerm]:
+        choice_sets = []
+        for q, sub, (goal, source, target) in zip(plan.production.premises,
+                                                  subs, plan.lifts):
+            terms = self.H(q, sub)
+            if not terms:
+                return []
+            choice_sets.append(_relabel(
+                source, target, _lift(plan.chain, plan.steps, goal, terms)))
+        return [plan.wrap(args) for args in product(*choice_sets)]
 
 
 def funcH(session: Session, pi: Scheme, seq: LJBSequent,
           flat: Flattening) -> List[ProofTerm]:
     """All proof-terms of the flattening of seq that collapse to the
-    scheme pi, sorted.  It runs the same expander as enumerate_terms,
-    on the annotated context of flat, and names the terms after flat."""
-    ctx, goal = flat.source.context, flat.source.goal
-    out = _relabel(flatten_det(ctx, goal), _flattening_to_flat(flat),
-                   _Expander(session).H(ctx, goal, pi))
+    scheme pi, sorted; none when seq does not derive pi.  It runs the
+    same expander as enumerate_terms, on the grammar of flat's annotated
+    sequent bounded at pi's height, and names the terms after flat."""
+    grammar = saturate(flat.source, session, max_height=term_height(pi))
+    out = _relabel(flatten_det(flat.source.context, flat.source.goal),
+                   _flattening_to_flat(flat),
+                   _Expander(grammar).H(grammar.start, pi))
     return sorted(set(out), key=render_proof)
 
 
@@ -487,15 +476,13 @@ def enumerate_terms(goal: Formula, max_height: int,
     distinct = ensure_distinct_binders(goal)
     session = Session()
     grammar = build_grammar(distinct, session, cap, max_height)
-    schemes = enumerate_schemes(grammar, max_height)
-    expander = _Expander(session)
+    expander = _Expander(grammar)
     out: set = set()
-    for pi in schemes:
-        out.update(expander.H(LJBContext(), distinct, pi))
+    for pi in enumerate_schemes(grammar, max_height):
+        out.update(expander.H(grammar.start, pi))
     if distinct is not goal:
         out = {_onto_goal(t, goal, NamedContext()) for t in out}
-    return sorted((t for t in out if term_height(t) <= max_height),
-                  key=render_proof)
+    return sorted(out, key=render_proof)
 
 
 def _onto_goal(t: ProofTerm, goal: Formula,

@@ -1,15 +1,19 @@
 """Context-free grammar of schemes: saturation of the reachable bracket
-sequents, emptiness, and height-bounded scheme enumeration."""
+sequents, emptiness, height-bounded scheme enumeration, and the test
+of a scheme against the grammar's productions."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .ljb import (LJBContext, LJBSequent, apply_rforall, apply_rimpl,
                   expose, normalize, render_ljb_sequent)
-from .ljplus import LamPf, LamTm, ProofTerm, Spine, render_proof
+from .ljplus import (LamPf, LamTm, ProofTerm, Spine, render_proof,
+                     term_height)
 from .syntax import (Atom, Forall, Formula, Polarity,
                      ensure_distinct_binders, polarity, render)
 
@@ -62,8 +66,14 @@ def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP,
     order), and the cap counts only the nonterminals it holds."""
     if polarity(goal) not in (Polarity.POSITIVE_ONLY, Polarity.BOTH):
         raise NotPositive(render(goal))
-    goal = ensure_distinct_binders(goal)
+    return saturate(LJBSequent(LJBContext(), ensure_distinct_binders(goal)),
+                    session, cap, max_height)
 
+
+def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
+             max_height: Optional[int] = None) -> Grammar:
+    """The grammar of the sequents reachable from start_seq, as in
+    build_grammar."""
     ids: Dict[Tuple[str, str], int] = {}
     nts: List[Nonterminal] = []
     prods: List[Production] = []
@@ -81,7 +91,7 @@ def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP,
         work.append((nt, depth))
         return nt.id
 
-    start = intern(LJBSequent(LJBContext(), goal), 0)
+    start = intern(start_seq, 0)
     while work:
         nt, depth = work.popleft()
         if max_height is not None and depth >= max_height:
@@ -126,12 +136,17 @@ def is_inhabited(g: Grammar) -> bool:
     return g.start in productive
 
 
-def enumerate_schemes(g: Grammar, max_height: int) -> List[Scheme]:
-    """All schemes of height <= max_height derivable from the start
-    nonterminal, canonically ordered."""
+def productions_by_lhs(g: Grammar) -> Dict[int, List[Production]]:
     by_lhs: Dict[int, List[Production]] = {}
     for p in g.productions:
         by_lhs.setdefault(p.lhs, []).append(p)
+    return by_lhs
+
+
+def enumerate_schemes(g: Grammar, max_height: int) -> List[Scheme]:
+    """All schemes of height <= max_height derivable from the start
+    nonterminal, canonically ordered."""
+    by_lhs = productions_by_lhs(g)
     memo: Dict[Tuple[int, int], FrozenSet[Scheme]] = {}
 
     def gen(nt: int, h: int) -> FrozenSet[Scheme]:
@@ -144,15 +159,8 @@ def enumerate_schemes(g: Grammar, max_height: int) -> List[Scheme]:
         out: set = set()
         for p in by_lhs.get(nt, []):
             if p.kind == "spine":
-                if not p.premises:
-                    out.add(Spine(p.head))
-                    continue
                 choices = [gen(q, h - 1) for q in p.premises]
-                if all(choices):
-                    combos = [()]
-                    for ch in choices:
-                        combos = [pre + (s,) for pre in combos for s in ch]
-                    out.update(Spine(p.head, tup) for tup in combos)
+                out.update(Spine(p.head, tup) for tup in product(*choices))
             elif p.kind == "forall":
                 out.update(LamTm(p.var, b) for b in gen(p.premises[0], h - 1))
             else:
@@ -162,6 +170,39 @@ def enumerate_schemes(g: Grammar, max_height: int) -> List[Scheme]:
         return memo[key]
 
     return sorted(gen(g.start, max_height), key=render_proof)
+
+
+def fits(p: Production, pi: Scheme) -> bool:
+    """Whether the root of the scheme pi is an instance of p: a spine
+    on head and arity, forall on the variable, impl on head and
+    annotation.  pi's sub-schemes are then matched against p's
+    premises (see subschemes)."""
+    if p.kind == "spine":
+        return (isinstance(pi, Spine) and pi.head == p.head
+                and len(pi.args) == len(p.premises))
+    if p.kind == "forall":
+        return isinstance(pi, LamTm) and pi.var == p.var
+    return isinstance(pi, LamPf) and pi.pvar == p.head and pi.annot == p.annot
+
+
+def subschemes(pi: Scheme) -> Tuple[Scheme, ...]:
+    return pi.args if isinstance(pi, Spine) else (pi.body,)
+
+
+def scheme_check(session, s: LJBSequent, pi: Scheme) -> bool:
+    """Derivability of s |- pi : goal in the bracket calculus with
+    canonical proof variables: some derivation of the grammar of s
+    fits pi node by node."""
+    g = saturate(s, session, max_height=term_height(pi))
+    by_lhs = productions_by_lhs(g)
+
+    @cache
+    def derives(nt: int, node: Scheme) -> bool:
+        return any(fits(p, node) and all(map(derives, p.premises,
+                                             subschemes(node)))
+                   for p in by_lhs.get(nt, ()))
+
+    return derives(g.start, pi)
 
 
 def render_grammar(g: Grammar) -> str:

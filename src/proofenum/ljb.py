@@ -1,5 +1,5 @@
-"""Bracketed contexts, the cleaning rewrite system with traces, the three
-deduction rules of the bracket calculus, and the scheme checker."""
+"""Bracketed contexts, the cleaning rewrite system with traces, and the
+three deduction rules of the bracket calculus."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ class CleaningOverflow(RuntimeError):
 class InvariantError(RuntimeError):
     """An internal invariant of cleaning or expansion does not hold:
     signals an implementation bug or arguments that do not fit together
-    (a scheme for another goal, flattenings of other occurrences)."""
+    (flattenings of other occurrences)."""
 
 
 class GoalNotForall(Exception):
@@ -375,38 +375,3 @@ def apply_rimpl(s: LJBSequent) -> LJBSequent:
     extended = LJBContext(s.context.items + (Fml(s.goal.lhs),))
     normal, _ = normalize(extended)
     return LJBSequent(normal, s.goal.rhs)
-
-
-# ---------------------------------------------------------------------------
-# Scheme checking
-
-def scheme_check(session, s: LJBSequent, pi) -> bool:
-    """Derivability of s |- pi : goal in the bracket calculus with
-    canonical proof variables."""
-    from .ljplus import LamPf, LamTm, Spine
-
-    goal = s.goal
-    if isinstance(goal, Atom):
-        if not isinstance(pi, Spine):
-            return False
-        for entry in expose(s.context, goal):
-            if session.canonical_var(entry.formula) != pi.head:
-                continue
-            if len(entry.args) != len(pi.args):
-                continue
-            premise_ctx, _ = normalize(entry.restructured)
-            if all(scheme_check(session, LJBSequent(premise_ctx, a), sub)
-                   for a, sub in zip(entry.args, pi.args)):
-                return True
-        return False
-    if isinstance(goal, Forall):
-        if not isinstance(pi, LamTm) or pi.var != goal.var:
-            return False
-        return scheme_check(session, apply_rforall(s), pi.body)
-    if not isinstance(pi, LamPf):
-        return False
-    if pi.annot != goal.lhs:
-        return False
-    if session.canonical_var(goal.lhs) != pi.pvar:
-        return False
-    return scheme_check(session, apply_rimpl(s), pi.body)

@@ -1,19 +1,23 @@
+import sys
+
 import pytest
 
 import proofenum.expand
+import proofenum.ljb
+from proofenum import scheme_check
 from proofenum.expand import (Duplication, Flat, InconsistentTrace, Session,
                               _relabel, enumerate_terms, flatten, funcF,
                               funcG, funcH)
 from proofenum.grammar import build_grammar, enumerate_schemes
 from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
                            LJBSequent, annotate, normalize)
-from proofenum.ljplus import (LJPlusSequent, NamedContext, Spine,
+from proofenum.ljplus import (LamPf, LJPlusSequent, NamedContext, Spine,
                               alpha_eq_sequent, check_proof, render_proof,
                               term_height)
 from proofenum.syntax import NotNegative, parse_formula, render
 from proofenum.sysf import parse_sysf_type, phi
 
-from conftest import FIG_FORMULA, alpha_set, oracle_set
+from conftest import FIG_FORMULA, alpha_set, d_family, oracle_set
 
 
 def test_canonical_var_registry():
@@ -204,6 +208,19 @@ def test_funcH_duplicating_scheme_two_terms():
     assert any("(h3 h4)" in s for s in texts)
 
 
+def test_funcH_is_empty_on_schemes_the_sequent_does_not_derive():
+    session = Session()
+    p = parse_formula("P")
+    c = session.canonical_var(p)
+    cases = [("P -> P", Spine(c)),
+             ("forall x. P(x) -> P(x)", Spine(c)),
+             ("(P -> P) -> P -> P", LamPf(c, p, Spine(c)))]
+    for text, pi in cases:
+        seq = LJBSequent(LJBContext(), parse_formula(text))
+        assert not scheme_check(session, seq, pi)
+        assert funcH(session, pi, seq, flatten(session, seq)) == []
+
+
 def test_enumerate_terms_identity():
     out = enumerate_terms(parse_formula("P -> P"), 3)
     assert [render_proof(t) for t in out] == ["\\h0:P. h0"]
@@ -245,6 +262,32 @@ def test_enumerate_terms_shares_sub_scheme_expansions(monkeypatch):
     goal = phi(parse_sysf_type("forall X. X -> (X->X) -> X"))
     assert len(enumerate_terms(goal, 40)) == 37
     assert len(calls) <= 40
+
+
+def test_enumerate_terms_cleans_each_production_at_most_twice(monkeypatch):
+    # Saturation cleans the premise context of each production once, and
+    # the expander cleans it once more for the production's lift plan;
+    # expansion itself cleans nothing.
+    orig = proofenum.ljb.normalize_chain
+    calls = []
+
+    def counting_normalize_chain(*args):
+        calls.append(args)
+        return orig(*args)
+
+    church = phi(parse_sysf_type("forall X. X -> (X->X) -> X"))
+    for goal, h, productions in [(church, 40, 5), (d_family(3), 11, 92)]:
+        g = build_grammar(goal, Session(), max_height=h)
+        assert len(g.productions) == productions
+        calls.clear()
+        with monkeypatch.context() as m:
+            for name, mod in list(sys.modules.items()):
+                if (name.split(".")[0] == "proofenum"
+                        and vars(mod).get("normalize_chain") is orig):
+                    m.setattr(mod, "normalize_chain",
+                              counting_normalize_chain)
+            enumerate_terms(goal, h)
+        assert len(calls) <= 2 * productions
 
 
 def test_relabel_rejects_non_matching_flattenings():

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import pytest
 
+from proofenum import scheme_check
 from proofenum.expand import Session
 from proofenum.grammar import (CapExceeded, NotPositive, build_grammar,
                                enumerate_schemes, grammar_to_json,
                                is_inhabited, render_grammar)
-from proofenum.ljplus import render_proof, term_height
-from proofenum.syntax import parse_formula
+from proofenum.ljb import LJBContext, LJBSequent
+from proofenum.ljplus import Spine, render_proof, term_height
+from proofenum.syntax import ensure_distinct_binders, parse_formula
 
 from conftest import FIG_FORMULA, corpus, d_family
 
@@ -117,3 +121,24 @@ def test_cap_counts_only_nonterminals_within_height_bound():
         build_grammar(goal, Session(), cap=12)
     g = build_grammar(goal, Session(), cap=12, max_height=8)
     assert len(g.nonterminals) == 10
+
+
+def _with_outer_head(pi, head):
+    if isinstance(pi, Spine):
+        return Spine(head, pi.args)
+    return replace(pi, body=_with_outer_head(pi.body, head))
+
+
+def test_scheme_check_accepts_the_grammar_schemes():
+    for goal in corpus():
+        goal = ensure_distinct_binders(goal)
+        session = Session()
+        g = build_grammar(goal, session)
+        seq = LJBSequent(LJBContext(), goal)
+        # Every canonical variable comes from a production's head, so the
+        # heads are c0 .. c(n-1) and cn is unused.
+        unused = f"c{len({p.head for p in g.productions if p.head})}"
+        for pi in enumerate_schemes(g, 6):
+            assert scheme_check(session, seq, pi)
+            assert not scheme_check(session, seq,
+                                    _with_outer_head(pi, unused))

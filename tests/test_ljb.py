@@ -2,8 +2,8 @@ from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent, annotate,
                            apply_rforall, apply_rimpl, canon, erase_formulas,
                            expose, is_normal, merge_pairs, normalize,
                            normalize_chain, render_context,
-                           render_ljb_sequent, replay, scheme_check,
-                           MergeStep)
+                           render_ljb_sequent, replay, MergeStep)
+from proofenum.grammar import scheme_check
 from proofenum.ljplus import LamPf, LamTm, Spine
 from proofenum.expand import Session
 from proofenum.syntax import parse_formula, render
