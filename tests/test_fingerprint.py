@@ -1,19 +1,22 @@
-"""Output fingerprints: the grammars of D_3 and D_4 and the terms of A2
-and of the deep enumeration inputs must stay byte-identical, so that
-nonterminal numbering, fids and hypothesis names cannot shift
-unnoticed."""
+"""Output fingerprints: the grammars of D_3 and D_4, the terms of A2 and
+of the deep enumeration inputs, and funcH's terms for the corpus schemes
+must stay byte-identical, so that nonterminal numbering, fids and
+hypothesis names cannot shift unnoticed."""
 
 import hashlib
 import json
 
 import pytest
 
-from proofenum.expand import Session, enumerate_terms
-from proofenum.grammar import build_grammar, grammar_to_json
-from proofenum.ljplus import render_proof
+from proofenum.expand import Session, enumerate_terms, flatten, funcH
+from proofenum.grammar import build_grammar, enumerate_schemes, grammar_to_json
+from proofenum.ljb import LJBContext, LJBSequent
+from proofenum.ljplus import render_proof, term_height
+from proofenum.syntax import ensure_distinct_binders, parse_formula
 from proofenum.sysf import parse_sysf_type, phi
 
-from conftest import SYSF_A2, alpha_set, d_family, oracle_set
+from conftest import (FIG_FORMULA, SYSF_A2, alpha_set, corpus, d_family,
+                      oracle_set)
 
 
 def fingerprint(text):
@@ -56,3 +59,38 @@ def test_deep_terms_fingerprint(goal, height, count, digest):
     assert len(terms) == count
     assert fingerprint("\n".join(map(render_proof, terms))) == digest
     assert alpha_set(terms) == oracle_set(goal, height)
+
+
+def _funcH(session, pi, goal):
+    seq = LJBSequent(LJBContext(), goal)
+    return funcH(session, pi, seq, flatten(session, seq))
+
+
+def _funcH_outputs(goal, height):
+    """Each scheme of goal up to height with funcH's terms for it."""
+    session = Session()
+    grammar = build_grammar(goal, session, max_height=height)
+    return [(pi, _funcH(session, pi, goal))
+            for pi in enumerate_schemes(grammar, height)]
+
+
+def _outputs_fingerprint(outputs):
+    return fingerprint("\n".join(
+        "\n".join(map(render_proof, (pi, *terms))) for pi, terms in outputs))
+
+
+def test_funcH_corpus_fingerprint():
+    outputs = [out for goal in corpus()
+               for out in _funcH_outputs(ensure_distinct_binders(goal), 9)]
+    assert len(outputs) == 19
+    assert sum(len(terms) for _, terms in outputs) == 23
+    assert _outputs_fingerprint(outputs) == "1b1c3e3b74bf02c3"
+
+
+def test_funcH_figure_fingerprint():
+    goal = ensure_distinct_binders(parse_formula(FIG_FORMULA))
+    outputs = [(pi, terms) for pi, terms in _funcH_outputs(goal, 11)
+               if term_height(pi) == 11]
+    assert len(outputs) == 1
+    assert len(outputs[0][1]) == 2
+    assert _outputs_fingerprint(outputs) == "6974ae1a1ca3ad25"
