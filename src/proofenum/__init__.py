@@ -2,8 +2,8 @@
 of minimal predicate logic (and positive System F types) through the
 regular search graph of bracketed sequents and its scheme grammar."""
 
-from .expand import (Duplication, Flattening, InconsistentTrace, Session,
-                     enumerate_terms, flatten, funcF, funcG, funcH)
+from .expand import (Duplication, Session, enumerate_terms, funcF, funcG,
+                     funcH)
 from .grammar import (CapExceeded, Grammar, NotPositive, Nonterminal,
                       Production, build_grammar, enumerate_schemes,
                       is_inhabited, scheme_check)
@@ -18,18 +18,17 @@ from .sysf import (Arrow, ForallT, TVar, is_positive_type, parse_sysf_type,
                    phi, render_sysf_term, unphi)
 
 __all__ = [
-    "Atom", "Arrow", "Bracket", "CapExceeded", "Duplication", "Flattening",
-    "Fml", "Forall", "ForallT", "Formula", "Grammar", "IllFormed", "Impl",
-    "InconsistentTrace", "LJBContext", "LJBSequent", "LJPlusSequent",
-    "LamPf", "LamTm", "NamedContext", "Nonterminal", "NotNegative",
-    "NotPositive", "Polarity", "Production", "ProofTerm", "Session",
-    "Spine", "SyntaxError_", "TVar", "alpha_eq", "alpha_eq_sequent",
-    "build_grammar", "check_proof", "enumerate_schemes", "enumerate_terms",
-    "expose", "flatten", "funcF", "funcG", "funcH", "is_inhabited",
+    "Atom", "Arrow", "Bracket", "CapExceeded", "Duplication", "Fml", "Forall",
+    "ForallT", "Formula", "Grammar", "IllFormed", "Impl", "LJBContext",
+    "LJBSequent", "LJPlusSequent", "LamPf", "LamTm", "NamedContext",
+    "Nonterminal", "NotNegative", "NotPositive", "Polarity", "Production",
+    "ProofTerm", "Session", "Spine", "SyntaxError_", "TVar", "alpha_eq",
+    "alpha_eq_sequent", "build_grammar", "check_proof", "enumerate_schemes",
+    "enumerate_terms", "expose", "funcF", "funcG", "funcH", "is_inhabited",
     "is_negative", "is_positive", "is_positive_type", "normalize",
-    "oracle_enumerate", "parse_formula", "parse_sysf_type", "phi",
-    "polarity", "render", "render_proof", "render_sysf_term",
-    "scheme_check", "term_height", "unphi",
+    "oracle_enumerate", "parse_formula", "parse_sysf_type", "phi", "polarity",
+    "render", "render_proof", "render_sysf_term", "scheme_check",
+    "term_height", "unphi",
 ]
 
 __version__ = "1.0.0"

@@ -1,21 +1,21 @@
 """Expansion of schemes into proof-terms: canonical variables,
-flattening of bracketed sequents, partial duplications and the three
-expansion functions (over duplications, over cleaning traces, and over
-whole schemes)."""
+flattening of bracketed sequents, partial duplications and the paper's
+three expansion functions: funcF over a duplication, funcG back along a
+cleaning chain and funcH over a whole scheme."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .grammar import (DEFAULT_CAP, Grammar, Production, build_grammar,
                       enumerate_schemes, fits, productions_by_lhs, saturate,
                       subschemes)
 from .ljb import (Bracket, CleaningTrace, Fml, InvariantError, LJBContext,
-                  LJBSequent, MergeStep, annotate, expose, is_normal,
-                  merge_pairs, normalize_chain, replay)
+                  LJBSequent, MergeStep, annotate, expose, merge_pairs,
+                  normalize_chain)
 from .ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext, ProofTerm,
                      Spine, _match_formula, render_proof, rename_proof,
                      term_height)
@@ -25,11 +25,6 @@ from .syntax import (Atom, Forall, Formula, Impl, NotNegative, all_names,
                      union_all)
 
 Scheme = ProofTerm
-
-
-class InconsistentTrace(Exception):
-    """The supplied cleaning trace does not connect the source context to
-    its normal form."""
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +57,7 @@ class Session:
 
 
 # ---------------------------------------------------------------------------
-# Flattening
+# Flat sequents in occurrence coordinates
 
 @dataclass(frozen=True)
 class Flat:
@@ -72,21 +67,11 @@ class Flat:
     hyps: Tuple[Tuple[int, str, Formula], ...]
 
 
-@dataclass(frozen=True)
-class Flattening:
-    source: LJBSequent
-    result: LJPlusSequent
-    item_map: Dict[str, Tuple[int, ...]]
-    var_renaming: Dict[str, str]
-
-
-def flatten_det(ctx: LJBContext, goal: Formula,
-                record: Optional[Dict[str, str]] = None) -> Flat:
+def flatten_det(ctx: LJBContext, goal: Formula) -> Flat:
     """Deterministic flattening of an annotated context: every
     bracket-bound variable that occurs in its bracket is renamed to a
     fresh name (left-to-right, numeric suffixes), brackets are erased and
-    hypotheses are named h0, h1, ... in traversal order.  The optional
-    record collects the fresh-to-original renaming."""
+    hypotheses are named h0, h1, ... in traversal order."""
     avoid = set(all_names(goal))
 
     def collect(c: LJBContext) -> None:
@@ -112,45 +97,10 @@ def flatten_det(ctx: LJBContext, goal: Formula,
                 nv = fresh_name(v, avoid)
                 avoid.add(nv)
                 env2[v] = nv
-                if record is not None:
-                    record[nv] = v
             walk(it.inner, env2)
 
     walk(ctx, {})
     return Flat(goal, tuple(hyps))
-
-
-def fid_paths(ctx: LJBContext) -> Dict[int, Tuple[int, ...]]:
-    out: Dict[int, Tuple[int, ...]] = {}
-
-    def walk(c: LJBContext, path: Tuple[int, ...]) -> None:
-        for i, it in enumerate(c.items):
-            if isinstance(it, Fml):
-                out[it.fid] = path + (i,)
-            else:
-                walk(it.inner, path + (i,))
-
-    walk(ctx, ())
-    return out
-
-
-def flatten(session: Session, seq: LJBSequent) -> Flattening:
-    ann = annotate(seq.context)
-    record: Dict[str, str] = {}
-    flat = flatten_det(ann, seq.goal, record)
-    paths = fid_paths(ann)
-    result = LJPlusSequent(
-        NamedContext(tuple((pv, f) for _, pv, f in flat.hyps)), flat.goal)
-    item_map = {pv: paths[fid] for fid, pv, _ in flat.hyps}
-    return Flattening(LJBSequent(ann, seq.goal), result, item_map, record)
-
-
-def _flattening_to_flat(flat: Flattening) -> Flat:
-    inv = {path: fid
-           for fid, path in fid_paths(flat.source.context).items()}
-    hyps = tuple((inv[flat.item_map[pv]], pv, f)
-                 for pv, f in flat.result.context.hyps)
-    return Flat(flat.result.goal, hyps)
 
 
 # ---------------------------------------------------------------------------
@@ -300,44 +250,16 @@ def _lift_step(before: LJBContext, step, after: LJBContext, goal: Formula,
     return out
 
 
-def _lift(chain: Sequence[LJBContext], steps, goal: Formula,
+def funcG(chain: Sequence[LJBContext], steps: CleaningTrace, goal: Formula,
           terms: Sequence[ProofTerm]) -> List[ProofTerm]:
+    """Lift terms proving the flattening of chain[-1] back along the
+    cleaning chain (steps[i] rewrites chain[i] to chain[i+1], as
+    normalize_chain returns them) to all the terms proving the flattening
+    of chain[0] whose cleaned images they are."""
     cur = list(terms)
     for i in range(len(steps) - 1, -1, -1):
         cur = _lift_step(chain[i], steps[i], chain[i + 1], goal, cur)
     return cur
-
-
-def funcG(u: ProofTerm, source: LJBSequent, trace: CleaningTrace,
-          flat_source: Flattening,
-          flat_target: Flattening) -> List[ProofTerm]:
-    """All terms proving the flattening of source whose cleaned image is
-    u, obtained by replaying the cleaning trace backwards."""
-    ann = annotate(source.context)
-    try:
-        chain = replay(ann, trace)
-    except (IndexError, AttributeError) as exc:
-        raise InconsistentTrace(f"trace step not applicable: {exc}")
-    if not is_normal(chain[-1]):
-        raise InconsistentTrace("trace does not reach the normal form")
-    paths = fid_paths(chain[-1])
-    inv = {path: fid for fid, path in paths.items()}
-    tgt_hyps = []
-    for pv, f in flat_target.result.context.hyps:
-        path = flat_target.item_map[pv]
-        if path not in inv:
-            raise InconsistentTrace("target flattening does not match the "
-                                    "normal form of the trace")
-        tgt_hyps.append((inv[path], pv, f))
-    tgt = Flat(flat_target.result.goal, tuple(tgt_hyps))
-    base = _relabel(tgt, flatten_det(chain[-1], source.goal), [u])
-    lifted = _lift(chain, trace, source.goal, base)
-    src_inv = {path: fid for fid, path in fid_paths(chain[0]).items()}
-    src_hyps = tuple((src_inv[flat_source.item_map[pv]], pv, f)
-                     for pv, f in flat_source.result.context.hyps)
-    src = Flat(flat_source.result.goal, src_hyps)
-    out = _relabel(flatten_det(chain[0], source.goal), src, lifted)
-    return sorted(set(out), key=render_proof)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +271,7 @@ class _Plan:
     left-hand side.  Each premise's terms prove the flattening of
     chain[-1], which is the premise nonterminal's context up to
     occurrence ids (cleaning does not look at them).  They are lifted
-    back along the chain, relabeled from source to target (the
+    back along the chain by funcG, relabeled from source to target (the
     flattening of the left-hand side, with the premise's goal) and
     put together by wrap."""
     production: Production
@@ -448,21 +370,20 @@ class _Expander:
             if not terms:
                 return []
             choice_sets.append(_relabel(
-                source, target, _lift(plan.chain, plan.steps, goal, terms)))
+                source, target, funcG(plan.chain, plan.steps, goal, terms)))
         return [plan.wrap(args) for args in product(*choice_sets)]
 
 
-def funcH(session: Session, pi: Scheme, seq: LJBSequent,
-          flat: Flattening) -> List[ProofTerm]:
-    """All proof-terms of the flattening of seq that collapse to the
+def funcH(session: Session, pi: Scheme, seq: LJBSequent) -> List[ProofTerm]:
+    """All proof-terms of the flattening of seq's annotated sequent
+    (flatten_det(annotate(seq.context), seq.goal)) that collapse to the
     scheme pi, sorted; none when seq does not derive pi.  It runs the
-    same expander as enumerate_terms, on the grammar of flat's annotated
-    sequent bounded at pi's height, and names the terms after flat."""
-    grammar = saturate(flat.source, session, max_height=term_height(pi))
-    out = _relabel(flatten_det(flat.source.context, flat.source.goal),
-                   _flattening_to_flat(flat),
-                   _Expander(grammar).H(grammar.start, pi))
-    return sorted(set(out), key=render_proof)
+    same expander as enumerate_terms, on the grammar of the annotated
+    sequent bounded at pi's height."""
+    start = LJBSequent(annotate(seq.context), seq.goal)
+    grammar = saturate(start, session, max_height=term_height(pi))
+    return sorted(set(_Expander(grammar).H(grammar.start, pi)),
+                  key=render_proof)
 
 
 # ---------------------------------------------------------------------------

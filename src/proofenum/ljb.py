@@ -6,10 +6,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .syntax import (Atom, Forall, Formula, Impl, bound_vars, cached_field,
-                     key_hash, render, union_all)
+                     key_hash, render, split_arrows, union_all)
 
 STEP_CAP = 10 ** 6
 
@@ -119,14 +119,6 @@ def erase_formulas(ctx: LJBContext) -> List[Formula]:
         else:
             out.extend(erase_formulas(it.inner))
     return out
-
-
-def iter_fmls(ctx: LJBContext) -> Iterator[Fml]:
-    for it in ctx.items:
-        if isinstance(it, Fml):
-            yield it
-        else:
-            yield from iter_fmls(it.inner)
 
 
 _canon_key = attrgetter("key", "fids")
@@ -303,7 +295,6 @@ class ExposeEntry:
     formula: Formula
     fid: int
     args: Tuple[Formula, ...]
-    path: Tuple[int, ...]
 
 
 def expose(ctx: LJBContext, goal_atom: Formula) -> List[ExposeEntry]:
@@ -314,14 +305,14 @@ def expose(ctx: LJBContext, goal_atom: Formula) -> List[ExposeEntry]:
                              f"{render(goal_atom)}")
     entries: List[ExposeEntry] = []
 
-    def walk(level: LJBContext, chain, crossed: frozenset, path):
+    def walk(level: LJBContext, chain, crossed: frozenset):
         for idx, it in enumerate(level.items):
             if isinstance(it, Bracket):
                 walk(it.inner, chain + [(level, idx, it.binds)],
-                     crossed | it.binds, path + (idx,))
+                     crossed | it.binds)
                 continue
-            args, head = _impl_parts(it.formula)
-            if head is None or head != goal_atom:
+            args, head = split_arrows(it.formula)
+            if head != goal_atom:
                 continue
             if not head.fvs.isdisjoint(crossed):
                 continue
@@ -330,21 +321,10 @@ def expose(ctx: LJBContext, goal_atom: Formula) -> List[ExposeEntry]:
                 restructured=_restructure(chain, level, idx),
                 formula=it.formula,
                 fid=it.fid,
-                args=args,
-                path=path + (idx,)))
+                args=args))
 
-    walk(ctx, [], frozenset(), ())
+    walk(ctx, [], frozenset())
     return entries
-
-
-def _impl_parts(f: Formula):
-    args = []
-    while isinstance(f, Impl):
-        args.append(f.lhs)
-        f = f.rhs
-    if not isinstance(f, Atom):
-        return (), None
-    return tuple(args), f
 
 
 def _restructure(chain, final_level: LJBContext, final_idx: int) -> LJBContext:

@@ -187,19 +187,22 @@ def polarity(f: Formula) -> Polarity:
     return Polarity.NEITHER
 
 
+def split_arrows(f: Formula):
+    """Split A1 -> ... -> An -> B, B not an implication, into
+    ((A1, ..., An), B)."""
+    args = []
+    while isinstance(f, Impl):
+        args.append(f.lhs)
+        f = f.rhs
+    return tuple(args), f
+
+
 def decompose_negative(f: Formula):
     """Split a negative formula into (positive arguments, atomic head)."""
-    args = []
-    g = f
-    while isinstance(g, Impl):
-        args.append(g.lhs)
-        g = g.rhs
-    if not isinstance(g, Atom):
+    args, head = split_arrows(f)
+    if not isinstance(head, Atom) or not all(map(is_positive, args)):
         raise NotNegative(f"not a negative formula: {render(f)}")
-    for a in args:
-        if not is_positive(a):
-            raise NotNegative(f"not a negative formula: {render(f)}")
-    return tuple(args), g
+    return args, head
 
 
 def fold_negative(args: Iterable[Formula], head: Atom) -> Formula:

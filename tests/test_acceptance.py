@@ -4,8 +4,8 @@ equivalence, and randomized soundness/cleaning properties."""
 import random
 import time
 
-from proofenum.expand import (Duplication, Session, enumerate_terms, flatten,
-                              funcF, funcH)
+from proofenum.expand import (Duplication, Session, enumerate_terms, funcF,
+                              funcH)
 from proofenum.grammar import build_grammar, enumerate_schemes
 from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent, annotate,
                            erase_formulas, is_normal, normalize)
@@ -81,7 +81,7 @@ def test_duplicating_scheme_expands_to_two_terms():
     pi = LamPf("c0", b_to_q, Spine("c0", (LamTm("y", LamPf(
         "c1", pyq, LamPf("c2", py, Spine("c0", (inner,))))),)))
     seq = LJBSequent(LJBContext(), goal)
-    out = funcH(session, pi, seq, flatten(session, seq))
+    out = funcH(session, pi, seq)
     assert len(out) == 2
 
     def expected(pair):
@@ -148,7 +148,6 @@ def _schemes_by_head_count(type_text, max_height):
     session = Session()
     grammar = build_grammar(goal, session)
     seq = LJBSequent(LJBContext(), goal)
-    fl = flatten(session, seq)
     by_count = {}
 
     def count_head(t, head):
@@ -158,21 +157,21 @@ def _schemes_by_head_count(type_text, max_height):
 
     for pi in enumerate_schemes(grammar, max_height):
         by_count[count_head(pi, "c0")] = pi
-    return goal, session, seq, fl, by_count
+    return goal, session, seq, by_count
 
 
 def test_polymorphic_count_laws():
     start = time.monotonic()
-    goal1, s1, seq1, fl1, by1 = _schemes_by_head_count(SYSF_A1, 28)
+    goal1, s1, seq1, by1 = _schemes_by_head_count(SYSF_A1, 28)
     for k in range(2, 7):
-        assert len(funcH(s1, by1[k], seq1, fl1)) == k
+        assert len(funcH(s1, by1[k], seq1)) == k
     for k in range(2, 5):
         h = term_height(by1[k])
         assert alpha_set(enumerate_terms(goal1, h)) == oracle_set(goal1, h)
 
-    goal2, s2, seq2, fl2, by2 = _schemes_by_head_count(SYSF_A2, 28)
+    goal2, s2, seq2, by2 = _schemes_by_head_count(SYSF_A2, 28)
     for k in range(2, 7):
-        assert len(funcH(s2, by2[k], seq2, fl2)) == k * k
+        assert len(funcH(s2, by2[k], seq2)) == k * k
     assert time.monotonic() - start < 30.0
 
 
@@ -244,18 +243,17 @@ def test_random_schemes_expand_soundly():
         grammar = build_grammar(goal, session)
         minh = _min_heights(grammar)
         if minh[grammar.start] <= 10:
-            seq = LJBSequent(LJBContext(), goal)
-            inhabited.append(
-                (goal, session, grammar, seq, flatten(session, seq)))
+            inhabited.append((goal, session, grammar,
+                              LJBSequent(LJBContext(), goal)))
     assert inhabited
     checked = 0
     per_goal = 1000 // len(inhabited) + 1
-    for goal, session, grammar, seq, fl in inhabited:
+    for goal, session, grammar, seq in inhabited:
         for _ in range(per_goal):
             pi = _sample_scheme(grammar, rng, 10)
             if pi is None:
                 continue
-            for t in funcH(session, pi, seq, fl):
+            for t in funcH(session, pi, seq):
                 assert check_proof(NamedContext(), t, goal)
                 assert shape_ok(NamedContext(), t, goal)
                 assert term_height(t) == term_height(pi)

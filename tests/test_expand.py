@@ -5,12 +5,12 @@ import pytest
 import proofenum.expand
 import proofenum.ljb
 from proofenum import scheme_check
-from proofenum.expand import (Duplication, Flat, InconsistentTrace, Session,
-                              _relabel, enumerate_terms, flatten, funcF,
-                              funcG, funcH)
+from proofenum.expand import (Duplication, Flat, Session, _relabel,
+                              enumerate_terms, flatten_det, funcF, funcG,
+                              funcH)
 from proofenum.grammar import build_grammar, enumerate_schemes
 from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
-                           LJBSequent, annotate, normalize)
+                           LJBSequent, annotate, normalize_chain)
 from proofenum.ljplus import (LamPf, LJPlusSequent, NamedContext, Spine,
                               alpha_eq_sequent, check_proof, render_proof,
                               term_height)
@@ -33,35 +33,37 @@ def test_canonical_var_registry():
         s.canonical_var(parse_formula("forall x. P(x)"))
 
 
+def _flat_sequent(ctx, goal):
+    """The flattening of the annotated ctx |- goal as an LJ+ sequent."""
+    flat = flatten_det(annotate(ctx), goal)
+    return LJPlusSequent(
+        NamedContext(tuple((pv, f) for _, pv, f in flat.hyps)), flat.goal)
+
+
 def test_flatten_renames_bracket_variables():
     br = Bracket(frozenset({"x"}),
                  LJBContext((Fml(parse_formula("P(x)")),
                              Fml(parse_formula("P(x) -> Q")))))
-    seq = LJBSequent(LJBContext((br, br)), parse_formula("Q"))
-    fl = flatten(Session(), seq)
-    hyps = [(pv, render(f)) for pv, f in fl.result.context.hyps]
+    flat = flatten_det(annotate(LJBContext((br, br))), parse_formula("Q"))
+    hyps = [(pv, render(f)) for _, pv, f in flat.hyps]
     assert hyps == [("h0", "P(x1)"), ("h1", "P(x1) -> Q"),
                     ("h2", "P(x2)"), ("h3", "P(x2) -> Q")]
-    assert render(fl.result.goal) == "Q"
-    assert set(fl.var_renaming) == {"x1", "x2"}
+    assert render(flat.goal) == "Q"
 
 
 def test_flatten_no_brackets():
-    seq = LJBSequent(LJBContext((Fml(parse_formula("P")),)),
-                     parse_formula("P"))
-    fl = flatten(Session(), seq)
-    assert [(pv, render(f)) for pv, f in fl.result.context.hyps] == \
-        [("h0", "P")]
+    flat = flatten_det(annotate(LJBContext((Fml(parse_formula("P")),))),
+                       parse_formula("P"))
+    assert [(pv, render(f)) for _, pv, f in flat.hyps] == [("h0", "P")]
 
 
 def test_flattenings_alpha_equivalent():
     br = Bracket(frozenset({"x"}),
                  LJBContext((Fml(parse_formula("P(x)")),
                              Fml(parse_formula("P(x) -> Q")))))
-    seq = LJBSequent(LJBContext((br,)), parse_formula("Q"))
-    f1 = flatten(Session(), seq)
-    f2 = flatten(Session(), seq)
-    assert alpha_eq_sequent(f1.result, f2.result)
+    ctx, goal = LJBContext((br,)), parse_formula("Q")
+    assert alpha_eq_sequent(_flat_sequent(ctx, goal),
+                            _flat_sequent(ctx, goal))
 
 
 def _funcF_fixture():
@@ -113,63 +115,45 @@ def test_funcF_empty_result():
     assert funcF(u, src, tgt, d) == []
 
 
-def _funcG_fixture():
+def test_funcG_merge_duplicates_proof():
     br = Bracket(frozenset({"x"}),
                  LJBContext((Fml(parse_formula("P(x)")),
                              Fml(parse_formula("P(x) -> Q")))))
-    seq = LJBSequent(LJBContext((br, br)), parse_formula("Q"))
-    nf, trace = normalize(annotate(seq.context))
-    session = Session()
-    fs = flatten(session, seq)
-    ft = flatten(session, LJBSequent(nf, seq.goal))
-    return seq, trace, fs, ft
-
-
-def test_funcG_merge_duplicates_proof():
-    seq, trace, fs, ft = _funcG_fixture()
+    ctx, goal = LJBContext((br, br)), parse_formula("Q")
+    chain, steps = normalize_chain(annotate(ctx))
     # the normal form flattens to h0:P(x1), h1:P(x1)->Q |- Q, whose
     # one-step proof is (h1 h0)
     u = Spine("h1", (Spine("h0"),))
-    out = funcG(u, seq, trace, fs, ft)
-    assert [render_proof(t) for t in out] == ["(h1 h0)", "(h3 h2)"]
+    out = funcG(chain, steps, goal, [u])
+    assert sorted(render_proof(t) for t in out) == ["(h1 h0)", "(h3 h2)"]
+    src = _flat_sequent(ctx, goal)
     for t in out:
-        assert check_proof(fs.result.context, t, fs.result.goal)
+        assert check_proof(src.context, t, src.goal)
         assert term_height(t) == term_height(u)
 
 
 def test_funcG_empty_trace_is_renaming():
-    session = Session()
-    seq = LJBSequent(LJBContext((Fml(parse_formula("P")),)),
-                     parse_formula("P"))
-    fs = flatten(session, seq)
-    out = funcG(Spine("h0"), seq, (), fs, fs)
+    chain, steps = normalize_chain(
+        annotate(LJBContext((Fml(parse_formula("P")),))))
+    assert steps == ()
+    out = funcG(chain, steps, parse_formula("P"), [Spine("h0")])
     assert [render_proof(t) for t in out] == ["h0"]
 
 
 def test_funcG_drop_only_trace():
-    session = Session()
     ctx = LJBContext((Bracket(frozenset({"x"}), LJBContext()),
                       Fml(parse_formula("P"))))
-    seq = LJBSequent(ctx, parse_formula("P"))
-    nf, trace = normalize(annotate(ctx))
-    fs = flatten(session, seq)
-    ft = flatten(session, LJBSequent(nf, seq.goal))
-    out = funcG(Spine("h0"), seq, trace, fs, ft)
+    chain, steps = normalize_chain(annotate(ctx))
+    assert steps
+    out = funcG(chain, steps, parse_formula("P"), [Spine("h0")])
     assert [render_proof(t) for t in out] == ["h0"]
-
-
-def test_funcG_inconsistent_trace():
-    seq, trace, fs, ft = _funcG_fixture()
-    with pytest.raises(InconsistentTrace):
-        funcG(Spine("h1", (Spine("h0"),)), seq, trace[:-1], fs, ft)
 
 
 def _fig_setup():
     goal = parse_formula(FIG_FORMULA)
     session = Session()
     grammar = build_grammar(goal, session)
-    seq = LJBSequent(LJBContext(), goal)
-    return goal, session, grammar, seq, flatten(session, seq)
+    return goal, session, grammar, LJBSequent(LJBContext(), goal)
 
 
 def test_funcH_trivial_axiom():
@@ -177,27 +161,26 @@ def test_funcH_trivial_axiom():
     c = session.canonical_var(parse_formula("P"))
     seq = LJBSequent(LJBContext((Fml(parse_formula("P")),)),
                      parse_formula("P"))
-    fl = flatten(session, seq)
-    out = funcH(session, Spine(c), seq, fl)
+    out = funcH(session, Spine(c), seq)
     assert [render_proof(t) for t in out] == ["h0"]
 
 
 def test_funcH_single_scheme_single_term():
-    goal, session, grammar, seq, fl = _fig_setup()
+    goal, session, grammar, seq = _fig_setup()
     schemes = enumerate_schemes(grammar, 7)
     assert len(schemes) == 1
-    out = funcH(session, schemes[0], seq, fl)
+    out = funcH(session, schemes[0], seq)
     assert len(out) == 1
     assert check_proof(NamedContext(), out[0], goal)
     assert alpha_set(out) == oracle_set(goal, 7)
 
 
 def test_funcH_duplicating_scheme_two_terms():
-    goal, session, grammar, seq, fl = _fig_setup()
+    goal, session, grammar, seq = _fig_setup()
     schemes = enumerate_schemes(grammar, 11)
     big = [s for s in schemes if term_height(s) == 11]
     assert len(big) == 1
-    out = funcH(session, big[0], seq, fl)
+    out = funcH(session, big[0], seq)
     assert len(out) == 2
     for t in out:
         assert check_proof(NamedContext(), t, goal)
@@ -218,7 +201,7 @@ def test_funcH_is_empty_on_schemes_the_sequent_does_not_derive():
     for text, pi in cases:
         seq = LJBSequent(LJBContext(), parse_formula(text))
         assert not scheme_check(session, seq, pi)
-        assert funcH(session, pi, seq, flatten(session, seq)) == []
+        assert funcH(session, pi, seq) == []
 
 
 def test_enumerate_terms_identity():

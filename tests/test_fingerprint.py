@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from proofenum.expand import Session, enumerate_terms, flatten, funcH
+from proofenum.expand import Session, enumerate_terms, funcH
 from proofenum.grammar import build_grammar, enumerate_schemes, grammar_to_json
 from proofenum.ljb import LJBContext, LJBSequent
 from proofenum.ljplus import render_proof, term_height
@@ -62,8 +62,7 @@ def test_deep_terms_fingerprint(goal, height, count, digest):
 
 
 def _funcH(session, pi, goal):
-    seq = LJBSequent(LJBContext(), goal)
-    return funcH(session, pi, seq, flatten(session, seq))
+    return funcH(session, pi, LJBSequent(LJBContext(), goal))
 
 
 def _funcH_outputs(goal, height):

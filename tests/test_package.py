@@ -1,6 +1,22 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import proofenum
 
 
 def test_public_names_resolve():
     for name in proofenum.__all__:
         assert hasattr(proofenum, name), name
+
+
+def test_traced_names_resolve():
+    # The benchmark's traced run patches these functions by name; a
+    # renamed one would make every traced run fail.
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod, fname in tracing.TRACED:
+        module = importlib.import_module(f"{tracing.PACKAGE}.{mod}")
+        assert callable(getattr(module, fname, None)), (mod, fname)
