@@ -1,4 +1,4 @@
-"""Output fingerprints: the grammars of D_3 and D_4, the terms of A2 and
+"""Output fingerprints: the grammars of D_3, D_4 and D_5, the terms of A2 and
 of the deep enumeration inputs, and funcH's terms for the corpus schemes
 must stay byte-identical, so that nonterminal numbering, fids and
 hypothesis names cannot shift unnoticed."""
@@ -35,6 +35,10 @@ def test_d3_grammar_fingerprint():
 
 def test_d4_grammar_fingerprint():
     assert grammar_fingerprint(4) == (1054, "cc90f7c176be3886")
+
+
+def test_d5_grammar_fingerprint():
+    assert grammar_fingerprint(5) == (3889, "bed5b106f0102896")
 
 
 def test_a2_terms_fingerprint():
