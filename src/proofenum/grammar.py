@@ -100,7 +100,7 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
         seq = nt.sequent
         if isinstance(seq.goal, Atom):
             for entry in expose(seq.context, seq.goal):
-                premise_ctx, _ = normalize(entry.restructured)
+                premise_ctx = normalize(entry.restructured)
                 premises = tuple(
                     intern(LJBSequent(premise_ctx, a), depth)
                     for a in entry.args)

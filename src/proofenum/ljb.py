@@ -88,11 +88,13 @@ Item = Union[Fml, Bracket]
 class LJBContext:
     items: Tuple[Item, ...] = ()
     key: str = cached_field()
+    normal: bool = cached_field()  # normalize returned this context
 
     __hash__ = key_hash
 
     def __post_init__(self):
         _set(self, "key", ", ".join(it.key for it in self.items))
+        _set(self, "normal", False)
 
 
 @dataclass(frozen=True)
@@ -213,10 +215,6 @@ def _find_step(ctx: LJBContext, path: Tuple[int, ...]) -> Optional[CleaningStep]
     return None
 
 
-def is_normal(ctx: LJBContext) -> bool:
-    return _find_step(ctx, ()) is None
-
-
 def apply_step(ctx: LJBContext, step: CleaningStep) -> LJBContext:
     if isinstance(step, SplitStep):
         def fn(items):
@@ -268,10 +266,48 @@ def normalize_chain(ctx: LJBContext):
     raise CleaningOverflow(f"no normal form within {STEP_CAP} steps")
 
 
-def normalize(ctx: LJBContext):
-    """Normal form of a context plus the cleaning trace reaching it."""
-    chain, steps = normalize_chain(ctx)
-    return chain[-1], steps
+def normalize(ctx: LJBContext) -> LJBContext:
+    """The normal form of ctx, equal to normalize_chain(ctx)[0][-1] (fids
+    included) but computed in one bottom-up pass with no trace.
+
+    Each bracket's inner level is normalized first; the items whose free
+    variables miss the bracket's binds move out, and a bracket left
+    empty is dropped.  The level is then sorted and keeps the first item
+    of each run of equal keys.  The small-step strategy merges a level
+    only once its brackets are clean, and each merge keeps the item that
+    sorts first, so both end in the same context.  Levels that are
+    normal and sorted already are returned as they are, and every
+    context returned is marked normal, so that cleaning it again, or a
+    context that reuses it as a bracket's inner level, skips it."""
+    if ctx.normal:
+        return ctx
+    out: List[Item] = []
+    for it in ctx.items:
+        if isinstance(it, Fml):
+            out.append(it)
+            continue
+        inner = normalize(it.inner)
+        kept = []
+        for x in inner.items:
+            (out if x.fvs.isdisjoint(it.binds) else kept).append(x)
+        if len(kept) == len(inner.items):
+            if kept:
+                out.append(it if inner is it.inner
+                           else Bracket(it.binds, inner))
+        elif kept:
+            out.append(Bracket(it.binds, LJBContext(tuple(kept))))
+    out.sort(key=_canon_key)
+    items = [x for i, x in enumerate(out)
+             if i == 0 or x.key != out[i - 1].key]
+    if not (len(items) == len(ctx.items) and all(
+            a is b for a, b in zip(items, ctx.items))):
+        ctx = LJBContext(tuple(items))
+    _set(ctx, "normal", True)
+    return ctx
+
+
+def is_normal(ctx: LJBContext) -> bool:
+    return normalize(ctx) == canon(ctx)
 
 
 def replay(ctx: LJBContext, trace: CleaningTrace) -> List[LJBContext]:
@@ -345,13 +381,11 @@ def apply_rforall(s: LJBSequent) -> LJBSequent:
         raise GoalNotForall(render(s.goal))
     v = frozenset(bound_vars(s.goal))
     bracketed = LJBContext((Bracket(v, s.context),))
-    normal, _ = normalize(bracketed)
-    return LJBSequent(normal, s.goal.body)
+    return LJBSequent(normalize(bracketed), s.goal.body)
 
 
 def apply_rimpl(s: LJBSequent) -> LJBSequent:
     if not isinstance(s.goal, Impl):
         raise GoalNotImpl(render(s.goal))
     extended = LJBContext(s.context.items + (Fml(s.goal.lhs),))
-    normal, _ = normalize(extended)
-    return LJBSequent(normal, s.goal.rhs)
+    return LJBSequent(normalize(extended), s.goal.rhs)

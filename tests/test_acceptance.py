@@ -8,7 +8,8 @@ from proofenum.expand import (Duplication, Session, enumerate_terms, funcF,
                               funcH)
 from proofenum.grammar import build_grammar, enumerate_schemes
 from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent, annotate,
-                           erase_formulas, is_normal, normalize)
+                           erase_formulas, is_normal, normalize,
+                           normalize_chain)
 from proofenum.ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext,
                               Spine, check_proof, render_proof, shape_ok,
                               term_height)
@@ -292,11 +293,15 @@ def test_cleaning_properties_random():
     start = time.monotonic()
     rng = random.Random(987654321)
     for _ in range(500):
-        ctx = annotate(_random_context(rng, [rng.randint(1, 50)]))
-        nf, trace = normalize(ctx)
+        raw = _random_context(rng, [rng.randint(1, 50)])
+        assert normalize(raw) == normalize_chain(raw)[0][-1]
+        ctx = annotate(raw)
+        chain, trace = normalize_chain(ctx)
+        nf = chain[-1]
+        assert normalize(ctx) == nf
         assert is_normal(nf)
-        nf2, trace2 = normalize(nf)
-        assert nf2 == nf and trace2 == ()
+        chain2, trace2 = normalize_chain(nf)
+        assert chain2 == [nf] and trace2 == ()
         before = sorted(render(f) for f in erase_formulas(ctx))
         after = sorted(render(f) for f in erase_formulas(nf))
         # merging only removes exact duplicates: the surviving formulas

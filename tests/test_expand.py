@@ -1,4 +1,5 @@
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -247,30 +248,45 @@ def test_enumerate_terms_shares_sub_scheme_expansions(monkeypatch):
     assert len(calls) <= 40
 
 
+@contextmanager
+def counting_normalize_chain(monkeypatch):
+    """Count the normalize_chain calls made inside the block: every
+    package module that holds the function gets a counting wrapper."""
+    orig = proofenum.ljb.normalize_chain
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
+
+    with monkeypatch.context() as m:
+        for name, mod in list(sys.modules.items()):
+            if (name.split(".")[0] == "proofenum"
+                    and vars(mod).get("normalize_chain") is orig):
+                m.setattr(mod, "normalize_chain", counting)
+        yield calls
+
+
 def test_enumerate_terms_cleans_each_production_at_most_twice(monkeypatch):
     # Saturation cleans the premise context of each production once, and
     # the expander cleans it once more for the production's lift plan;
     # expansion itself cleans nothing.
-    orig = proofenum.ljb.normalize_chain
-    calls = []
-
-    def counting_normalize_chain(*args):
-        calls.append(args)
-        return orig(*args)
-
     church = phi(parse_sysf_type("forall X. X -> (X->X) -> X"))
     for goal, h, productions in [(church, 40, 5), (d_family(3), 11, 92)]:
         g = build_grammar(goal, Session(), max_height=h)
         assert len(g.productions) == productions
-        calls.clear()
-        with monkeypatch.context() as m:
-            for name, mod in list(sys.modules.items()):
-                if (name.split(".")[0] == "proofenum"
-                        and vars(mod).get("normalize_chain") is orig):
-                    m.setattr(mod, "normalize_chain",
-                              counting_normalize_chain)
+        with counting_normalize_chain(monkeypatch) as calls:
             enumerate_terms(goal, h)
         assert len(calls) <= 2 * productions
+
+
+def test_saturation_keeps_no_cleaning_trace(monkeypatch):
+    # Saturation needs only normal forms; the small-step chain and its
+    # trace are built for expansion's lift plans alone.
+    with counting_normalize_chain(monkeypatch) as calls:
+        g = build_grammar(d_family(4), Session())
+    assert len(g.nonterminals) == 1054
+    assert calls == []
 
 
 def test_relabel_rejects_non_matching_flattenings():

@@ -1,3 +1,5 @@
+import pytest
+
 from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent, annotate,
                            apply_rforall, apply_rimpl, canon, erase_formulas,
                            expose, is_normal, merge_pairs, normalize,
@@ -9,14 +11,14 @@ from proofenum.expand import Session
 from proofenum.syntax import parse_formula, render
 
 
-def fml(text):
-    return Fml(parse_formula(text))
+def fml(text, fid=-1):
+    return Fml(parse_formula(text), fid)
 
 
 def test_split_moves_unbound_item_out():
     ctx = LJBContext((Bracket(frozenset({"x"}),
                               LJBContext((fml("Q"), fml("P(x)")))),))
-    nf, trace = normalize(ctx)
+    nf = normalize(ctx)
     assert is_normal(nf)
     # Q does not mention x, so it leaves the bracket
     assert render_context(nf) == "Q, [P(x)]_{x}"
@@ -24,21 +26,23 @@ def test_split_moves_unbound_item_out():
 
 def test_drop_empty_bracket():
     ctx = LJBContext((Bracket(frozenset({"x"}), LJBContext()), fml("Q")))
-    nf, trace = normalize(ctx)
+    nf = normalize(ctx)
     assert render_context(nf) == "Q"
 
 
 def test_merge_duplicates():
     ctx = LJBContext((fml("Q"), fml("Q"), fml("Q")))
-    nf, trace = normalize(ctx)
+    chain, trace = normalize_chain(ctx)
+    nf = chain[-1]
     assert render_context(nf) == "Q"
     assert len(trace) == 2
+    assert normalize(ctx) == nf
 
 
 def test_merge_brackets():
     br = Bracket(frozenset({"x"}), LJBContext((fml("P(x)"),)))
     ctx = LJBContext((br, br))
-    nf, trace = normalize(ctx)
+    nf = normalize(ctx)
     assert render_context(nf) == "[P(x)]_{x}"
     ann = annotate(ctx)
     chain, steps = normalize_chain(ann)
@@ -59,19 +63,63 @@ def test_normalize_idempotent_and_replayable():
                             Bracket(frozenset({"y"}),
                                     LJBContext((fml("R(y)"), fml("P(x)"))))))),
         fml("Q")))
-    nf, trace = normalize(ctx)
+    chain, trace = normalize_chain(ctx)
+    nf = chain[-1]
     assert is_normal(nf)
-    nf2, trace2 = normalize(nf)
-    assert nf2 == nf and trace2 == ()
-    chain = replay(ctx, trace)
-    assert chain[-1] == nf
+    chain2, trace2 = normalize_chain(nf)
+    assert chain2 == [nf] and trace2 == ()
+    assert replay(ctx, trace)[-1] == nf
+    assert normalize(ctx) == nf
+    assert normalize(nf) == nf
+
+
+def test_is_normal_sees_non_neighbouring_duplicates():
+    br = Bracket(frozenset({"x"}), LJBContext((fml("P(x)"),)))
+    for ctx in [LJBContext((fml("Q"), fml("P"), fml("Q"))),
+                LJBContext((br, fml("P"), br))]:
+        assert not is_normal(ctx)
+        assert is_normal(normalize(ctx))
+
+
+def bracket(binds, *items):
+    return Bracket(frozenset(binds), LJBContext(items))
+
+
+@pytest.mark.parametrize("ctx, want, fids", [
+    # Q leaves the y-bracket and then the x-bracket
+    (annotate(LJBContext((bracket("x", fml("P(x)"),
+                                  bracket("y", fml("Q"),
+                                          fml("R(x, y)"))),))),
+     "Q, [P(x), [R(x, y)]_{y}]_{x}", (1, 0, 2)),
+    # splits empty both brackets, which are then dropped
+    (annotate(LJBContext((bracket("x", fml("Q"), bracket("y", fml("R"))),
+                          fml("P")))),
+     "P, Q, R", (0, 1, 2)),
+    # the brackets become equal only after their splits, then merge;
+    # the one with the smaller fids survives
+    (annotate(LJBContext((bracket("x", fml("P(x)"), fml("R")),
+                          bracket("x", fml("P(x)"), fml("Q"))))),
+     "Q, R, [P(x)]_{x}", (1, 3, 0)),
+    (annotate(LJBContext((fml("Q"), fml("Q"), fml("Q")))), "Q", (0,)),
+    # fids out of traversal order, as after expose: the split Q has the
+    # smaller fid and survives though its twin comes first
+    (LJBContext((fml("Q", 2), bracket("x", fml("P(x)", 0), fml("Q", 1)))),
+     "Q, [P(x)]_{x}", (1, 0)),
+], ids=["split-twice", "emptied-and-dropped", "equal-after-splits",
+        "three-copies", "split-twin-sorts-first"])
+def test_one_pass_normal_form_matches_small_steps(ctx, want, fids):
+    nf = normalize(ctx)
+    small = normalize_chain(ctx)[0][-1]
+    assert nf == small and repr(nf) == repr(small)
+    assert render_context(nf) == want
+    assert tuple(f for it in nf.items for f in it.fids) == fids
 
 
 def test_erased_formulas_preserved_without_merge():
     ctx = LJBContext((
         Bracket(frozenset({"x"}), LJBContext((fml("P(x)"), fml("Q")))),
         fml("R(z)")))
-    nf, _ = normalize(ctx)
+    nf = normalize(ctx)
     before = sorted(render(f) for f in erase_formulas(ctx))
     after = sorted(render(f) for f in erase_formulas(nf))
     assert before == after
@@ -107,7 +155,7 @@ def test_expose_side_condition():
     # the exposed formula is released from its bracket; the emptied
     # bracket remains until cleaning
     assert render_context(entries[0].restructured) == "P(y) -> Q, []_{y}"
-    nf, _ = normalize(entries[0].restructured)
+    nf = normalize(entries[0].restructured)
     assert render_context(nf) == "P(y) -> Q"
 
 
