@@ -290,12 +290,12 @@ def normalize(ctx: LJBContext) -> LJBContext:
         kept = []
         for x in inner.items:
             (out if x.fvs.isdisjoint(it.binds) else kept).append(x)
-        if len(kept) == len(inner.items):
-            if kept:
-                out.append(it if inner is it.inner
-                           else Bracket(it.binds, inner))
-        elif kept:
+        if not kept:
+            continue
+        if len(kept) < len(inner.items):
             out.append(Bracket(it.binds, LJBContext(tuple(kept))))
+        else:
+            out.append(it if inner is it.inner else Bracket(it.binds, inner))
     out.sort(key=_canon_key)
     items = [x for i, x in enumerate(out)
              if i == 0 or x.key != out[i - 1].key]
