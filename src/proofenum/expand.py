@@ -1,28 +1,26 @@
 """Expansion of schemes into proof-terms: canonical variables,
 flattening of bracketed sequents, partial duplications and the paper's
-three expansion functions: funcF over a duplication, funcG back along a
-cleaning chain and funcH over a whole scheme."""
+three expansion functions: funcF over a duplication, funcG back across
+cleaning and funcH over a whole scheme."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .grammar import (DEFAULT_CAP, Grammar, Production, build_grammar,
                       enumerate_schemes, fits, productions_by_lhs, saturate,
                       subschemes)
-from .ljb import (Bracket, CleaningTrace, Fml, InvariantError, LJBContext,
-                  LJBSequent, MergeStep, annotate, expose, merge_pairs,
-                  normalize_chain)
+from .ljb import (Bracket, Fml, InvariantError, LJBContext, LJBSequent,
+                  annotate, canon, expose, normalize)
 from .ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext, ProofTerm,
                      Spine, _match_formula, render_proof, rename_proof,
                      term_height)
-from .syntax import (Atom, Forall, Formula, Impl, NotNegative, all_names,
+from .syntax import (Atom, Forall, Formula, NotNegative, all_names,
                      bound_vars, decompose_negative, ensure_distinct_binders,
-                     free_vars, fresh_name, is_negative, rename, render,
-                     union_all)
+                     fresh_name, is_negative, rename, render, union_all)
 
 Scheme = ProofTerm
 
@@ -106,10 +104,11 @@ def flatten_det(ctx: LJBContext, goal: Formula) -> Flat:
 # ---------------------------------------------------------------------------
 # Relabeling between flattenings of the same occurrences
 
-def _relabel(src: Flat, dst: Flat,
-             terms: Iterable[ProofTerm]) -> List[ProofTerm]:
-    """Rename terms proving src so that they prove dst; the two
-    flattenings must cover the same occurrence ids."""
+def _renaming(src: Flat, dst: Flat) -> Tuple[Dict[str, str],
+                                            Dict[str, str]]:
+    """The renaming (tmap, pmap) of free term and proof variables that
+    makes terms proving src prove dst, without its identity pairs; the
+    two flattenings must cover the same occurrence ids."""
     by_fid = {fid: (pv, f) for fid, pv, f in dst.hyps}
     sig: Dict[str, str] = {}
     pmap: Dict[str, str] = {}
@@ -122,15 +121,55 @@ def _relabel(src: Flat, dst: Flat,
     sig = _match_formula(src.goal, dst.goal, sig, ())
     if sig is None:
         raise InvariantError("flattening goals are not alpha-equivalent")
-    tmap = {k: v for k, v in sig.items() if k != v}
-    pmap = {k: v for k, v in pmap.items() if k != v}
+    return ({k: v for k, v in sig.items() if k != v},
+            {k: v for k, v in pmap.items() if k != v})
+
+
+def _relabel(terms: Sequence[ProofTerm], tmap: Dict[str, str],
+             pmap: Dict[str, str]) -> Sequence[ProofTerm]:
+    """terms renamed by the renaming (tmap, pmap) of _renaming."""
     if not tmap and not pmap:
-        return list(terms)
+        return terms
     return [rename_proof(t, tmap, pmap) for t in terms]
 
 
 # ---------------------------------------------------------------------------
-# Partial duplications and the expansion over a duplication
+# Lifting terms to a context with more copies of each hypothesis
+
+def _lift(u: ProofTerm, goal: Formula,
+          copies: Dict[str, Sequence[Tuple[str, Formula]]],
+          used: frozenset, tvars: frozenset) -> List[ProofTerm]:
+    """All terms proving goal in a larger context whose image under
+    copy -> original is u.  copies maps each proof variable of u's
+    context to the (proof variable, formula) pairs of its copies in the
+    larger context, used holds the larger context's proof variables and
+    tvars its free term variables.  A head takes each of its copies
+    whose formula ends in goal, and its arguments are lifted against
+    that copy's argument formulas.  A proof binder gets one copy, typed
+    by goal.lhs, and a term binder free in the context gets a fresh
+    name, as check_proof requires."""
+    if isinstance(u, Spine):
+        out: List[ProofTerm] = []
+        for pv, f in copies.get(u.head, ()):
+            args, head = decompose_negative(f)
+            if head == goal:
+                out.extend(Spine(pv, tup) for tup in product(*(
+                    _lift(a, c, copies, used, tvars)
+                    for a, c in zip(u.args, args))))
+        return out
+    if isinstance(u, LamTm):
+        var = u.var if u.var not in tvars else \
+            fresh_name(u.var, tvars | goal.fvs)
+        body = goal.body if var == goal.var else \
+            rename(goal.body, {goal.var: var})
+        return [LamTm(var, b)
+                for b in _lift(u.body, body, copies, used, tvars)]
+    nv = u.pvar if u.pvar not in used else fresh_name(u.pvar, used)
+    copies = {**copies, u.pvar: ((nv, goal.lhs),)}
+    return [LamPf(nv, goal.lhs, b)
+            for b in _lift(u.body, goal.rhs, copies, used | {nv},
+                           tvars | goal.lhs.fvs)]
+
 
 @dataclass(frozen=True)
 class Duplication:
@@ -140,126 +179,61 @@ class Duplication:
     sigma1: Dict[str, str]
     sigma2: Dict[str, str]
     copies: Dict[str, Dict[int, str]]
-    goal_side: int = 1
-
-
-def _funcF(u: ProofTerm, src_goal: Formula, tgt_goal: Formula,
-           src_types: Dict[str, Formula],
-           copies: Dict[str, Tuple[Tuple[int, str, Formula], ...]],
-           s1: Dict[str, str], s2: Dict[str, str],
-           used: frozenset) -> List[ProofTerm]:
-    if isinstance(u, Spine):
-        out: List[ProofTerm] = []
-        for i, tgt_pv, f_t in copies.get(u.head, ()):
-            sig = s1 if i == 1 else s2
-            f_s = src_types[u.head]
-            if rename(f_s, sig) != f_t:
-                continue
-            if rename(src_goal, sig) != tgt_goal:
-                continue
-            s_args, _ = decompose_negative(f_s)
-            choice_sets = [
-                _funcF(a, c, rename(c, sig), src_types, copies, s1, s2, used)
-                for a, c in zip(u.args, s_args)]
-            out.extend(Spine(tgt_pv, tup) for tup in product(*choice_sets))
-        return out
-    if isinstance(u, LamTm):
-        if not (isinstance(src_goal, Forall) and isinstance(tgt_goal, Forall)):
-            raise InvariantError("term abstraction at a goal that is not "
-                                 "a forall")
-        body_src = src_goal.body if u.var == src_goal.var else \
-            rename(src_goal.body, {src_goal.var: u.var})
-        if tgt_goal.var == u.var:
-            body_tgt = tgt_goal.body
-        else:
-            if u.var in free_vars(tgt_goal.body):
-                return []
-            body_tgt = rename(tgt_goal.body, {tgt_goal.var: u.var})
-        return [LamTm(u.var, b)
-                for b in _funcF(u.body, body_src, body_tgt, src_types,
-                                copies, s1, s2, used)]
-    if not (isinstance(src_goal, Impl) and isinstance(tgt_goal, Impl)):
-        raise InvariantError("proof abstraction at a goal that is not an "
-                             "implication")
-    a1, a2 = src_goal.lhs, src_goal.rhs
-    b1, b2 = tgt_goal.lhs, tgt_goal.rhs
-    nv = u.pvar if u.pvar not in used else fresh_name(u.pvar, used)
-    entry = tuple((i, nv, b1) for i, sig in ((1, s1), (2, s2))
-                  if rename(a1, sig) == b1)
-    if not entry:
-        return []
-    copies2 = dict(copies)
-    copies2[u.pvar] = entry
-    types2 = dict(src_types)
-    types2[u.pvar] = a1
-    return [LamPf(nv, b1, b)
-            for b in _funcF(u.body, a2, b2, types2, copies2, s1, s2,
-                            used | {nv})]
 
 
 def funcF(u: ProofTerm, source: LJPlusSequent, target: LJPlusSequent,
           d: Duplication) -> List[ProofTerm]:
     """All duplicated variants of u proving the partial duplication
     target of source (empty when no copy assignment is consistent)."""
-    src_types = dict(source.context.hyps)
-    copies = {
-        spv: tuple((i, m[i], target.context.lookup(m[i]))
-                   for i in sorted(m))
-        for spv, m in d.copies.items()}
-    out = _funcF(u, source.goal, target.goal, src_types, copies,
-                 d.sigma1, d.sigma2, frozenset(target.context.pvars()))
+    src, tgt = dict(source.context.hyps), dict(target.context.hyps)
+    sigma = {1: d.sigma1, 2: d.sigma2}
+    copies = {spv: tuple((pv, tgt[pv]) for i, pv in sorted(m.items())
+                         if rename(src[spv], sigma[i]) == tgt[pv])
+              for spv, m in d.copies.items()}
+    out = _lift(u, target.goal, copies, target.context.pvars(),
+                target.context.free_term_vars())
     return sorted(set(out), key=render_proof)
 
 
 # ---------------------------------------------------------------------------
-# Expansion over a cleaning trace
+# Expansion back across cleaning
 
-def _lift_step(before: LJBContext, step, after: LJBContext, goal: Formula,
-               terms: Sequence[ProofTerm]) -> List[ProofTerm]:
-    """Transport terms proving the flattening of `after` back to terms
-    proving the flattening of `before` (one cleaning step)."""
-    fa = flatten_det(after, goal)
-    fb = flatten_det(before, goal)
-    if not isinstance(step, MergeStep):
-        return _relabel(fa, fb, terms)
-    fb_by_fid = {fid: (pv, f) for fid, pv, f in fb.hyps}
-    fa_by_fid = {fid: (pv, f) for fid, pv, f in fa.hyps}
-    s1: Dict[str, str] = {}
-    s2: Dict[str, str] = {}
-    copies: Dict[str, List[Tuple[int, str, Formula]]] = {}
-    src_types: Dict[str, Formula] = {}
-    for fid, pv_a, f_a in fa.hyps:
-        src_types[pv_a] = f_a
-        pv_b, f_b = fb_by_fid[fid]
-        s1 = _match_formula(f_a, f_b, s1, ())
-        if s1 is None:
-            raise InvariantError("merge flattenings do not align (copy 1)")
-        copies.setdefault(pv_a, []).append((1, pv_b, f_b))
-    for fid_dropped, fid_kept in merge_pairs(before, step):
-        pv_a, f_a = fa_by_fid[fid_kept]
-        pv_b, f_b = fb_by_fid[fid_dropped]
-        s2 = _match_formula(f_a, f_b, s2, ())
-        if s2 is None:
-            raise InvariantError("merge flattenings do not align (copy 2)")
-        copies.setdefault(pv_a, []).append((2, pv_b, f_b))
-    frozen = {k: tuple(v) for k, v in copies.items()}
-    used = frozenset(pv for _, pv, _ in fb.hyps)
-    out: List[ProofTerm] = []
-    for t in terms:
-        out.extend(_funcF(t, goal, goal, src_types, frozen, s1, s2, used))
-    return out
+def _lift_table(ctx: LJBContext, goal: Formula):
+    """How terms proving the flattening of normalize(ctx) with goal lift
+    back across cleaning, as (source, table).  Cleaning sends each
+    occurrence of ctx to one occurrence of its normal form.  When it
+    merges nothing, that is a bijection: table is None, and the terms
+    need only be renamed from source, the normal form's flattening.
+    Otherwise source is the flattening of canon(ctx), and table holds
+    _lift's last three arguments: the copy table maps each hypothesis of
+    the normal form's flattening to the hypotheses of source that
+    cleaning sends to it."""
+    merged: Dict[int, int] = {}
+    nf = flatten_det(normalize(ctx, merged), goal)
+    if not merged:
+        return nf, None
+    source = flatten_det(canon(ctx), goal)
+    pv_of = {fid: pv for fid, pv, _ in nf.hyps}
+    copies: Dict[str, List[Tuple[str, Formula]]] = {}
+    for fid, pv, f in source.hyps:
+        while fid in merged:
+            fid = merged[fid]
+        copies.setdefault(pv_of[fid], []).append((pv, f))
+    table = (copies, frozenset(pv for _, pv, _ in source.hyps),
+             union_all(f.fvs for _, _, f in source.hyps))
+    return source, table
 
 
-def funcG(chain: Sequence[LJBContext], steps: CleaningTrace, goal: Formula,
+def funcG(ctx: LJBContext, goal: Formula,
           terms: Sequence[ProofTerm]) -> List[ProofTerm]:
-    """Lift terms proving the flattening of chain[-1] back along the
-    cleaning chain (steps[i] rewrites chain[i] to chain[i+1], as
-    normalize_chain returns them) to all the terms proving the flattening
-    of chain[0] whose cleaned images they are."""
-    cur = list(terms)
-    for i in range(len(steps) - 1, -1, -1):
-        cur = _lift_step(chain[i], steps[i], chain[i + 1], goal, cur)
-    return cur
+    """Lift terms proving the flattening of normalize(ctx) with goal
+    back across cleaning to all the terms proving the flattening of
+    canon(ctx) whose cleaned images they are.  ctx is annotated."""
+    source, table = _lift_table(ctx, goal)
+    if table is None:
+        return list(_relabel(terms, *_renaming(
+            source, flatten_det(canon(ctx), goal))))
+    return [t for u in terms for t in _lift(u, goal, *table)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +242,15 @@ def funcG(chain: Sequence[LJBContext], steps: CleaningTrace, goal: Formula,
 @dataclass(frozen=True)
 class _Plan:
     """How the terms of a production's premises become terms of its
-    left-hand side.  Each premise's terms prove the flattening of
-    chain[-1], which is the premise nonterminal's context up to
-    occurrence ids (cleaning does not look at them).  They are lifted
-    back along the chain by funcG, relabeled from source to target (the
-    flattening of the left-hand side, with the premise's goal) and
-    put together by wrap."""
+    left-hand side.  Each premise's terms prove the flattening of the
+    normal form of the rule's premise context, which is the premise
+    nonterminal's context up to occurrence ids (cleaning does not look
+    at them).  They are lifted back across cleaning by the premise's
+    table (see _lift_table), renamed onto the flattening of the
+    left-hand side with the premise's goal and put together by wrap."""
     production: Production
-    chain: Sequence[LJBContext]
-    steps: CleaningTrace
-    lifts: Tuple[Tuple[Formula, Flat, Flat], ...]  # (goal, source, target)
+    # (goal, table, (tmap, pmap)) per premise
+    lifts: Tuple[Tuple[Formula, Optional[tuple], tuple], ...]
     wrap: Callable[[tuple], ProofTerm]
 
 
@@ -318,10 +291,11 @@ def _plans(seq: LJBSequent, prods: Sequence[Production]) -> List[_Plan]:
                   lambda ts: LamPf(pvar, goal.lhs, ts[0]))]
     plans = []
     for p, raw, goals, targets, wrap in rules:
-        chain, steps = normalize_chain(raw)
-        lifts = tuple((a, flatten_det(chain[0], a), t)
-                      for a, t in zip(goals, targets))
-        plans.append(_Plan(p, chain, steps, lifts, wrap))
+        lifts = []
+        for a, target in zip(goals, targets):
+            source, table = _lift_table(raw, a)
+            lifts.append((a, table, _renaming(source, target)))
+        plans.append(_Plan(p, tuple(lifts), wrap))
     return plans
 
 
@@ -364,13 +338,14 @@ class _Expander:
     def _expand(self, plan: _Plan,
                 subs: Sequence[Scheme]) -> List[ProofTerm]:
         choice_sets = []
-        for q, sub, (goal, source, target) in zip(plan.production.premises,
-                                                  subs, plan.lifts):
+        for q, sub, (goal, table, renaming) in zip(
+                plan.production.premises, subs, plan.lifts):
             terms = self.H(q, sub)
+            if table is not None:
+                terms = [t for u in terms for t in _lift(u, goal, *table)]
             if not terms:
                 return []
-            choice_sets.append(_relabel(
-                source, target, funcG(plan.chain, plan.steps, goal, terms)))
+            choice_sets.append(_relabel(terms, *renaming))
         return [plan.wrap(args) for args in product(*choice_sets)]
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .syntax import (Atom, Forall, Formula, Impl, bound_vars, cached_field,
                      key_hash, render, split_arrows, union_all)
@@ -24,14 +24,6 @@ class InvariantError(RuntimeError):
     """An internal invariant of cleaning or expansion does not hold:
     signals an implementation bug or arguments that do not fit together
     (flattenings of other occurrences)."""
-
-
-class GoalNotForall(Exception):
-    pass
-
-
-class GoalNotImpl(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +258,8 @@ def normalize_chain(ctx: LJBContext):
     raise CleaningOverflow(f"no normal form within {STEP_CAP} steps")
 
 
-def normalize(ctx: LJBContext) -> LJBContext:
+def normalize(ctx: LJBContext,
+              merged: Optional[Dict[int, int]] = None) -> LJBContext:
     """The normal form of ctx, equal to normalize_chain(ctx)[0][-1] (fids
     included) but computed in one bottom-up pass with no trace.
 
@@ -278,7 +271,13 @@ def normalize(ctx: LJBContext) -> LJBContext:
     sorts first, so both end in the same context.  Levels that are
     normal and sorted already are returned as they are, and every
     context returned is marked normal, so that cleaning it again, or a
-    context that reuses it as a bracket's inner level, skips it."""
+    context that reuses it as a bracket's inner level, skips it.
+
+    When merged is a dict, each merge records the occurrence ids of the
+    item it drops there, as dropped fid -> fid of the equal item before
+    it.  That fid may be dropped in turn: following merged from an
+    occurrence of ctx ends at the occurrence of the normal form that
+    cleaning sends it to."""
     if ctx.normal:
         return ctx
     out: List[Item] = []
@@ -286,7 +285,7 @@ def normalize(ctx: LJBContext) -> LJBContext:
         if isinstance(it, Fml):
             out.append(it)
             continue
-        inner = normalize(it.inner)
+        inner = normalize(it.inner, merged)
         kept = []
         for x in inner.items:
             (out if x.fvs.isdisjoint(it.binds) else kept).append(x)
@@ -299,6 +298,10 @@ def normalize(ctx: LJBContext) -> LJBContext:
     out.sort(key=_canon_key)
     items = [x for i, x in enumerate(out)
              if i == 0 or x.key != out[i - 1].key]
+    if merged is not None:
+        for prev, x in zip(out, out[1:]):
+            if x.key == prev.key:
+                merged.update(zip(x.fids, prev.fids))
     if not (len(items) == len(ctx.items) and all(
             a is b for a, b in zip(items, ctx.items))):
         ctx = LJBContext(tuple(items))
@@ -378,7 +381,8 @@ def _restructure(chain, final_level: LJBContext, final_idx: int) -> LJBContext:
 
 def apply_rforall(s: LJBSequent) -> LJBSequent:
     if not isinstance(s.goal, Forall):
-        raise GoalNotForall(render(s.goal))
+        raise InvariantError(f"R-forall needs a forall goal, got "
+                             f"{render(s.goal)}")
     v = frozenset(bound_vars(s.goal))
     bracketed = LJBContext((Bracket(v, s.context),))
     return LJBSequent(normalize(bracketed), s.goal.body)
@@ -386,6 +390,7 @@ def apply_rforall(s: LJBSequent) -> LJBSequent:
 
 def apply_rimpl(s: LJBSequent) -> LJBSequent:
     if not isinstance(s.goal, Impl):
-        raise GoalNotImpl(render(s.goal))
+        raise InvariantError(f"R-impl needs an implication goal, got "
+                             f"{render(s.goal)}")
     extended = LJBContext(s.context.items + (Fml(s.goal.lhs),))
     return LJBSequent(normalize(extended), s.goal.rhs)

@@ -4,15 +4,15 @@ equivalence, and randomized soundness/cleaning properties."""
 import random
 import time
 
-from proofenum.expand import (Duplication, Session, enumerate_terms, funcF,
-                              funcH)
+from proofenum.expand import (Duplication, Session, enumerate_terms,
+                              flatten_det, funcF, funcG, funcH)
 from proofenum.grammar import build_grammar, enumerate_schemes
-from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent, annotate,
-                           erase_formulas, is_normal, normalize,
-                           normalize_chain)
+from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent, MergeStep,
+                           annotate, canon, erase_formulas, is_normal,
+                           merge_pairs, normalize, normalize_chain)
 from proofenum.ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext,
-                              Spine, check_proof, render_proof, shape_ok,
-                              term_height)
+                              Spine, check_proof, oracle_enumerate,
+                              render_proof, shape_ok, term_height)
 from proofenum.syntax import (ensure_distinct_binders, parse_formula, render)
 
 from conftest import (FIG_FORMULA, SYSF_A1, SYSF_A2, alpha_set, corpus,
@@ -289,6 +289,12 @@ def _random_context(rng, budget, depth=0):
     return LJBContext(tuple(items))
 
 
+def _merged_into(merged, fid):
+    while fid in merged:
+        fid = merged[fid]
+    return fid
+
+
 def test_cleaning_properties_random():
     start = time.monotonic()
     rng = random.Random(987654321)
@@ -300,6 +306,16 @@ def test_cleaning_properties_random():
         nf = chain[-1]
         assert normalize(ctx) == nf
         assert is_normal(nf)
+        # the merges normalize records send every occurrence where the
+        # small-step merges send it
+        merged, stepwise = {}, {}
+        normalize(ctx, merged)
+        for before, step in zip(chain, trace):
+            if isinstance(step, MergeStep):
+                stepwise.update(merge_pairs(before, step))
+        assert merged.keys() == stepwise.keys()
+        for f in merged:
+            assert _merged_into(merged, f) == _merged_into(stepwise, f)
         chain2, trace2 = normalize_chain(nf)
         assert chain2 == [nf] and trace2 == ()
         before = sorted(render(f) for f in erase_formulas(ctx))
@@ -311,6 +327,35 @@ def test_cleaning_properties_random():
             assert f in remaining
             remaining.remove(f)
         assert set(before) == set(after)
+    assert time.monotonic() - start < 10.0
+
+
+def _flat_sequent(flat):
+    return LJPlusSequent(
+        NamedContext(tuple((pv, f) for _, pv, f in flat.hyps)), flat.goal)
+
+
+def test_funcG_matches_brute_force_on_random_contexts():
+    # Lifting every proof of the cleaned context's flattening back across
+    # cleaning gives every proof of the raw context's flattening: the
+    # oracle on both sides is the reference, not the small-step chain.
+    start = time.monotonic()
+    rng = random.Random(20231)
+    goals = [parse_formula(t) for t in ("Q", "P", "R(x)", "P(x) -> Q")]
+    with_merge = 0
+    for _ in range(400):
+        ctx = annotate(_random_context(rng, [rng.randint(1, 30)]))
+        for goal in goals:
+            nf = _flat_sequent(flatten_det(normalize(ctx), goal))
+            raw = _flat_sequent(flatten_det(canon(ctx), goal))
+            lifted = funcG(ctx, goal, oracle_enumerate(nf, 4))
+            assert alpha_set(lifted) == \
+                alpha_set(oracle_enumerate(raw, 4))
+            for t in lifted:
+                assert check_proof(raw.context, t, goal)
+            if lifted and len(nf.context.hyps) < len(raw.context.hyps):
+                with_merge += 1
+    assert with_merge >= 100
     assert time.monotonic() - start < 10.0
 
 

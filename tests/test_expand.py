@@ -6,15 +6,15 @@ import pytest
 import proofenum.expand
 import proofenum.ljb
 from proofenum import scheme_check
-from proofenum.expand import (Duplication, Flat, Session, _relabel,
+from proofenum.expand import (Duplication, Flat, Session, _renaming,
                               enumerate_terms, flatten_det, funcF, funcG,
                               funcH)
 from proofenum.grammar import build_grammar, enumerate_schemes
 from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
                            LJBSequent, annotate, normalize_chain)
-from proofenum.ljplus import (LamPf, LJPlusSequent, NamedContext, Spine,
-                              alpha_eq_sequent, check_proof, render_proof,
-                              term_height)
+from proofenum.ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext,
+                              Spine, alpha_eq_sequent, check_proof,
+                              render_proof, term_height)
 from proofenum.syntax import NotNegative, parse_formula, render
 from proofenum.sysf import parse_sysf_type, phi
 
@@ -121,11 +121,10 @@ def test_funcG_merge_duplicates_proof():
                  LJBContext((Fml(parse_formula("P(x)")),
                              Fml(parse_formula("P(x) -> Q")))))
     ctx, goal = LJBContext((br, br)), parse_formula("Q")
-    chain, steps = normalize_chain(annotate(ctx))
     # the normal form flattens to h0:P(x1), h1:P(x1)->Q |- Q, whose
     # one-step proof is (h1 h0)
     u = Spine("h1", (Spine("h0"),))
-    out = funcG(chain, steps, goal, [u])
+    out = funcG(annotate(ctx), goal, [u])
     assert sorted(render_proof(t) for t in out) == ["(h1 h0)", "(h3 h2)"]
     src = _flat_sequent(ctx, goal)
     for t in out:
@@ -137,7 +136,8 @@ def test_funcG_empty_trace_is_renaming():
     chain, steps = normalize_chain(
         annotate(LJBContext((Fml(parse_formula("P")),))))
     assert steps == ()
-    out = funcG(chain, steps, parse_formula("P"), [Spine("h0")])
+    out = funcG(annotate(LJBContext((Fml(parse_formula("P")),))),
+                parse_formula("P"), [Spine("h0")])
     assert [render_proof(t) for t in out] == ["h0"]
 
 
@@ -146,8 +146,30 @@ def test_funcG_drop_only_trace():
                       Fml(parse_formula("P"))))
     chain, steps = normalize_chain(annotate(ctx))
     assert steps
-    out = funcG(chain, steps, parse_formula("P"), [Spine("h0")])
+    out = funcG(annotate(ctx), parse_formula("P"), [Spine("h0")])
     assert [render_proof(t) for t in out] == ["h0"]
+
+
+def test_funcG_freshens_term_binders_free_in_the_context():
+    # The normal form flattens to h0:P(x), h1:P(x1), h2:P(x1)->Q, so its
+    # proof binds x2 and x3.  The second copy of the bracket makes x2
+    # free in the context before cleaning, and once x2 becomes x3 the
+    # inner binder must move on too.
+    br = Bracket(frozenset({"x"}),
+                 LJBContext((Fml(parse_formula("P(x)")),
+                             Fml(parse_formula("P(x) -> Q")))))
+    ctx = LJBContext((Fml(parse_formula("P(x)")), br, br))
+    goal = parse_formula("forall x. P(x) -> forall x. P(x) -> Q")
+    u = LamTm("x2", LamPf("h3", parse_formula("P(x2)"), LamTm(
+        "x3", LamPf("h4", parse_formula("P(x3)"),
+                    Spine("h2", (Spine("h1"),))))))
+    out = funcG(annotate(ctx), goal, [u])
+    assert sorted(render_proof(t) for t in out) == [
+        "\\x3. \\h5:P(x3). \\x4. \\h6:P(x4). (h2 h1)",
+        "\\x3. \\h5:P(x3). \\x4. \\h6:P(x4). (h4 h3)"]
+    src = _flat_sequent(ctx, goal)
+    for t in out:
+        assert check_proof(src.context, t, src.goal)
 
 
 def _fig_setup():
@@ -268,8 +290,9 @@ def counting_normalize_chain(monkeypatch):
 
 
 def test_enumerate_terms_cleans_each_production_at_most_twice(monkeypatch):
-    # Saturation cleans the premise context of each production once, and
-    # the expander cleans it once more for the production's lift plan;
+    # Saturation cleans the premise context of each production with the
+    # one-pass normalize, and so does the expander when it builds the
+    # production's lift plan; nothing builds the small-step chain, and
     # expansion itself cleans nothing.
     church = phi(parse_sysf_type("forall X. X -> (X->X) -> X"))
     for goal, h, productions in [(church, 40, 5), (d_family(3), 11, 92)]:
@@ -277,7 +300,7 @@ def test_enumerate_terms_cleans_each_production_at_most_twice(monkeypatch):
         assert len(g.productions) == productions
         with counting_normalize_chain(monkeypatch) as calls:
             enumerate_terms(goal, h)
-        assert len(calls) <= 2 * productions
+        assert calls == []
 
 
 def test_saturation_keeps_no_cleaning_trace(monkeypatch):
@@ -292,6 +315,5 @@ def test_saturation_keeps_no_cleaning_trace(monkeypatch):
 def test_relabel_rejects_non_matching_flattenings():
     p, q = parse_formula("P"), parse_formula("Q")
     with pytest.raises(InvariantError):
-        _relabel(Flat(p, ((0, "h0", p),)), Flat(p, ((0, "h0", q),)),
-                 [Spine("h0")])
+        _renaming(Flat(p, ((0, "h0", p),)), Flat(p, ((0, "h0", q),)))
     assert issubclass(InvariantError, RuntimeError)

@@ -1,10 +1,11 @@
 import pytest
 
-from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent, annotate,
-                           apply_rforall, apply_rimpl, canon, erase_formulas,
-                           expose, is_normal, merge_pairs, normalize,
-                           normalize_chain, render_context,
-                           render_ljb_sequent, replay, MergeStep)
+from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
+                           LJBSequent, annotate, apply_rforall, apply_rimpl,
+                           canon, erase_formulas, expose, is_normal,
+                           merge_pairs, normalize, normalize_chain,
+                           render_context, render_ljb_sequent, replay,
+                           MergeStep)
 from proofenum.grammar import scheme_check
 from proofenum.ljplus import LamPf, LamTm, Spine
 from proofenum.expand import Session
@@ -54,6 +55,10 @@ def test_merge_brackets():
     assert len(pairs) == 1
     d, k = pairs[0]
     assert d != k
+    # normalize records the same pair when it is asked to
+    merged = {}
+    assert normalize(ann, merged) == chain[-1]
+    assert merged == {d: k}
 
 
 def test_normalize_idempotent_and_replayable():
@@ -185,6 +190,15 @@ def test_rimpl_extends_and_normalizes():
     s = LJBSequent(LJBContext((fml("P"),)), parse_formula("P -> Q"))
     out = apply_rimpl(s)
     assert render_ljb_sequent(out) == "P |- Q"  # duplicate P merged
+
+
+def test_right_rules_reject_other_goals():
+    # saturation dispatches on the goal first, so a wrong goal is a bug
+    s = LJBSequent(LJBContext((fml("P"),)), parse_formula("P"))
+    with pytest.raises(InvariantError):
+        apply_rforall(s)
+    with pytest.raises(InvariantError):
+        apply_rimpl(s)
 
 
 def test_scheme_check_simple():
