@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .grammar import (DEFAULT_CAP, Grammar, Production, build_grammar,
                       enumerate_schemes, fits, productions_by_lhs, saturate,
@@ -16,7 +16,7 @@ from .grammar import (DEFAULT_CAP, Grammar, Production, build_grammar,
 from .ljb import (Bracket, Fml, InvariantError, LJBContext, LJBSequent,
                   annotate, canon, expose, normalize)
 from .ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext, ProofTerm,
-                     Spine, _match_formula, render_proof, rename_proof,
+                     Spine, _match_formula, rename_proof, sort_proofs,
                      term_height)
 from .syntax import (Atom, Forall, Formula, NotNegative, all_names,
                      bound_vars, decompose_negative, ensure_distinct_binders,
@@ -136,26 +136,39 @@ def _relabel(terms: Sequence[ProofTerm], tmap: Dict[str, str],
 # ---------------------------------------------------------------------------
 # Lifting terms to a context with more copies of each hypothesis
 
-def _lift(u: ProofTerm, goal: Formula,
-          copies: Dict[str, Sequence[Tuple[str, Formula]]],
+# The copies of one hypothesis, grouped by formula: (proof variables,
+# argument formulas, head) per distinct formula.
+Copies = Tuple[Tuple[Tuple[str, ...], Tuple[Formula, ...], Formula], ...]
+
+
+def _copies(pairs: Iterable[Tuple[str, Formula]]) -> Copies:
+    """The (proof variable, formula) pairs of a hypothesis's copies,
+    grouped by formula and decomposed into arguments and head."""
+    groups: Dict[Formula, List[str]] = {}
+    for pv, f in pairs:
+        groups.setdefault(f, []).append(pv)
+    return tuple((tuple(pvs), *decompose_negative(f))
+                 for f, pvs in groups.items())
+
+
+def _lift(u: ProofTerm, goal: Formula, copies: Dict[str, Copies],
           used: frozenset, tvars: frozenset) -> List[ProofTerm]:
     """All terms proving goal in a larger context whose image under
     copy -> original is u.  copies maps each proof variable of u's
-    context to the (proof variable, formula) pairs of its copies in the
-    larger context, used holds the larger context's proof variables and
-    tvars its free term variables.  A head takes each of its copies
-    whose formula ends in goal, and its arguments are lifted against
-    that copy's argument formulas.  A proof binder gets one copy, typed
-    by goal.lhs, and a term binder free in the context gets a fresh
-    name, as check_proof requires."""
+    context to its copies in the larger context, used holds the larger
+    context's proof variables and tvars its free term variables.  A
+    head takes each of its copies whose formula ends in goal, and its
+    arguments are lifted against that copy's argument formulas, once
+    per formula: copies with one formula share the lifted arguments.  A
+    proof binder gets one copy, typed by goal.lhs, and a term binder
+    free in the context gets a fresh name, as check_proof requires."""
     if isinstance(u, Spine):
         out: List[ProofTerm] = []
-        for pv, f in copies.get(u.head, ()):
-            args, head = decompose_negative(f)
+        for pvs, args, head in copies.get(u.head, ()):
             if head == goal:
-                out.extend(Spine(pv, tup) for tup in product(*(
-                    _lift(a, c, copies, used, tvars)
-                    for a, c in zip(u.args, args))))
+                tups = list(product(*(_lift(a, c, copies, used, tvars)
+                                      for a, c in zip(u.args, args))))
+                out.extend(Spine(pv, tup) for pv in pvs for tup in tups)
         return out
     if isinstance(u, LamTm):
         var = u.var if u.var not in tvars else \
@@ -165,7 +178,7 @@ def _lift(u: ProofTerm, goal: Formula,
         return [LamTm(var, b)
                 for b in _lift(u.body, body, copies, used, tvars)]
     nv = u.pvar if u.pvar not in used else fresh_name(u.pvar, used)
-    copies = {**copies, u.pvar: ((nv, goal.lhs),)}
+    copies = {**copies, u.pvar: _copies(((nv, goal.lhs),))}
     return [LamPf(nv, goal.lhs, b)
             for b in _lift(u.body, goal.rhs, copies, used | {nv},
                            tvars | goal.lhs.fvs)]
@@ -187,12 +200,12 @@ def funcF(u: ProofTerm, source: LJPlusSequent, target: LJPlusSequent,
     target of source (empty when no copy assignment is consistent)."""
     src, tgt = dict(source.context.hyps), dict(target.context.hyps)
     sigma = {1: d.sigma1, 2: d.sigma2}
-    copies = {spv: tuple((pv, tgt[pv]) for i, pv in sorted(m.items())
-                         if rename(src[spv], sigma[i]) == tgt[pv])
+    copies = {spv: _copies((pv, tgt[pv]) for i, pv in sorted(m.items())
+                           if rename(src[spv], sigma[i]) == tgt[pv])
               for spv, m in d.copies.items()}
     out = _lift(u, target.goal, copies, target.context.pvars(),
                 target.context.free_term_vars())
-    return sorted(set(out), key=render_proof)
+    return sort_proofs(set(out))
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +227,13 @@ def _lift_table(ctx: LJBContext, goal: Formula):
         return nf, None
     source = flatten_det(canon(ctx), goal)
     pv_of = {fid: pv for fid, pv, _ in nf.hyps}
-    copies: Dict[str, List[Tuple[str, Formula]]] = {}
+    pairs: Dict[str, List[Tuple[str, Formula]]] = {}
     for fid, pv, f in source.hyps:
         while fid in merged:
             fid = merged[fid]
-        copies.setdefault(pv_of[fid], []).append((pv, f))
-    table = (copies, frozenset(pv for _, pv, _ in source.hyps),
+        pairs.setdefault(pv_of[fid], []).append((pv, f))
+    table = ({nv: _copies(ps) for nv, ps in pairs.items()},
+             frozenset(pv for _, pv, _ in source.hyps),
              union_all(f.fvs for _, _, f in source.hyps))
     return source, table
 
@@ -310,7 +324,14 @@ class _Expander:
     2004).  A scheme node expands through the productions that fit it;
     a scheme that no production fits has no terms.  Lift plans are
     built once per nonterminal, on first use.  The memos live as long
-    as the expander, that is one call."""
+    as the expander, that is one call.
+
+    The memoized lists are duplicate-free as built, so nothing here
+    deduplicates: distinct plans differ at the root head (each spine
+    production exposes its own occurrence, a right rule has one plan),
+    and lifting and relabeling are injective.  Terms share their
+    sub-terms (see _lift), so the caller's final set hashes each shared
+    node once."""
 
     def __init__(self, grammar: Grammar) -> None:
         self._grammar = grammar
@@ -320,8 +341,8 @@ class _Expander:
 
     def H(self, nt: int, pi: Scheme) -> List[ProofTerm]:
         """The terms proving the flattening of nonterminal nt's annotated
-        sequent that collapse to pi, in no fixed order.  The list is
-        shared: do not change it."""
+        sequent that collapse to pi, without duplicates and in no fixed
+        order.  The list is shared: do not change it."""
         key = (nt, pi)
         out = self._terms.get(key)
         if out is None:
@@ -330,9 +351,9 @@ class _Expander:
                 plans = self._plans[nt] = _plans(
                     self._grammar.nonterminals[nt].sequent,
                     self._by_lhs.get(nt, ()))
-            out = self._terms[key] = list(dict.fromkeys(
+            out = self._terms[key] = [
                 t for plan in plans if fits(plan.production, pi)
-                for t in self._expand(plan, subschemes(pi))))
+                for t in self._expand(plan, subschemes(pi))]
         return out
 
     def _expand(self, plan: _Plan,
@@ -357,8 +378,7 @@ def funcH(session: Session, pi: Scheme, seq: LJBSequent) -> List[ProofTerm]:
     sequent bounded at pi's height."""
     start = LJBSequent(annotate(seq.context), seq.goal)
     grammar = saturate(start, session, max_height=term_height(pi))
-    return sorted(set(_Expander(grammar).H(grammar.start, pi)),
-                  key=render_proof)
+    return sort_proofs(set(_Expander(grammar).H(grammar.start, pi)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +398,7 @@ def enumerate_terms(goal: Formula, max_height: int,
         out.update(expander.H(grammar.start, pi))
     if distinct is not goal:
         out = {_onto_goal(t, goal, NamedContext()) for t in out}
-    return sorted(out, key=render_proof)
+    return sort_proofs(out)
 
 
 def _onto_goal(t: ProofTerm, goal: Formula,

@@ -12,7 +12,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .ljb import (LJBContext, LJBSequent, apply_rforall, apply_rimpl,
                   expose, normalize, render_ljb_sequent)
-from .ljplus import (LamPf, LamTm, ProofTerm, Spine, render_proof,
+from .ljplus import (LamPf, LamTm, ProofTerm, Spine, sort_proofs,
                      term_height)
 from .syntax import (Atom, Forall, Formula, Polarity,
                      ensure_distinct_binders, polarity, render)
@@ -169,7 +169,7 @@ def enumerate_schemes(g: Grammar, max_height: int) -> List[Scheme]:
         memo[key] = frozenset(out)
         return memo[key]
 
-    return sorted(gen(g.start, max_height), key=render_proof)
+    return sort_proofs(gen(g.start, max_height))
 
 
 def fits(p: Production, pi: Scheme) -> bool:

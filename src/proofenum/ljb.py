@@ -177,7 +177,6 @@ class MergeStep:
 
 
 CleaningStep = Union[SplitStep, DropStep, MergeStep]
-CleaningTrace = Tuple[CleaningStep, ...]
 
 
 def _rebuild(ctx: LJBContext, path: Tuple[int, ...], fn) -> LJBContext:
@@ -307,20 +306,6 @@ def normalize(ctx: LJBContext,
         ctx = LJBContext(tuple(items))
     _set(ctx, "normal", True)
     return ctx
-
-
-def is_normal(ctx: LJBContext) -> bool:
-    return normalize(ctx) == canon(ctx)
-
-
-def replay(ctx: LJBContext, trace: CleaningTrace) -> List[LJBContext]:
-    """Re-run a recorded trace from ctx; raises on a non-applicable step."""
-    cur = canon(ctx)
-    chain = [cur]
-    for step in trace:
-        cur = apply_step(cur, step)
-        chain.append(cur)
-    return chain
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ proof-terms, derivation checking and a brute-force enumerator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .syntax import (Atom, Forall, Formula, Impl, NotNegative, Var,
                      decompose_negative, free_vars, fresh_name,
@@ -19,44 +20,129 @@ class IllFormed(Exception):
 # Proof-terms
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+def _structural(*names: str):
+    """__hash__ and __reduce__ of a proof-term class with the fields
+    names.  The hash is structural, computed on first use from the
+    children's (cached) hashes and kept in the _hash slot; pickling and
+    copying rebuild the node from its fields, without the cache."""
+    fields = attrgetter(*names)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(fields(self))
+            _set(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return type(self), fields(self)
+
+    return __hash__, __reduce__
+
+
+def _hash_cache():
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+# Expansion shares sub-terms between the terms it builds, so a term is a
+# DAG.  Equality stays structural, and only the hash is cached, on first
+# use: a printed key per node would cost memory in proportion to size
+# times depth.
+
+@dataclass(frozen=True, slots=True)
 class Spine:
     head: str
     args: tuple = ()
+    _hash: Optional[int] = _hash_cache()
+
+    __hash__, __reduce__ = _structural("head", "args")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LamTm:
     var: str
     body: "ProofTerm"
+    _hash: Optional[int] = _hash_cache()
+
+    __hash__, __reduce__ = _structural("var", "body")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LamPf:
     pvar: str
     annot: Formula
     body: "ProofTerm"
+    _hash: Optional[int] = _hash_cache()
+
+    __hash__, __reduce__ = _structural("pvar", "annot", "body")
 
 
 ProofTerm = Union[Spine, LamTm, LamPf]
 
 
 def term_height(t: ProofTerm) -> int:
-    if isinstance(t, Spine):
-        if not t.args:
-            return 1
-        return 1 + max(term_height(a) for a in t.args)
-    return 1 + term_height(t.body)
+    height = 0
+    todo = [(t, 1)]
+    while todo:
+        u, h = todo.pop()
+        if h > height:
+            height = h
+        if isinstance(u, Spine):
+            todo.extend((a, h + 1) for a in u.args)
+        else:
+            todo.append((u.body, h + 1))
+    return height
 
 
-def render_proof(t: ProofTerm) -> str:
-    if isinstance(t, Spine):
-        if not t.args:
-            return t.head
-        return f"({t.head} {' '.join(render_proof(a) for a in t.args)})"
-    if isinstance(t, LamTm):
-        return f"\\{t.var}. {render_proof(t.body)}"
-    return f"\\{t.pvar}:{render(t.annot)}. {render_proof(t.body)}"
+def render_proof(t: ProofTerm, memo: Optional[Dict[int, str]] = None) -> str:
+    """The printed form of t.  With memo, the printed form of each spine
+    with arguments is also kept in memo under id(spine) and read back
+    from it, so a spine shared between the terms printed with one memo
+    is printed once.  A memo must not outlive the terms printed with
+    it."""
+    done: List[str] = []  # printed sub-terms, left to right
+    todo: list = [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is str:  # the binders above the last printed sub-term
+            done[-1] = x + done[-1]
+            continue
+        if type(x) is tuple:  # (spine,), its arguments printed last
+            x = x[0]
+            n = len(x.args)
+            text = f"({x.head} {' '.join(done[-n:])})"
+            del done[-n:]
+            if memo is not None:
+                memo[id(x)] = text
+            done.append(text)
+            continue
+        binders = ""
+        while type(x) is not Spine:
+            binders += (f"\\{x.var}. " if type(x) is LamTm
+                        else f"\\{x.pvar}:{render(x.annot)}. ")
+            x = x.body
+        if not x.args:
+            text = x.head
+        else:
+            text = memo.get(id(x)) if memo is not None else None
+        if text is not None:
+            done.append(binders + text)
+            continue
+        if binders:
+            todo.append(binders)
+        todo.append((x,))
+        todo.extend(reversed(x.args))
+    return done[0]
+
+
+def sort_proofs(terms: Iterable[ProofTerm]) -> List[ProofTerm]:
+    """terms sorted by render_proof, printing each spine they share
+    once."""
+    memo: Dict[int, str] = {}
+    return sorted(terms, key=lambda t: render_proof(t, memo))
 
 
 def proof_to_json(t: ProofTerm) -> dict:

@@ -1,5 +1,7 @@
-"""Shared fixtures: the formula corpus and small comparison helpers."""
+"""Shared fixtures: the formula corpus, small comparison helpers and
+the reference checks of cleaning."""
 
+from proofenum.ljb import apply_step, canon, normalize
 from proofenum.ljplus import (LJPlusSequent, NamedContext, alpha_normalize,
                               oracle_enumerate, render_proof)
 from proofenum.syntax import parse_formula
@@ -52,3 +54,19 @@ def alpha_set(terms):
 def oracle_set(goal, max_height):
     seq = LJPlusSequent(NamedContext(), goal)
     return alpha_set(oracle_enumerate(seq, max_height))
+
+
+def is_normal(ctx):
+    """Whether ctx is in cleaning's normal form."""
+    return normalize(ctx) == canon(ctx)
+
+
+def replay(ctx, trace):
+    """The chain of contexts a recorded cleaning trace goes through from
+    ctx; raises on a step that does not apply."""
+    cur = canon(ctx)
+    chain = [cur]
+    for step in trace:
+        cur = apply_step(cur, step)
+        chain.append(cur)
+    return chain

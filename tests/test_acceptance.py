@@ -8,15 +8,15 @@ from proofenum.expand import (Duplication, Session, enumerate_terms,
                               flatten_det, funcF, funcG, funcH)
 from proofenum.grammar import build_grammar, enumerate_schemes
 from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent, MergeStep,
-                           annotate, canon, erase_formulas, is_normal,
-                           merge_pairs, normalize, normalize_chain)
+                           annotate, canon, erase_formulas, merge_pairs,
+                           normalize, normalize_chain)
 from proofenum.ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext,
                               Spine, check_proof, oracle_enumerate,
                               render_proof, shape_ok, term_height)
 from proofenum.syntax import (ensure_distinct_binders, parse_formula, render)
 
 from conftest import (FIG_FORMULA, SYSF_A1, SYSF_A2, alpha_set, corpus,
-                      oracle_set)
+                      is_normal, oracle_set)
 from proofenum.sysf import parse_sysf_type, phi
 
 

@@ -6,19 +6,21 @@ import pytest
 import proofenum.expand
 import proofenum.ljb
 from proofenum import scheme_check
-from proofenum.expand import (Duplication, Flat, Session, _renaming,
-                              enumerate_terms, flatten_det, funcF, funcG,
-                              funcH)
+from proofenum.expand import (Duplication, Flat, Session, _Expander,
+                              _renaming, enumerate_terms, flatten_det, funcF,
+                              funcG, funcH)
 from proofenum.grammar import build_grammar, enumerate_schemes
 from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
                            LJBSequent, annotate, normalize_chain)
 from proofenum.ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext,
                               Spine, alpha_eq_sequent, check_proof,
                               render_proof, term_height)
-from proofenum.syntax import NotNegative, parse_formula, render
+from proofenum.syntax import (NotNegative, ensure_distinct_binders,
+                              parse_formula, render)
 from proofenum.sysf import parse_sysf_type, phi
 
-from conftest import FIG_FORMULA, alpha_set, d_family, oracle_set
+from conftest import (FIG_FORMULA, SYSF_A2, alpha_set, corpus, d_family,
+                      oracle_set)
 
 
 def test_canonical_var_registry():
@@ -268,6 +270,27 @@ def test_enumerate_terms_shares_sub_scheme_expansions(monkeypatch):
     goal = phi(parse_sysf_type("forall X. X -> (X->X) -> X"))
     assert len(enumerate_terms(goal, 40)) == 37
     assert len(calls) <= 40
+
+
+def test_expander_memo_lists_are_duplicate_free():
+    # Expansion does not deduplicate its lists: distinct lift plans
+    # differ at the root head, and lifting and relabeling are injective,
+    # so every memoized list is duplicate-free as built.
+    goals = [(g, 6) for g in corpus()] + [
+        (d_family(3), 11),
+        (phi(parse_sysf_type("forall X. (X->X) -> (X->X) -> X -> X")), 14),
+        (phi(parse_sysf_type(SYSF_A2)), 24)]
+    lists = 0
+    for goal, h in goals:
+        grammar = build_grammar(ensure_distinct_binders(goal), Session(),
+                                max_height=h)
+        expander = _Expander(grammar)
+        for pi in enumerate_schemes(grammar, h):
+            expander.H(grammar.start, pi)
+        for terms in expander._terms.values():
+            assert len(set(terms)) == len(terms)
+        lists += len(expander._terms)
+    assert lists > 500
 
 
 @contextmanager

@@ -15,8 +15,8 @@ from proofenum.ljplus import render_proof, term_height
 from proofenum.syntax import ensure_distinct_binders, parse_formula
 from proofenum.sysf import parse_sysf_type, phi
 
-from conftest import (FIG_FORMULA, SYSF_A2, alpha_set, corpus, d_family,
-                      oracle_set)
+from conftest import (FIG_FORMULA, SYSF_A1, SYSF_A2, alpha_set, corpus,
+                      d_family, oracle_set)
 
 
 def fingerprint(text):
@@ -50,6 +50,7 @@ def test_a2_terms_fingerprint():
 
 CHURCH = "forall X. X -> (X->X) -> X"
 TWO_SUCC = "forall X. (X->X) -> (X->X) -> X -> X"
+BINDER_CLASH = "((forall x. Q(x)) -> P) -> forall x. P(x) -> P(x)"
 
 
 @pytest.mark.parametrize("goal, height, count, digest", [
@@ -57,7 +58,12 @@ TWO_SUCC = "forall X. (X->X) -> (X->X) -> X -> X"
     (phi(parse_sysf_type(TWO_SUCC)), 14, 1023, "cd1588e35320e4bb"),
     (d_family(2), 13, 25, "680fadd92f45ef74"),
     (d_family(3), 11, 729, "5425cf231ba4682f"),
-], ids=["church@40", "two-succ@14", "D_2@13", "D_3@11"])
+    (phi(parse_sysf_type(SYSF_A2)), 24, 91, "ae7690bf399262a5"),
+    (phi(parse_sysf_type(SYSF_A1)), 20, 10, "e4b2c9afdba0e9f1"),
+    (parse_formula(FIG_FORMULA), 20, 10, "771fa7da1b466eb6"),
+    (parse_formula(BINDER_CLASH), 5, 1, "3fa300c6c6d914a6"),
+], ids=["church@40", "two-succ@14", "D_2@13", "D_3@11", "A2@24", "A1@20",
+        "fig@20", "binder-clash@5"])
 def test_deep_terms_fingerprint(goal, height, count, digest):
     terms = enumerate_terms(goal, height)
     assert len(terms) == count

@@ -2,14 +2,15 @@ import pytest
 
 from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
                            LJBSequent, annotate, apply_rforall, apply_rimpl,
-                           canon, erase_formulas, expose, is_normal,
-                           merge_pairs, normalize, normalize_chain,
-                           render_context, render_ljb_sequent, replay,
-                           MergeStep)
+                           canon, erase_formulas, expose, merge_pairs,
+                           normalize, normalize_chain, render_context,
+                           render_ljb_sequent, MergeStep)
 from proofenum.grammar import scheme_check
 from proofenum.ljplus import LamPf, LamTm, Spine
 from proofenum.expand import Session
 from proofenum.syntax import parse_formula, render
+
+from conftest import is_normal, replay
 
 
 def fml(text, fid=-1):

@@ -1,10 +1,13 @@
+import copy
+import pickle
+
 import pytest
 
 from proofenum.ljplus import (IllFormed, LamPf, LamTm, LJPlusSequent,
                               NamedContext, Spine, alpha_eq_sequent,
                               alpha_normalize, check_proof, oracle_enumerate,
                               proof_from_json, proof_to_json, render_proof,
-                              rename_proof, term_height)
+                              rename_proof, sort_proofs, term_height)
 from proofenum.syntax import parse_formula
 
 
@@ -27,6 +30,52 @@ def test_render_proof():
               LamTm("x", Spine("a", (Spine("b"),))))
     assert render_proof(t) == "\\a:P -> Q. \\x. (a b)"
     assert render_proof(Spine("a")) == "a"
+
+
+def test_render_and_height_of_deep_terms():
+    # Both walk an explicit stack, so terms nested 5,000 deep are
+    # printed and measured without recursion.
+    n = 5000
+    spine = Spine("z")
+    for _ in range(n):
+        spine = Spine("s", (spine,))
+    assert term_height(spine) == n + 1
+    assert render_proof(spine) == "(s " * n + "z" + ")" * n
+    binders = Spine("h")
+    for i in range(n):
+        binders = LamTm("x", binders) if i % 2 else \
+            LamPf("h", parse_formula("P"), binders)
+    assert term_height(binders) == n + 1
+    assert render_proof(binders) == "\\x. \\h:P. " * (n // 2) + "h"
+
+
+def test_sort_proofs_prints_shared_nodes_once():
+    z = Spine("z")
+    a = Spine("s", (z, Spine("s", (z, z))))
+    terms = [Spine("f", (a, z)), Spine("f", (a, a)), a, Spine("f", (z, a))]
+    memo = {}
+    assert [render_proof(t, memo) for t in terms] == \
+        list(map(render_proof, terms))
+    assert memo[id(a)] == "(s z (s z z))"
+    assert sort_proofs(terms) == sorted(terms, key=render_proof)
+
+
+def test_proof_term_identity():
+    # Equality and hash are structural; the hash is cached on first use,
+    # and neither repr, copies nor pickles carry the cache.
+    t = LamPf("a", parse_formula("forall x. P(x) -> Q"),
+              LamTm("y", Spine("a", (Spine("b"), Spine("c")))))
+    pickled = pickle.dumps(t)
+    u = proof_from_json(proof_to_json(t))
+    assert u == t and u is not t
+    assert hash(u) == hash(t) == hash(t)
+    assert pickle.dumps(t) == pickled
+    for v in (copy.deepcopy(t), pickle.loads(pickled)):
+        assert v == t and hash(v) == hash(t)
+    assert "_hash" not in repr(t) and "_hash" not in repr(Spine("b"))
+    assert Spine("s", (Spine("z"), Spine("z"))) == \
+        Spine("s", (Spine("z"),) * 2)
+    assert Spine("a") != LamTm("a", Spine("a"))
 
 
 def test_json_roundtrip():
