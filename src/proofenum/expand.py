@@ -19,8 +19,8 @@ from .ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext, ProofTerm,
                      Spine, _match_formula, rename_proof, sort_proofs,
                      term_height)
 from .syntax import (Atom, Forall, Formula, NotNegative, all_names,
-                     bound_vars, decompose_negative, ensure_distinct_binders,
-                     fresh_name, is_negative, rename, render, union_all)
+                     decompose_negative, ensure_distinct_binders, fresh_name,
+                     is_negative, rename, render, union_all)
 
 Scheme = ProofTerm
 
@@ -41,10 +41,10 @@ class Session:
         self._by_name: Dict[str, Formula] = {}
 
     def canonical_var(self, f: Formula) -> str:
-        if not is_negative(f):
-            raise NotNegative(f"not a negative formula: {render(f)}")
         name = self._registry.get(f)
         if name is None:
+            if not is_negative(f):
+                raise NotNegative(f"not a negative formula: {render(f)}")
             name = f"c{len(self._registry)}"
             self._registry[f] = name
             self._by_name[name] = f
@@ -293,7 +293,7 @@ def _plans(seq: LJBSequent, prods: Sequence[Production]) -> List[_Plan]:
             y = fresh_name(y, hyp_free | all_names(goal))
             body = rename(body, {goal.var: y})
         rules = [(prods[0],
-                  LJBContext((Bracket(frozenset(bound_vars(goal)), ctx),)),
+                  LJBContext((Bracket(goal.bvs, ctx),)),
                   (goal.body,), [Flat(body, flat.hyps)],
                   lambda ts: LamTm(y, ts[0]))]
     else:

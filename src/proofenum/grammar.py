@@ -122,17 +122,27 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
 
 
 def is_inhabited(g: Grammar) -> bool:
-    """Emptiness of the scheme language by productivity marking."""
+    """Emptiness of the scheme language by productivity marking, in one
+    pass linear in the size of the grammar (Dowling & Gallier, J. Logic
+    Programming 1984): each production counts its premises not yet
+    known productive, and a nonterminal that becomes productive
+    decrements the count of every production it is a premise of."""
+    waiting = [len(p.premises) for p in g.productions]
+    uses: Dict[int, List[int]] = {}
+    for i, p in enumerate(g.productions):
+        for q in p.premises:
+            uses.setdefault(q, []).append(i)
     productive: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for p in g.productions:
-            if p.lhs in productive:
-                continue
-            if all(q in productive for q in p.premises):
-                productive.add(p.lhs)
-                changed = True
+    work = [i for i, n in enumerate(waiting) if n == 0]
+    while work:
+        nt = g.productions[work.pop()].lhs
+        if nt in productive:
+            continue
+        productive.add(nt)
+        for i in uses.get(nt, ()):
+            waiting[i] -= 1
+            if waiting[i] == 0:
+                work.append(i)
     return g.start in productive
 
 

@@ -4,12 +4,13 @@ three deduction rules of the bracket calculus."""
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple, Union
 
-from .syntax import (Atom, Forall, Formula, Impl, bound_vars, cached_field,
-                     key_hash, render, split_arrows, union_all)
+from .syntax import (Atom, Forall, Formula, Impl, cached_field, key_hash,
+                     render, split_arrows, union_all)
 
 STEP_CAP = 10 ** 6
 
@@ -80,7 +81,7 @@ Item = Union[Fml, Bracket]
 class LJBContext:
     items: Tuple[Item, ...] = ()
     key: str = cached_field()
-    normal: bool = cached_field()  # normalize returned this context
+    normal: bool = cached_field()  # normalize(ctx) returns ctx itself
 
     __hash__ = key_hash
 
@@ -95,24 +96,9 @@ class LJBSequent:
     goal: Formula
 
 
-def render_context(ctx: LJBContext) -> str:
-    return ctx.key
-
-
 def render_ljb_sequent(s: LJBSequent) -> str:
     ctx = s.context.key
     return f"{ctx} |- {s.goal.key}" if ctx else f"|- {s.goal.key}"
-
-
-def erase_formulas(ctx: LJBContext) -> List[Formula]:
-    """The bracket-erased formula multiset, in traversal order."""
-    out: List[Formula] = []
-    for it in ctx.items:
-        if isinstance(it, Fml):
-            out.append(it.formula)
-        else:
-            out.extend(erase_formulas(it.inner))
-    return out
 
 
 _canon_key = attrgetter("key", "fids")
@@ -120,7 +106,10 @@ _canon_key = attrgetter("key", "fids")
 
 def canon(ctx: LJBContext) -> LJBContext:
     """Canonical (sorted) representation; multiset semantics unchanged.
-    Levels that are canonical already are returned as they are."""
+    Levels that are canonical already are returned as they are, and so
+    is a context marked normal, which is sorted at every level."""
+    if ctx.normal:
+        return ctx
     items = [it if isinstance(it, Fml) else _canon_bracket(it)
              for it in ctx.items]
     items.sort(key=_canon_key)
@@ -291,7 +280,7 @@ def normalize(ctx: LJBContext,
         if not kept:
             continue
         if len(kept) < len(inner.items):
-            out.append(Bracket(it.binds, LJBContext(tuple(kept))))
+            out.append(Bracket(it.binds, _normal(tuple(kept))))
         else:
             out.append(it if inner is it.inner else Bracket(it.binds, inner))
     out.sort(key=_canon_key)
@@ -301,11 +290,33 @@ def normalize(ctx: LJBContext,
         for prev, x in zip(out, out[1:]):
             if x.key == prev.key:
                 merged.update(zip(x.fids, prev.fids))
-    if not (len(items) == len(ctx.items) and all(
-            a is b for a, b in zip(items, ctx.items))):
-        ctx = LJBContext(tuple(items))
+    if len(items) == len(ctx.items) and all(
+            a is b for a, b in zip(items, ctx.items)):
+        _set(ctx, "normal", True)
+        return ctx
+    return _normal(tuple(items))
+
+
+def _normal(items: Tuple[Item, ...]) -> LJBContext:
+    """The context of items, which are sorted, clean and of distinct
+    keys, marked normal."""
+    ctx = LJBContext(items)
     _set(ctx, "normal", True)
     return ctx
+
+
+def _insert(items: Tuple[Item, ...], item: Item) -> Tuple[Item, ...]:
+    """The items of normalize(LJBContext(items + (item,))) for the items
+    of a normal level and a clean item: item goes where it sorts and,
+    as in normalize, of two items with one key the one that sorts first
+    stays.  items itself when that is the one already there."""
+    k = _canon_key(item)
+    i = bisect_left(items, k, key=_canon_key)
+    if (i and items[i - 1].key == item.key
+            or i < len(items) and _canon_key(items[i]) == k):
+        return items
+    j = i + 1 if i < len(items) and items[i].key == item.key else i
+    return items[:i] + (item,) + items[j:]
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +363,12 @@ def expose(ctx: LJBContext, goal_atom: Formula) -> List[ExposeEntry]:
 
 
 def _restructure(chain, final_level: LJBContext, final_idx: int) -> LJBContext:
+    if not chain:
+        # rest + (exposed,) below is a permutation of final_level, so
+        # both have this canonical form
+        return canon(final_level)
     exposed = final_level.items[final_idx]
     rest = final_level.items[:final_idx] + final_level.items[final_idx + 1:]
-    if not chain:
-        return canon(LJBContext(rest + (exposed,)))
     core: Optional[Item] = None
     for level, idx, binds in chain:
         gamma = level.items[:idx] + level.items[idx + 1:]
@@ -368,14 +381,24 @@ def apply_rforall(s: LJBSequent) -> LJBSequent:
     if not isinstance(s.goal, Forall):
         raise InvariantError(f"R-forall needs a forall goal, got "
                              f"{render(s.goal)}")
-    v = frozenset(bound_vars(s.goal))
-    bracketed = LJBContext((Bracket(v, s.context),))
-    return LJBSequent(normalize(bracketed), s.goal.body)
+    # normalize(LJBContext((Bracket(binds, ctx),))) from the normal ctx:
+    # the items free of the binds leave the bracket, which then holds a
+    # normal level and is dropped when empty
+    binds, ctx = s.goal.bvs, normalize(s.context)
+    free, kept = [], []
+    for it in ctx.items:
+        (free if it.fvs.isdisjoint(binds) else kept).append(it)
+    if kept:
+        inner = _normal(tuple(kept)) if free else ctx
+        ctx = _normal(_insert(tuple(free), Bracket(binds, inner)))
+    return LJBSequent(ctx, s.goal.body)
 
 
 def apply_rimpl(s: LJBSequent) -> LJBSequent:
     if not isinstance(s.goal, Impl):
         raise InvariantError(f"R-impl needs an implication goal, got "
                              f"{render(s.goal)}")
-    extended = LJBContext(s.context.items + (Fml(s.goal.lhs),))
-    return LJBSequent(normalize(extended), s.goal.rhs)
+    ctx = normalize(s.context)
+    items = _insert(ctx.items, Fml(s.goal.lhs))
+    return LJBSequent(ctx if items is ctx.items else _normal(items),
+                      s.goal.rhs)

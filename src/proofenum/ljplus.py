@@ -232,28 +232,6 @@ def rename_proof(t: ProofTerm, tmap: Dict[str, str],
                  rename_proof(body, tmap, inner_p))
 
 
-def alpha_normalize(t: ProofTerm) -> ProofTerm:
-    """Canonical renaming of all binders (v0, v1, ... / p0, p1, ...) in
-    traversal order.  Free variables are left untouched, so on closed
-    terms this is a complete alpha-equivalence normal form."""
-    counter = [0, 0]
-
-    def walk(u: ProofTerm, tmap: dict, pmap: dict) -> ProofTerm:
-        if isinstance(u, Spine):
-            return Spine(pmap.get(u.head, u.head),
-                         tuple(walk(a, tmap, pmap) for a in u.args))
-        if isinstance(u, LamTm):
-            nv = f"v{counter[0]}"
-            counter[0] += 1
-            return LamTm(nv, walk(u.body, {**tmap, u.var: nv}, pmap))
-        np = f"p{counter[1]}"
-        counter[1] += 1
-        return LamPf(np, rename(u.annot, tmap),
-                     walk(u.body, tmap, {**pmap, u.pvar: np}))
-
-    return walk(t, {}, {})
-
-
 # ---------------------------------------------------------------------------
 # Sequents
 
@@ -401,15 +379,6 @@ def check_proof(ctx: NamedContext, t: ProofTerm, goal: Formula) -> bool:
     if t.pvar in ctx.pvars():
         return False
     return check_proof(ctx.extend(t.pvar, goal.lhs), t.body, goal.rhs)
-
-
-def shape_ok(ctx: NamedContext, t: ProofTerm, goal: Formula) -> bool:
-    """Structural (eta-long) shape check, ignoring atom identities."""
-    try:
-        check_proof(ctx, t, goal)
-    except IllFormed:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

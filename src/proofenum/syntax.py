@@ -7,7 +7,7 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 
 class SyntaxError_(Exception):
@@ -27,10 +27,10 @@ class NotNegative(Exception):
 #
 # Every node computes, once and at construction, its canonical key (the
 # rendered string, so `render` is a field read and orders by key are the
-# printed orders) and its free variables.  Its hash is the key's, which
-# the string itself caches.  Equality is the key's too, which needs no
-# recursion: the key is injective on the identifiers that the parser and
-# fresh_name make.
+# printed orders) and its free variables; formulas also their bound
+# variables.  Its hash is the key's, which the string itself caches.
+# Equality is the key's too, which needs no recursion: the key is
+# injective on the identifiers that the parser and fresh_name make.
 
 
 def cached_field():
@@ -98,11 +98,13 @@ class Atom:
     args: tuple = ()
     key: str = cached_field()
     fvs: frozenset = cached_field()
+    bvs: frozenset = cached_field()
 
     __hash__ = key_hash
     __eq__ = key_eq
 
     def __post_init__(self):
+        _set(self, "bvs", _EMPTY)
         args = self.args
         if len(args) == 1:
             _set(self, "key", f"{self.pred}({args[0].key})")
@@ -122,6 +124,7 @@ class Impl:
     rhs: "Formula"
     key: str = cached_field()
     fvs: frozenset = cached_field()
+    bvs: frozenset = cached_field()
 
     __hash__ = key_hash
     __eq__ = key_eq
@@ -132,6 +135,8 @@ class Impl:
              else f"({lhs.key}) -> {rhs.key}")
         a, b = lhs.fvs, rhs.fvs
         _set(self, "fvs", a if b <= a else b if a <= b else a | b)
+        a, b = lhs.bvs, rhs.bvs
+        _set(self, "bvs", a if b <= a else b if a <= b else a | b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,6 +145,7 @@ class Forall:
     body: "Formula"
     key: str = cached_field()
     fvs: frozenset = cached_field()
+    bvs: frozenset = cached_field()
 
     __hash__ = key_hash
     __eq__ = key_eq
@@ -148,6 +154,7 @@ class Forall:
         _set(self, "key", f"forall {self.var}. {self.body.key}")
         fvs = self.body.fvs
         _set(self, "fvs", fvs - {self.var} if self.var in fvs else fvs)
+        _set(self, "bvs", self.body.bvs | {self.var})
 
 
 Formula = Union[Atom, Impl, Forall]
@@ -205,13 +212,6 @@ def decompose_negative(f: Formula):
     return args, head
 
 
-def fold_negative(args: Iterable[Formula], head: Atom) -> Formula:
-    f: Formula = head
-    for a in reversed(tuple(args)):
-        f = Impl(a, f)
-    return f
-
-
 # ---------------------------------------------------------------------------
 # Variables
 
@@ -220,15 +220,11 @@ def free_vars(f: Formula) -> frozenset:
 
 
 def bound_vars(f: Formula) -> frozenset:
-    if isinstance(f, Atom):
-        return frozenset()
-    if isinstance(f, Impl):
-        return bound_vars(f.lhs) | bound_vars(f.rhs)
-    return bound_vars(f.body) | {f.var}
+    return f.bvs
 
 
 def all_names(f: Formula) -> frozenset:
-    return free_vars(f) | bound_vars(f)
+    return f.fvs | f.bvs
 
 
 def subst_term(t: FoTerm, m: Mapping[str, str]) -> FoTerm:
@@ -461,11 +457,3 @@ def alpha_eq(f: Formula, g: Formula, env: Optional[tuple] = None) -> bool:
         return False
 
     return eq_f(f, g, ())
-
-
-def formula_size(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 1
-    if isinstance(f, Impl):
-        return 1 + formula_size(f.lhs) + formula_size(f.rhs)
-    return 1 + formula_size(f.body)

@@ -8,15 +8,16 @@ from proofenum.expand import (Duplication, Session, enumerate_terms,
                               flatten_det, funcF, funcG, funcH)
 from proofenum.grammar import build_grammar, enumerate_schemes
 from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent, MergeStep,
-                           annotate, canon, erase_formulas, merge_pairs,
-                           normalize, normalize_chain)
+                           annotate, canon, merge_pairs, normalize,
+                           normalize_chain)
 from proofenum.ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext,
                               Spine, check_proof, oracle_enumerate,
-                              render_proof, shape_ok, term_height)
+                              render_proof, term_height)
 from proofenum.syntax import (ensure_distinct_binders, parse_formula, render)
 
 from conftest import (FIG_FORMULA, SYSF_A1, SYSF_A2, alpha_set, corpus,
-                      is_normal, oracle_set)
+                      erase_formulas, is_normal, oracle_set, random_context,
+                      shape_ok)
 from proofenum.sysf import parse_sysf_type, phi
 
 
@@ -265,30 +266,6 @@ def test_random_schemes_expand_soundly():
 # ---------------------------------------------------------------------------
 # 7. Cleaning properties on 500 random contexts of size <= 50.
 
-def _random_context(rng, budget, depth=0):
-    items = []
-    n = rng.randint(0, 4 if depth else 6)
-    for _ in range(n):
-        if budget[0] <= 0:
-            break
-        if depth < 3 and rng.random() < 0.35:
-            binds = frozenset(rng.sample(["x", "y", "z", "w"],
-                                         rng.randint(1, 2)))
-            items.append(Bracket(binds, _random_context(rng, budget,
-                                                        depth + 1)))
-        else:
-            budget[0] -= 1
-            pred = rng.choice(["P", "Q", "R"])
-            nargs = rng.randint(0, 2)
-            args = ", ".join(rng.choice(["x", "y", "z", "w"])
-                             for _ in range(nargs))
-            text = f"{pred}({args})" if args else pred
-            if rng.random() < 0.4:
-                text = f"{text} -> Q"
-            items.append(Fml(parse_formula(text)))
-    return LJBContext(tuple(items))
-
-
 def _merged_into(merged, fid):
     while fid in merged:
         fid = merged[fid]
@@ -299,7 +276,7 @@ def test_cleaning_properties_random():
     start = time.monotonic()
     rng = random.Random(987654321)
     for _ in range(500):
-        raw = _random_context(rng, [rng.randint(1, 50)])
+        raw = random_context(rng, [rng.randint(1, 50)])
         assert normalize(raw) == normalize_chain(raw)[0][-1]
         ctx = annotate(raw)
         chain, trace = normalize_chain(ctx)
@@ -344,7 +321,7 @@ def test_funcG_matches_brute_force_on_random_contexts():
     goals = [parse_formula(t) for t in ("Q", "P", "R(x)", "P(x) -> Q")]
     with_merge = 0
     for _ in range(400):
-        ctx = annotate(_random_context(rng, [rng.randint(1, 30)]))
+        ctx = annotate(random_context(rng, [rng.randint(1, 30)]))
         for goal in goals:
             nf = _flat_sequent(flatten_det(normalize(ctx), goal))
             raw = _flat_sequent(flatten_det(canon(ctx), goal))

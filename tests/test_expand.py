@@ -36,6 +36,17 @@ def test_canonical_var_registry():
         s.canonical_var(parse_formula("forall x. P(x)"))
 
 
+def test_canonical_var_rejects_non_negative_on_first_use():
+    # the polarity check runs only when the registry misses, so a
+    # formula that is not negative must never enter it
+    s = Session()
+    bad = parse_formula("((forall x. P(x)) -> Q) -> R")
+    for _ in range(2):
+        with pytest.raises(NotNegative):
+            s.canonical_var(bad)
+    assert s.canonical_var(parse_formula("P -> Q")) == "c0"
+
+
 def _flat_sequent(ctx, goal):
     """The flattening of the annotated ctx |- goal as an LJ+ sequent."""
     flat = flatten_det(annotate(ctx), goal)

@@ -1,16 +1,18 @@
+import random
+
 import pytest
 
 from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
-                           LJBSequent, annotate, apply_rforall, apply_rimpl,
-                           canon, erase_formulas, expose, merge_pairs,
-                           normalize, normalize_chain, render_context,
-                           render_ljb_sequent, MergeStep)
+                           LJBSequent, _restructure, annotate, apply_rforall,
+                           apply_rimpl, canon, expose, merge_pairs, normalize,
+                           normalize_chain, render_ljb_sequent, MergeStep)
 from proofenum.grammar import scheme_check
 from proofenum.ljplus import LamPf, LamTm, Spine
 from proofenum.expand import Session
-from proofenum.syntax import parse_formula, render
+from proofenum.syntax import bound_vars, parse_formula, render, split_arrows
 
-from conftest import is_normal, replay
+from conftest import (erase_formulas, is_normal, random_context,
+                      render_context, replay)
 
 
 def fml(text, fid=-1):
@@ -223,3 +225,151 @@ def test_scheme_check_forall():
     assert scheme_check(session, s, pi)
     assert not scheme_check(
         session, s, LamTm("z", LamPf(c, parse_formula("P(z)"), Spine(c))))
+
+
+# ---------------------------------------------------------------------------
+# The right rules and top-level exposures build their premise contexts
+# from the normal conclusion context; the references below are the
+# constructions they replace, which clean the whole premise again.
+
+
+def _rimpl_by_cleaning(s):
+    extended = LJBContext(s.context.items + (Fml(s.goal.lhs),))
+    return LJBSequent(normalize(extended), s.goal.rhs)
+
+
+def _rforall_by_cleaning(s):
+    v = frozenset(bound_vars(s.goal))
+    return LJBSequent(normalize(LJBContext((Bracket(v, s.context),))),
+                      s.goal.body)
+
+
+def _levels(ctx):
+    yield ctx
+    for it in ctx.items:
+        if isinstance(it, Bracket):
+            yield from _levels(it.inner)
+
+
+def _with_shuffled_fids(ctx, rng):
+    """ctx with its occurrence ids permuted, as they are after expose."""
+    n = sum(len(it.fids) for it in ctx.items)
+    fids = rng.sample(range(n), n)
+
+    def walk(c):
+        return LJBContext(tuple(
+            Fml(it.formula, fids.pop()) if isinstance(it, Fml)
+            else Bracket(it.binds, walk(it.inner)) for it in c.items))
+
+    return walk(ctx)
+
+
+def _random_normal_contexts(seed, count):
+    """Normal contexts from random ones: unannotated, annotated, and
+    annotated with the ids out of traversal order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        raw = random_context(rng, [rng.randint(0, 30)])
+        yield from (normalize(raw), normalize(annotate(raw)),
+                    normalize(_with_shuffled_fids(annotate(raw), rng)))
+
+
+def test_normalize_returns_sorted_levels():
+    for nf in _random_normal_contexts(11, 300):
+        assert nf.normal
+        assert canon(nf) is nf
+        for level in _levels(nf):
+            keys = [(it.key, it.fids) for it in level.items]
+            assert keys == sorted(keys)
+            assert len({k for k, _ in keys}) == len(keys)
+
+
+_GOAL_PARTS = ["Q", "P", "P(x)", "R(x, y)", "P(z) -> Q", "R(w) -> Q"]
+
+
+def test_rimpl_inserts_into_the_normal_level():
+    rng = random.Random(12)
+    replaced = kept = 0
+    for ctx in _random_normal_contexts(13, 300):
+        tops = [it.formula for it in ctx.items if isinstance(it, Fml)]
+        for lhs in [parse_formula(rng.choice(_GOAL_PARTS))] + tops[:2]:
+            s = LJBSequent(ctx, parse_formula(f"({render(lhs)}) -> Q"))
+            got, want = apply_rimpl(s), _rimpl_by_cleaning(s)
+            assert got == want and repr(got) == repr(want)
+            assert got.context.normal and canon(got.context) is got.context
+            if lhs in tops:
+                # the new item has id -1: it stays only if the twin
+                # it ties with has a larger id
+                if got.context is ctx:
+                    kept += 1
+                else:
+                    replaced += 1
+    assert kept >= 100 and replaced >= 100
+
+
+def test_rforall_splits_the_level_once():
+    rng = random.Random(14)
+    unchanged = replaced = kept_old = 0
+    for ctx in _random_normal_contexts(15, 300):
+        for _ in range(3):
+            binds = rng.sample(["x", "y", "z", "w"], rng.randint(1, 2))
+            goal = parse_formula(
+                "".join(f"forall {v}. " for v in binds) + "Q")
+            inner = LJBContext(tuple(it for it in ctx.items
+                                     if not it.fvs.isdisjoint(goal.bvs)))
+            cases = [ctx]
+            if inner.items:
+                # a twin of the bracket the rule builds, with other ids
+                twin = Bracket(goal.bvs, _with_shuffled_fids(inner, rng))
+                cases.append(normalize(LJBContext(ctx.items + (twin,))))
+            for c in cases:
+                s = LJBSequent(c, goal)
+                got, want = apply_rforall(s), _rforall_by_cleaning(s)
+                assert got == want and repr(got) == repr(want)
+                assert got.context.normal
+                assert canon(got.context) is got.context
+                unchanged += got.context is c
+            if len(cases) == 2:
+                twin = next(it for it in cases[1].items
+                            if it.key == twin.key)
+                if twin in got.context.items:
+                    kept_old += 1
+                else:
+                    replaced += 1
+    assert unchanged >= 100 and replaced >= 100 and kept_old >= 100
+
+
+def test_right_rules_keep_the_twin_that_sorts_first():
+    # the twin already in the context sorts after the new item, whose
+    # id is -1 (or whose ids are smaller), so the new item replaces it
+    ctx = normalize(LJBContext((fml("P", 3), fml("Q", 1))))
+    out = apply_rimpl(LJBSequent(ctx, parse_formula("P -> Q"))).context
+    assert [it.fids for it in out.items] == [(-1,), (1,)]
+    out = apply_rimpl(LJBSequent(out, parse_formula("P -> Q"))).context
+    assert [it.fids for it in out.items] == [(-1,), (1,)]
+    # P(x) goes into a bracket that ties with [P(x)]_{x}, whose id is 5
+    twin = bracket("x", fml("P(x)", 5))
+    goal = parse_formula("forall x. Q")
+    for fid, want in [(0, (0,)), (9, (5,))]:
+        s = LJBSequent(normalize(LJBContext((fml("P(x)", fid), twin))),
+                       goal)
+        out = apply_rforall(s)
+        assert out == _rforall_by_cleaning(s)
+        assert [it.fids for it in out.context.items] == [want]
+
+
+def test_top_level_exposure_reuses_its_context():
+    goal = parse_formula("Q")
+    reused = 0
+    for ctx in _random_normal_contexts(16, 200):
+        for i, it in enumerate(ctx.items):
+            rest = ctx.items[:i] + ctx.items[i + 1:]
+            got = _restructure([], ctx, i)
+            assert got is ctx
+            assert got == canon(LJBContext(rest + (it,)))
+        top = sum(isinstance(it, Fml) and split_arrows(it.formula)[1] == goal
+                  for it in ctx.items)
+        entries = expose(ctx, goal)
+        assert sum(e.restructured is ctx for e in entries) == top
+        reused += top
+    assert reused >= 100

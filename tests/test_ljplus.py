@@ -5,10 +5,12 @@ import pytest
 
 from proofenum.ljplus import (IllFormed, LamPf, LamTm, LJPlusSequent,
                               NamedContext, Spine, alpha_eq_sequent,
-                              alpha_normalize, check_proof, oracle_enumerate,
+                              check_proof, oracle_enumerate,
                               proof_from_json, proof_to_json, render_proof,
                               rename_proof, sort_proofs, term_height)
 from proofenum.syntax import parse_formula
+
+from conftest import alpha_normalize
 
 
 def seq(hyps, goal):

@@ -3,10 +3,11 @@ import pytest
 from proofenum.syntax import (Atom, Forall, Fn, Impl, NotNegative, Polarity,
                               SyntaxError_, Var, alpha_eq, all_names,
                               bound_vars, decompose_negative,
-                              ensure_distinct_binders, fold_negative,
-                              formula_size, free_vars, fresh_name,
+                              ensure_distinct_binders, free_vars, fresh_name,
                               is_positive, parse_formula,
                               polarity, rename, render)
+
+from conftest import fold_negative, formula_size
 
 
 def test_parse_render_roundtrip():
