@@ -168,6 +168,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "max_height", 1) < 1:
         print("error: --max-height must be at least 1", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if args.cap < 1:
+        print("error: --cap must be at least 1", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         return _DISPATCH[args.command](args)
     except (SyntaxError_, NotPositive, NotNegative,

@@ -16,11 +16,10 @@ from .grammar import (DEFAULT_CAP, Grammar, Production, build_grammar,
 from .ljb import (Bracket, Fml, InvariantError, LJBContext, LJBSequent,
                   annotate, canon, expose, normalize)
 from .ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext, ProofTerm,
-                     Spine, _match_formula, rename_proof, sort_proofs,
-                     term_height)
+                     Spine, rename_proof, sort_proofs, term_height)
 from .syntax import (Atom, Forall, Formula, NotNegative, all_names,
                      decompose_negative, ensure_distinct_binders, fresh_name,
-                     is_negative, rename, render, union_all)
+                     is_negative, match_formula, rename, render, union_all)
 
 Scheme = ProofTerm
 
@@ -114,11 +113,11 @@ def _renaming(src: Flat, dst: Flat) -> Tuple[Dict[str, str],
     pmap: Dict[str, str] = {}
     for fid, pv, f in src.hyps:
         dpv, df = by_fid[fid]
-        sig = _match_formula(f, df, sig, ())
+        sig = match_formula(f, df, sig)
         if sig is None:
             raise InvariantError("flattenings are not alpha-equivalent")
         pmap[pv] = dpv
-    sig = _match_formula(src.goal, dst.goal, sig, ())
+    sig = match_formula(src.goal, dst.goal, sig)
     if sig is None:
         raise InvariantError("flattening goals are not alpha-equivalent")
     return ({k: v for k, v in sig.items() if k != v},

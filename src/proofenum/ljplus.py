@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
-from .syntax import (Atom, Forall, Formula, Impl, NotNegative, Var,
+from .syntax import (Atom, Forall, Formula, NotNegative,
                      decompose_negative, free_vars, fresh_name,
-                     parse_formula, rename, render)
+                     match_formula, parse_formula, rename, render)
 
 
 class IllFormed(Exception):
@@ -268,50 +268,6 @@ class LJPlusSequent:
 # ---------------------------------------------------------------------------
 # Alpha-equivalence of sequents
 
-def _match_formula(a: Formula, b: Formula, sig: dict, bnd: tuple):
-    """Extend the injective free-variable renaming sig so that sig(a) is
-    alpha-equivalent to b; return the extension or None."""
-
-    def match_t(s, t, sig, bnd):
-        if isinstance(s, Var) and isinstance(t, Var):
-            for x, y in reversed(bnd):
-                if x == s.name or y == t.name:
-                    return sig if (x == s.name and y == t.name) else None
-            if s.name in sig:
-                return sig if sig[s.name] == t.name else None
-            if t.name in sig.values():
-                return None
-            out = dict(sig)
-            out[s.name] = t.name
-            return out
-        if type(s) is not type(t):
-            return None
-        if s.symbol != t.symbol or len(s.args) != len(t.args):
-            return None
-        for sa, ta in zip(s.args, t.args):
-            sig = match_t(sa, ta, sig, bnd)
-            if sig is None:
-                return None
-        return sig
-
-    if isinstance(a, Atom) and isinstance(b, Atom):
-        if a.pred != b.pred or len(a.args) != len(b.args):
-            return None
-        for s, t in zip(a.args, b.args):
-            sig = match_t(s, t, sig, bnd)
-            if sig is None:
-                return None
-        return sig
-    if isinstance(a, Impl) and isinstance(b, Impl):
-        sig = _match_formula(a.lhs, b.lhs, sig, bnd)
-        if sig is None:
-            return None
-        return _match_formula(a.rhs, b.rhs, sig, bnd)
-    if isinstance(a, Forall) and isinstance(b, Forall):
-        return _match_formula(a.body, b.body, sig, bnd + ((a.var, b.var),))
-    return None
-
-
 def alpha_eq_sequent(s1: LJPlusSequent, s2: LJPlusSequent) -> bool:
     """True iff some renaming of term variables (and of proof variables)
     makes the sequents alpha-equivalent; free variables are treated as
@@ -322,11 +278,11 @@ def alpha_eq_sequent(s1: LJPlusSequent, s2: LJPlusSequent) -> bool:
 
     def go(i: int, used: frozenset, sig: dict) -> bool:
         if i == len(h1):
-            return _match_formula(s1.goal, s2.goal, sig, ()) is not None
+            return match_formula(s1.goal, s2.goal, sig) is not None
         for j in range(len(h2)):
             if j in used:
                 continue
-            nxt = _match_formula(h1[i][1], h2[j][1], sig, ())
+            nxt = match_formula(h1[i][1], h2[j][1], sig)
             if nxt is not None and go(i + 1, used | {j}, nxt):
                 return True
         return False

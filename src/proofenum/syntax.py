@@ -416,44 +416,78 @@ def ensure_distinct_binders(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Alpha-equivalence
 
+def match_formula(a: Formula, b: Formula, sig: dict,
+                  bnd: tuple = ()) -> Optional[dict]:
+    """Extend the injective free-variable renaming sig so that sig(a) is
+    alpha-equivalent to b; return the extension or None.  bnd pairs the
+    binders in scope, innermost last.  sig itself is never changed.
+
+    Outside every binder, formulas with equal keys are equal up to node
+    identity (keys are injective), so each free variable of a maps to
+    itself: only those are checked against sig, without a walk."""
+    if not bnd and (a is b or a == b):
+        new = []
+        for v in a.fvs:
+            w = sig.get(v)
+            if w is None:
+                new.append(v)
+            elif w != v:
+                return None
+        if new:
+            if not set(sig.values()).isdisjoint(new):
+                return None
+            sig = dict(sig)
+            sig.update(zip(new, new))
+        return sig
+    if type(a) is not type(b):
+        return None
+    if isinstance(a, Atom):
+        if a.pred != b.pred or len(a.args) != len(b.args):
+            return None
+        for s, t in zip(a.args, b.args):
+            sig = _match_term(s, t, sig, bnd)
+            if sig is None:
+                return None
+        return sig
+    if isinstance(a, Impl):
+        sig = match_formula(a.lhs, b.lhs, sig, bnd)
+        if sig is None:
+            return None
+        return match_formula(a.rhs, b.rhs, sig, bnd)
+    return match_formula(a.body, b.body, sig, bnd + ((a.var, b.var),))
+
+
+def _match_term(s: FoTerm, t: FoTerm, sig: dict, bnd: tuple):
+    if isinstance(s, Var) and isinstance(t, Var):
+        for x, y in reversed(bnd):
+            if x == s.name or y == t.name:
+                return sig if (x == s.name and y == t.name) else None
+        if s.name in sig:
+            return sig if sig[s.name] == t.name else None
+        if t.name in sig.values():
+            return None
+        out = dict(sig)
+        out[s.name] = t.name
+        return out
+    if type(s) is not type(t):
+        return None
+    if s.symbol != t.symbol or len(s.args) != len(t.args):
+        return None
+    for sa, ta in zip(s.args, t.args):
+        sig = _match_term(sa, ta, sig, bnd)
+        if sig is None:
+            return None
+    return sig
+
+
 def alpha_eq(f: Formula, g: Formula, env: Optional[tuple] = None) -> bool:
     """Alpha-equivalence of formulas; free variables must match exactly
-    unless related by the (optional) renaming env (pairs of names)."""
+    unless related by the (optional) renaming env (pairs of names, a
+    later pair overriding an earlier one with the same left name)."""
     pairs = () if env is None else env
-
-    def look(x: str, left: bool) -> Optional[str]:
-        for a, b in reversed(pairs):
-            if left and a == x:
-                return b
-            if not left and b == x:
-                return a
-        return None
-
-    def eq_t(s: FoTerm, t: FoTerm, bnd) -> bool:
-        if isinstance(s, Var) and isinstance(t, Var):
-            for a, b in reversed(bnd):
-                if a == s.name or b == t.name:
-                    return a == s.name and b == t.name
-            m = look(s.name, True)
-            if m is not None:
-                return m == t.name
-            m = look(t.name, False)
-            if m is not None:
-                return False
-            return s.name == t.name
-        if isinstance(s, Fn) and isinstance(t, Fn):
-            return (s.symbol == t.symbol and len(s.args) == len(t.args)
-                    and all(eq_t(a, b, bnd) for a, b in zip(s.args, t.args)))
-        return False
-
-    def eq_f(a: Formula, b: Formula, bnd) -> bool:
-        if isinstance(a, Atom) and isinstance(b, Atom):
-            return (a.pred == b.pred and len(a.args) == len(b.args)
-                    and all(eq_t(s, t, bnd) for s, t in zip(a.args, b.args)))
-        if isinstance(a, Impl) and isinstance(b, Impl):
-            return eq_f(a.lhs, b.lhs, bnd) and eq_f(a.rhs, b.rhs, bnd)
-        if isinstance(a, Forall) and isinstance(b, Forall):
-            return eq_f(a.body, b.body, bnd + ((a.var, b.var),))
-        return False
-
-    return eq_f(f, g, ())
+    seed = dict(pairs)
+    for i, (x, y) in enumerate(pairs):
+        if seed[x] != y:  # overridden, but y stays taken as an image
+            seed[f"\0{i}"] = y
+    sig = match_formula(f, g, seed)
+    return sig is not None and all(sig[v] == v for v in sig.keys() - seed)

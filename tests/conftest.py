@@ -1,13 +1,14 @@
 """Shared fixtures: the formula corpus, small comparison helpers, the
-reference checks of cleaning and emptiness, and helpers that only the
-tests use."""
+reference checks of cleaning, emptiness and alpha-equivalence, and
+helpers that only the tests use."""
 
 from proofenum.ljb import (Bracket, Fml, LJBContext, apply_step, canon,
                            normalize)
 from proofenum.ljplus import (IllFormed, LamPf, LamTm, LJPlusSequent,
                               NamedContext, Spine, check_proof,
                               oracle_enumerate, render_proof)
-from proofenum.syntax import Atom, Impl, parse_formula, rename
+from proofenum.syntax import (Atom, Fn, Forall, Impl, Var, parse_formula,
+                              rename)
 from proofenum.sysf import parse_sysf_type, phi
 
 FIG_FORMULA = "((forall y. (P(y)->Q) -> (P(y)->Q)) -> Q) -> Q"
@@ -176,3 +177,92 @@ def alpha_normalize(t):
                      walk(u.body, tmap, {**pmap, u.pvar: np}))
 
     return walk(t, {}, {})
+
+
+def reference_match_formula(a, b, sig, bnd):
+    """The matcher syntax.match_formula, walking both formulas always:
+    the reference for its shortcut on equal formulas."""
+
+    def match_t(s, t, sig, bnd):
+        if isinstance(s, Var) and isinstance(t, Var):
+            for x, y in reversed(bnd):
+                if x == s.name or y == t.name:
+                    return sig if (x == s.name and y == t.name) else None
+            if s.name in sig:
+                return sig if sig[s.name] == t.name else None
+            if t.name in sig.values():
+                return None
+            out = dict(sig)
+            out[s.name] = t.name
+            return out
+        if type(s) is not type(t):
+            return None
+        if s.symbol != t.symbol or len(s.args) != len(t.args):
+            return None
+        for sa, ta in zip(s.args, t.args):
+            sig = match_t(sa, ta, sig, bnd)
+            if sig is None:
+                return None
+        return sig
+
+    if isinstance(a, Atom) and isinstance(b, Atom):
+        if a.pred != b.pred or len(a.args) != len(b.args):
+            return None
+        for s, t in zip(a.args, b.args):
+            sig = match_t(s, t, sig, bnd)
+            if sig is None:
+                return None
+        return sig
+    if isinstance(a, Impl) and isinstance(b, Impl):
+        sig = reference_match_formula(a.lhs, b.lhs, sig, bnd)
+        if sig is None:
+            return None
+        return reference_match_formula(a.rhs, b.rhs, sig, bnd)
+    if isinstance(a, Forall) and isinstance(b, Forall):
+        return reference_match_formula(a.body, b.body, sig,
+                                       bnd + ((a.var, b.var),))
+    return None
+
+
+def reference_alpha_eq(f, g, env=None):
+    """Alpha-equivalence under the renaming env (pairs of names, the last
+    pair for a name winning) with its own pair environment: the
+    reference for syntax.alpha_eq, which runs the matcher."""
+    pairs = () if env is None else env
+
+    def look(x, left):
+        for a, b in reversed(pairs):
+            if left and a == x:
+                return b
+            if not left and b == x:
+                return a
+        return None
+
+    def eq_t(s, t, bnd):
+        if isinstance(s, Var) and isinstance(t, Var):
+            for a, b in reversed(bnd):
+                if a == s.name or b == t.name:
+                    return a == s.name and b == t.name
+            m = look(s.name, True)
+            if m is not None:
+                return m == t.name
+            m = look(t.name, False)
+            if m is not None:
+                return False
+            return s.name == t.name
+        if isinstance(s, Fn) and isinstance(t, Fn):
+            return (s.symbol == t.symbol and len(s.args) == len(t.args)
+                    and all(eq_t(a, b, bnd) for a, b in zip(s.args, t.args)))
+        return False
+
+    def eq_f(a, b, bnd):
+        if isinstance(a, Atom) and isinstance(b, Atom):
+            return (a.pred == b.pred and len(a.args) == len(b.args)
+                    and all(eq_t(s, t, bnd) for s, t in zip(a.args, b.args)))
+        if isinstance(a, Impl) and isinstance(b, Impl):
+            return eq_f(a.lhs, b.lhs, bnd) and eq_f(a.rhs, b.rhs, bnd)
+        if isinstance(a, Forall) and isinstance(b, Forall):
+            return eq_f(a.body, b.body, bnd + ((a.var, b.var),))
+        return False
+
+    return eq_f(f, g, ())

@@ -125,6 +125,16 @@ def test_bad_max_height():
     assert code == 2
 
 
+def test_bad_cap(capsys):
+    # a cap below 1 is bad input, not a grammar that outgrew its cap
+    for command in ("check", "terms"):
+        for cap in ("0", "-5"):
+            code, _ = run([command, "P -> P", "--cap", cap])
+            assert code == 2
+            assert capsys.readouterr().err == \
+                "error: --cap must be at least 1\n"
+
+
 def test_invalid_json_verify(monkeypatch):
     # malformed JSON, and well-formed JSON that is not a list of terms
     for stdin_text in [

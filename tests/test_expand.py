@@ -5,6 +5,7 @@ import pytest
 
 import proofenum.expand
 import proofenum.ljb
+import proofenum.syntax
 from proofenum import scheme_check
 from proofenum.expand import (Duplication, Flat, Session, _Expander,
                               _renaming, enumerate_terms, flatten_det, funcF,
@@ -305,21 +306,23 @@ def test_expander_memo_lists_are_duplicate_free():
 
 
 @contextmanager
-def counting_normalize_chain(monkeypatch):
-    """Count the normalize_chain calls made inside the block: every
-    package module that holds the function gets a counting wrapper."""
-    orig = proofenum.ljb.normalize_chain
+def counting(monkeypatch, module, name):
+    """Record the arguments of every call of module.name made inside the
+    block: every package module that holds the function, module
+    included, gets a recording wrapper, so recursive calls are recorded
+    too."""
+    orig = getattr(module, name)
     calls = []
 
-    def counting(*args):
+    def wrapper(*args):
         calls.append(args)
         return orig(*args)
 
     with monkeypatch.context() as m:
-        for name, mod in list(sys.modules.items()):
-            if (name.split(".")[0] == "proofenum"
-                    and vars(mod).get("normalize_chain") is orig):
-                m.setattr(mod, "normalize_chain", counting)
+        for mod_name, mod in list(sys.modules.items()):
+            if (mod_name.split(".")[0] == "proofenum"
+                    and vars(mod).get(name) is orig):
+                m.setattr(mod, name, wrapper)
         yield calls
 
 
@@ -332,7 +335,8 @@ def test_enumerate_terms_cleans_each_production_at_most_twice(monkeypatch):
     for goal, h, productions in [(church, 40, 5), (d_family(3), 11, 92)]:
         g = build_grammar(goal, Session(), max_height=h)
         assert len(g.productions) == productions
-        with counting_normalize_chain(monkeypatch) as calls:
+        with counting(monkeypatch, proofenum.ljb,
+                      "normalize_chain") as calls:
             enumerate_terms(goal, h)
         assert calls == []
 
@@ -340,14 +344,32 @@ def test_enumerate_terms_cleans_each_production_at_most_twice(monkeypatch):
 def test_saturation_keeps_no_cleaning_trace(monkeypatch):
     # Saturation needs only normal forms; the small-step chain and its
     # trace are built for expansion's lift plans alone.
-    with counting_normalize_chain(monkeypatch) as calls:
+    with counting(monkeypatch, proofenum.ljb, "normalize_chain") as calls:
         g = build_grammar(d_family(4), Session())
     assert len(g.nonterminals) == 1054
     assert calls == []
+
+
+def test_renaming_matches_equal_formulas_without_walking(monkeypatch):
+    # Every pair _renaming compares on D_4 at height 9 is one formula
+    # twice, so the matcher answers each in one entry without walking
+    # it (the walk made 1,686 entries).
+    with counting(monkeypatch, proofenum.syntax, "match_formula") as calls, \
+            counting(monkeypatch, proofenum.expand, "_renaming") as plans:
+        enumerate_terms(d_family(4), 9)
+    assert sum(len(src.hyps) + 1 for src, _ in plans) == 126
+    assert len(calls) == 126
 
 
 def test_relabel_rejects_non_matching_flattenings():
     p, q = parse_formula("P"), parse_formula("Q")
     with pytest.raises(InvariantError):
         _renaming(Flat(p, ((0, "h0", p),)), Flat(p, ((0, "h0", q),)))
+    # The second hypotheses are one formula, but the first already sent
+    # its variable x elsewhere, or took x as the image of y.
+    px, py, qx = (parse_formula(t) for t in ("P(x)", "P(y)", "Q(x)"))
+    for a, b in [(px, py), (py, px)]:
+        with pytest.raises(InvariantError):
+            _renaming(Flat(p, ((0, "h0", a), (1, "h1", qx))),
+                      Flat(p, ((0, "h0", b), (1, "h1", qx))))
     assert issubclass(InvariantError, RuntimeError)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -20,3 +21,13 @@ def test_traced_names_resolve():
     for mod, fname in tracing.TRACED:
         module = importlib.import_module(f"{tracing.PACKAGE}.{mod}")
         assert callable(getattr(module, fname, None)), (mod, fname)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements; invariants raise exceptions.
+    found = []
+    for path in sorted(Path(proofenum.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

@@ -1,13 +1,16 @@
+import random
+
 import pytest
 
 from proofenum.syntax import (Atom, Forall, Fn, Impl, NotNegative, Polarity,
                               SyntaxError_, Var, alpha_eq, all_names,
                               bound_vars, decompose_negative,
                               ensure_distinct_binders, free_vars, fresh_name,
-                              is_positive, parse_formula,
+                              is_positive, match_formula, parse_formula,
                               polarity, rename, render)
 
-from conftest import fold_negative, formula_size
+from conftest import (fold_negative, formula_size, reference_alpha_eq,
+                      reference_match_formula)
 
 
 def test_parse_render_roundtrip():
@@ -145,3 +148,102 @@ def test_deep_formulas_compare_without_recursion():
     assert a == b
     assert hash(a) == hash(b)
     assert a != parse_formula(" -> ".join(["P"] * 900 + ["Q"]))
+
+
+def test_match_formula_on_equal_formulas():
+    # Outside every binder, equal formulas map each free variable to
+    # itself, whether they are one object or two.
+    f = parse_formula("forall y. P(f(x, y)) -> Q(z)")
+    for g in (f, parse_formula(f.key)):
+        assert match_formula(f, g, {}) == {"x": "x", "z": "z"}
+        sig = {"x": "x", "w": "v"}
+        assert match_formula(f, g, sig) == {"x": "x", "w": "v", "z": "z"}
+        assert sig == {"x": "x", "w": "v"}
+        assert match_formula(f, g, sig, (("y", "y"),)) == \
+            {"x": "x", "w": "v", "z": "z"}
+        assert match_formula(f, g, {"x": "y"}) is None  # x sent elsewhere
+        assert match_formula(f, g, {"w": "z"}) is None  # z taken as an image
+    closed = parse_formula("forall x. P(x)")
+    sig = {"x": "y"}
+    assert match_formula(closed, closed, sig) is sig
+
+
+NAMES = ("x", "y", "z", "u")
+BINDERS = ((), (("x", "x"),), (("x", "y"),), (("y", "x"), ("z", "z")))
+
+
+def _random_term(rng, depth):
+    if depth == 0 or rng.random() < 0.6:
+        return Var(rng.choice(NAMES))
+    return Fn(rng.choice("fg"), tuple(_random_term(rng, depth - 1)
+                                      for _ in range(rng.randint(1, 2))))
+
+
+def _random_formula(rng, depth):
+    """A random formula over NAMES with function symbols, binders that
+    may shadow, and free variables."""
+    r = rng.random()
+    if depth == 0 or r < 0.35:
+        return Atom(rng.choice("PQ"), tuple(
+            _random_term(rng, 2) for _ in range(rng.randint(0, 2))))
+    if r < 0.7:
+        return Impl(_random_formula(rng, depth - 1),
+                    _random_formula(rng, depth - 1))
+    return Forall(rng.choice(NAMES), _random_formula(rng, depth - 1))
+
+
+def _partners(rng, f, perm):
+    """Formulas to compare f with: f itself, a re-parsed copy, renamed
+    variants, an alpha-variant and an unrelated formula."""
+    v = rng.choice(sorted(f.fvs) or NAMES)
+    return [f, parse_formula(f.key), rename(f, perm),
+            rename(f, {v: rng.choice(NAMES)}), ensure_distinct_binders(f),
+            _random_formula(rng, 4)]
+
+
+def _random_perm(rng):
+    return dict(zip(NAMES, rng.sample(NAMES, len(NAMES))))
+
+
+def test_match_formula_agrees_with_the_walking_reference():
+    rng = random.Random(20261019)
+    matched = 0
+    for _ in range(300):
+        f = _random_formula(rng, 4)
+        fvs = sorted(f.fvs)
+        sigs = [{}]
+        if fvs:
+            v = rng.choice(fvs)
+            other = rng.choice([w for w in NAMES if w != v])
+            sigs += [{w: w for w in fvs if rng.random() < 0.7},
+                     {v: other},   # against the identity: v sent elsewhere
+                     {other: v}]   # against it: v taken as an image
+        for g in _partners(rng, f, _random_perm(rng)):
+            for sig in sigs:
+                for bnd in BINDERS:
+                    before = dict(sig)
+                    got = match_formula(f, g, sig, bnd)
+                    assert sig == before
+                    assert got == reference_match_formula(f, g, dict(sig),
+                                                          bnd), (f, g, sig)
+                    matched += got is not None
+    assert matched > 1000
+
+
+def test_alpha_eq_agrees_with_the_pair_environment_reference():
+    rng = random.Random(1019)
+    equal = 0
+    for _ in range(300):
+        f = _random_formula(rng, 4)
+        perm = _random_perm(rng)
+        envs = [None, (), tuple(perm.items()),
+                tuple(zip(rng.sample(NAMES, 2), rng.sample(NAMES, 2))),
+                # not injective: repeated left or right names
+                tuple((rng.choice(NAMES), rng.choice(NAMES))
+                      for _ in range(rng.randint(2, 5)))]
+        for g in _partners(rng, f, perm):
+            for env in envs:
+                got = alpha_eq(f, g, env)
+                assert got == reference_alpha_eq(f, g, env), (f, g, env)
+                equal += got
+    assert equal > 1000
