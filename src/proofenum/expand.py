@@ -16,7 +16,7 @@ from .grammar import (DEFAULT_CAP, Grammar, Production, build_grammar,
 from .ljb import (Bracket, Fml, InvariantError, LJBContext, LJBSequent,
                   annotate, canon, expose, normalize)
 from .ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext, ProofTerm,
-                     Spine, rename_proof, sort_proofs, term_height)
+                     Spine, sort_proofs, term_height)
 from .syntax import (Atom, Forall, Formula, NotNegative, all_names,
                      decompose_negative, ensure_distinct_binders, fresh_name,
                      is_negative, match_formula, rename, render, union_all)
@@ -37,7 +37,6 @@ class Session:
 
     def __init__(self) -> None:
         self._registry: Dict[Formula, str] = {}
-        self._by_name: Dict[str, Formula] = {}
 
     def canonical_var(self, f: Formula) -> str:
         name = self._registry.get(f)
@@ -46,11 +45,7 @@ class Session:
                 raise NotNegative(f"not a negative formula: {render(f)}")
             name = f"c{len(self._registry)}"
             self._registry[f] = name
-            self._by_name[name] = f
         return name
-
-    def formula_of(self, name: str) -> Formula:
-        return self._by_name[name]
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +96,14 @@ def flatten_det(ctx: LJBContext, goal: Formula) -> Flat:
 
 
 # ---------------------------------------------------------------------------
-# Relabeling between flattenings of the same occurrences
+# Alpha-equivalence of flattenings of the same occurrences
 
 def _renaming(src: Flat, dst: Flat) -> Tuple[Dict[str, str],
                                             Dict[str, str]]:
     """The renaming (tmap, pmap) of free term and proof variables that
-    makes terms proving src prove dst, without its identity pairs; the
-    two flattenings must cover the same occurrence ids."""
+    makes terms proving src prove dst, without its identity pairs; every
+    occurrence id of src must be one of dst.  Raises InvariantError
+    when no renaming does."""
     by_fid = {fid: (pv, f) for fid, pv, f in dst.hyps}
     sig: Dict[str, str] = {}
     pmap: Dict[str, str] = {}
@@ -122,14 +118,6 @@ def _renaming(src: Flat, dst: Flat) -> Tuple[Dict[str, str],
         raise InvariantError("flattening goals are not alpha-equivalent")
     return ({k: v for k, v in sig.items() if k != v},
             {k: v for k, v in pmap.items() if k != v})
-
-
-def _relabel(terms: Sequence[ProofTerm], tmap: Dict[str, str],
-             pmap: Dict[str, str]) -> Sequence[ProofTerm]:
-    """terms renamed by the renaming (tmap, pmap) of _renaming."""
-    if not tmap and not pmap:
-        return terms
-    return [rename_proof(t, tmap, pmap) for t in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +139,8 @@ def _copies(pairs: Iterable[Tuple[str, Formula]]) -> Copies:
 
 
 def _lift(u: ProofTerm, goal: Formula, copies: Dict[str, Copies],
-          used: frozenset, tvars: frozenset) -> List[ProofTerm]:
+          used: frozenset, tvars: frozenset,
+          binders: Dict[Tuple[str, Formula], Copies]) -> List[ProofTerm]:
     """All terms proving goal in a larger context whose image under
     copy -> original is u.  copies maps each proof variable of u's
     context to its copies in the larger context, used holds the larger
@@ -160,12 +149,15 @@ def _lift(u: ProofTerm, goal: Formula, copies: Dict[str, Copies],
     arguments are lifted against that copy's argument formulas, once
     per formula: copies with one formula share the lifted arguments.  A
     proof binder gets one copy, typed by goal.lhs, and a term binder
-    free in the context gets a fresh name, as check_proof requires."""
+    free in the context gets a fresh name, as check_proof requires.
+    binders caches the copy entry of each proof binder by (name,
+    formula), so each is decomposed once per cache."""
     if isinstance(u, Spine):
         out: List[ProofTerm] = []
         for pvs, args, head in copies.get(u.head, ()):
             if head == goal:
-                tups = list(product(*(_lift(a, c, copies, used, tvars)
+                tups = list(product(*(_lift(a, c, copies, used, tvars,
+                                            binders)
                                       for a, c in zip(u.args, args))))
                 out.extend(Spine(pv, tup) for pv in pvs for tup in tups)
         return out
@@ -175,12 +167,15 @@ def _lift(u: ProofTerm, goal: Formula, copies: Dict[str, Copies],
         body = goal.body if var == goal.var else \
             rename(goal.body, {goal.var: var})
         return [LamTm(var, b)
-                for b in _lift(u.body, body, copies, used, tvars)]
+                for b in _lift(u.body, body, copies, used, tvars, binders)]
     nv = u.pvar if u.pvar not in used else fresh_name(u.pvar, used)
-    copies = {**copies, u.pvar: _copies(((nv, goal.lhs),))}
+    key = (nv, goal.lhs)
+    entry = binders.get(key)
+    if entry is None:
+        entry = binders[key] = _copies((key,))
     return [LamPf(nv, goal.lhs, b)
-            for b in _lift(u.body, goal.rhs, copies, used | {nv},
-                           tvars | goal.lhs.fvs)]
+            for b in _lift(u.body, goal.rhs, {**copies, u.pvar: entry},
+                           used | {nv}, tvars | goal.lhs.fvs, binders)]
 
 
 @dataclass(frozen=True)
@@ -203,38 +198,37 @@ def funcF(u: ProofTerm, source: LJPlusSequent, target: LJPlusSequent,
                            if rename(src[spv], sigma[i]) == tgt[pv])
               for spv, m in d.copies.items()}
     out = _lift(u, target.goal, copies, target.context.pvars(),
-                target.context.free_term_vars())
+                target.context.free_term_vars(), {})
     return sort_proofs(set(out))
 
 
 # ---------------------------------------------------------------------------
 # Expansion back across cleaning
 
-def _lift_table(ctx: LJBContext, goal: Formula):
+def _lift_table(ctx: LJBContext, goal: Formula, target: Flat):
     """How terms proving the flattening of normalize(ctx) with goal lift
-    back across cleaning, as (source, table).  Cleaning sends each
-    occurrence of ctx to one occurrence of its normal form.  When it
-    merges nothing, that is a bijection: table is None, and the terms
-    need only be renamed from source, the normal form's flattening.
-    Otherwise source is the flattening of canon(ctx), and table holds
-    _lift's last three arguments: the copy table maps each hypothesis of
-    the normal form's flattening to the hypotheses of source that
-    cleaning sends to it."""
+    onto target, a flattening of ctx's occurrences: _lift's last four
+    arguments, or None when the terms prove target as they are.
+    Cleaning sends each occurrence of ctx to one occurrence of its
+    normal form, so the copy table maps each hypothesis of the normal
+    form's flattening to the hypotheses of target that cleaning sends to
+    it: one each unless cleaning merges.  Raises InvariantError when
+    the normal form's flattening and target do not match on the
+    occurrences they share."""
     merged: Dict[int, int] = {}
     nf = flatten_det(normalize(ctx, merged), goal)
-    if not merged:
-        return nf, None
-    source = flatten_det(canon(ctx), goal)
+    tmap, pmap = _renaming(nf, target)
+    if not (merged or tmap or pmap):
+        return None
     pv_of = {fid: pv for fid, pv, _ in nf.hyps}
     pairs: Dict[str, List[Tuple[str, Formula]]] = {}
-    for fid, pv, f in source.hyps:
+    for fid, pv, f in target.hyps:
         while fid in merged:
             fid = merged[fid]
         pairs.setdefault(pv_of[fid], []).append((pv, f))
-    table = ({nv: _copies(ps) for nv, ps in pairs.items()},
-             frozenset(pv for _, pv, _ in source.hyps),
-             union_all(f.fvs for _, _, f in source.hyps))
-    return source, table
+    return ({nv: _copies(ps) for nv, ps in pairs.items()},
+            frozenset(pv for _, pv, _ in target.hyps),
+            union_all(f.fvs for _, _, f in target.hyps), {})
 
 
 def funcG(ctx: LJBContext, goal: Formula,
@@ -242,10 +236,9 @@ def funcG(ctx: LJBContext, goal: Formula,
     """Lift terms proving the flattening of normalize(ctx) with goal
     back across cleaning to all the terms proving the flattening of
     canon(ctx) whose cleaned images they are.  ctx is annotated."""
-    source, table = _lift_table(ctx, goal)
+    table = _lift_table(ctx, goal, flatten_det(canon(ctx), goal))
     if table is None:
-        return list(_relabel(terms, *_renaming(
-            source, flatten_det(canon(ctx), goal))))
+        return list(terms)
     return [t for u in terms for t in _lift(u, goal, *table)]
 
 
@@ -258,12 +251,12 @@ class _Plan:
     left-hand side.  Each premise's terms prove the flattening of the
     normal form of the rule's premise context, which is the premise
     nonterminal's context up to occurrence ids (cleaning does not look
-    at them).  They are lifted back across cleaning by the premise's
-    table (see _lift_table), renamed onto the flattening of the
-    left-hand side with the premise's goal and put together by wrap."""
+    at them).  The premise's table (see _lift_table) lifts them in one
+    pass onto the flattening of the left-hand side's hypotheses with
+    the premise's goal, and wrap puts them together."""
     production: Production
-    # (goal, table, (tmap, pmap)) per premise
-    lifts: Tuple[Tuple[Formula, Optional[tuple], tuple], ...]
+    # (target goal, table) per premise
+    lifts: Tuple[Tuple[Formula, Optional[tuple]], ...]
     wrap: Callable[[tuple], ProofTerm]
 
 
@@ -302,14 +295,9 @@ def _plans(seq: LJBSequent, prods: Sequence[Production]) -> List[_Plan]:
                   (goal.rhs,),
                   [Flat(goal.rhs, flat.hyps + ((n, pvar, goal.lhs),))],
                   lambda ts: LamPf(pvar, goal.lhs, ts[0]))]
-    plans = []
-    for p, raw, goals, targets, wrap in rules:
-        lifts = []
-        for a, target in zip(goals, targets):
-            source, table = _lift_table(raw, a)
-            lifts.append((a, table, _renaming(source, target)))
-        plans.append(_Plan(p, tuple(lifts), wrap))
-    return plans
+    return [_Plan(p, tuple((t.goal, _lift_table(raw, a, t))
+                           for a, t in zip(goals, targets)), wrap)
+            for p, raw, goals, targets, wrap in rules]
 
 
 class _Expander:
@@ -322,15 +310,15 @@ class _Expander:
     share a sub-scheme share its expansion (Wells & Yakobowski, LOPSTR
     2004).  A scheme node expands through the productions that fit it;
     a scheme that no production fits has no terms.  Lift plans are
-    built once per nonterminal, on first use.  The memos live as long
-    as the expander, that is one call.
+    built once per nonterminal, on first use.  The memos, and the
+    binder caches of the plans' tables, live as long as the expander,
+    that is one call.
 
     The memoized lists are duplicate-free as built, so nothing here
     deduplicates: distinct plans differ at the root head (each spine
     production exposes its own occurrence, a right rule has one plan),
-    and lifting and relabeling are injective.  Terms share their
-    sub-terms (see _lift), so the caller's final set hashes each shared
-    node once."""
+    and lifting is injective.  Terms share their sub-terms (see _lift),
+    so the caller's final set hashes each shared node once."""
 
     def __init__(self, grammar: Grammar) -> None:
         self._grammar = grammar
@@ -358,14 +346,14 @@ class _Expander:
     def _expand(self, plan: _Plan,
                 subs: Sequence[Scheme]) -> List[ProofTerm]:
         choice_sets = []
-        for q, sub, (goal, table, renaming) in zip(
+        for q, sub, (goal, table) in zip(
                 plan.production.premises, subs, plan.lifts):
             terms = self.H(q, sub)
             if table is not None:
                 terms = [t for u in terms for t in _lift(u, goal, *table)]
             if not terms:
                 return []
-            choice_sets.append(_relabel(terms, *renaming))
+            choice_sets.append(terms)
         return [plan.wrap(args) for args in product(*choice_sets)]
 
 

@@ -183,55 +183,6 @@ def _json_name(d: dict, field: str) -> str:
     return value
 
 
-def free_pvars(t: ProofTerm) -> frozenset:
-    if isinstance(t, Spine):
-        out = {t.head}
-        for a in t.args:
-            out |= free_pvars(a)
-        return frozenset(out)
-    if isinstance(t, LamTm):
-        return free_pvars(t.body)
-    return free_pvars(t.body) - {t.pvar}
-
-
-def free_term_vars_of(t: ProofTerm) -> frozenset:
-    if isinstance(t, Spine):
-        out: set = set()
-        for a in t.args:
-            out |= free_term_vars_of(a)
-        return frozenset(out)
-    if isinstance(t, LamTm):
-        return free_term_vars_of(t.body) - {t.var}
-    return free_term_vars_of(t.body) | free_vars(t.annot)
-
-
-def rename_proof(t: ProofTerm, tmap: Dict[str, str],
-                 pmap: Dict[str, str]) -> ProofTerm:
-    """Capture-avoiding renaming of free term variables and free proof
-    variables of a term; binders are alpha-renamed when needed."""
-    if isinstance(t, Spine):
-        return Spine(pmap.get(t.head, t.head),
-                     tuple(rename_proof(a, tmap, pmap) for a in t.args))
-    if isinstance(t, LamTm):
-        inner = {k: v for k, v in tmap.items() if k != t.var}
-        if t.var in inner.values():
-            nv = fresh_name(t.var, set(inner) | set(inner.values())
-                            | free_term_vars_of(t.body))
-            body = rename_proof(t.body, {t.var: nv}, {})
-            return LamTm(nv, rename_proof(body, inner, pmap))
-        return LamTm(t.var, rename_proof(t.body, inner, pmap))
-    inner_p = {k: v for k, v in pmap.items() if k != t.pvar}
-    pv = t.pvar
-    body = t.body
-    if pv in inner_p.values():
-        npv = fresh_name(pv, set(inner_p) | set(inner_p.values())
-                         | free_pvars(body))
-        body = rename_proof(body, {}, {pv: npv})
-        pv = npv
-    return LamPf(pv, rename(t.annot, tmap),
-                 rename_proof(body, tmap, inner_p))
-
-
 # ---------------------------------------------------------------------------
 # Sequents
 
@@ -323,10 +274,7 @@ def check_proof(ctx: NamedContext, t: ProofTerm, goal: Formula) -> bool:
         else:
             if t.var in free_vars(goal.body):
                 return False
-            try:
-                body_goal = rename(goal.body, {goal.var: t.var})
-            except ValueError:
-                return False
+            body_goal = rename(goal.body, {goal.var: t.var})
         return check_proof(ctx, t.body, body_goal)
     if not isinstance(t, LamPf):
         raise IllFormed(f"expected a proof abstraction at {render(goal)}")

@@ -1,14 +1,15 @@
 """Shared fixtures: the formula corpus, small comparison helpers, the
-reference checks of cleaning, emptiness and alpha-equivalence, and
-helpers that only the tests use."""
+reference checks of cleaning, emptiness and alpha-equivalence, the
+reference renaming of proof-terms, and helpers that only the tests
+use."""
 
 from proofenum.ljb import (Bracket, Fml, LJBContext, apply_step, canon,
                            normalize)
 from proofenum.ljplus import (IllFormed, LamPf, LamTm, LJPlusSequent,
                               NamedContext, Spine, check_proof,
                               oracle_enumerate, render_proof)
-from proofenum.syntax import (Atom, Fn, Forall, Impl, Var, parse_formula,
-                              rename)
+from proofenum.syntax import (Atom, Fn, Forall, Impl, Var, fresh_name,
+                              parse_formula, rename)
 from proofenum.sysf import parse_sysf_type, phi
 
 FIG_FORMULA = "((forall y. (P(y)->Q) -> (P(y)->Q)) -> Q) -> Q"
@@ -177,6 +178,56 @@ def alpha_normalize(t):
                      walk(u.body, tmap, {**pmap, u.pvar: np}))
 
     return walk(t, {}, {})
+
+
+def _free_pvars(t):
+    if isinstance(t, Spine):
+        out = {t.head}
+        for a in t.args:
+            out |= _free_pvars(a)
+        return frozenset(out)
+    if isinstance(t, LamTm):
+        return _free_pvars(t.body)
+    return _free_pvars(t.body) - {t.pvar}
+
+
+def _free_term_vars(t):
+    if isinstance(t, Spine):
+        out = set()
+        for a in t.args:
+            out |= _free_term_vars(a)
+        return frozenset(out)
+    if isinstance(t, LamTm):
+        return _free_term_vars(t.body) - {t.var}
+    return _free_term_vars(t.body) | t.annot.fvs
+
+
+def reference_rename_proof(t, tmap, pmap):
+    """Capture-avoiding renaming of free term variables and free proof
+    variables of a term; binders are alpha-renamed when needed.  The
+    reference for expansion's lift when cleaning merges nothing."""
+    if isinstance(t, Spine):
+        return Spine(pmap.get(t.head, t.head),
+                     tuple(reference_rename_proof(a, tmap, pmap)
+                           for a in t.args))
+    if isinstance(t, LamTm):
+        inner = {k: v for k, v in tmap.items() if k != t.var}
+        if t.var in inner.values():
+            nv = fresh_name(t.var, set(inner) | set(inner.values())
+                            | _free_term_vars(t.body))
+            body = reference_rename_proof(t.body, {t.var: nv}, {})
+            return LamTm(nv, reference_rename_proof(body, inner, pmap))
+        return LamTm(t.var, reference_rename_proof(t.body, inner, pmap))
+    inner_p = {k: v for k, v in pmap.items() if k != t.pvar}
+    pv = t.pvar
+    body = t.body
+    if pv in inner_p.values():
+        npv = fresh_name(pv, set(inner_p) | set(inner_p.values())
+                         | _free_pvars(body))
+        body = reference_rename_proof(body, {}, {pv: npv})
+        pv = npv
+    return LamPf(pv, rename(t.annot, tmap),
+                 reference_rename_proof(body, tmap, inner_p))
 
 
 def reference_match_formula(a, b, sig, bnd):

@@ -4,8 +4,9 @@ equivalence, and randomized soundness/cleaning properties."""
 import random
 import time
 
-from proofenum.expand import (Duplication, Session, enumerate_terms,
-                              flatten_det, funcF, funcG, funcH)
+from proofenum.expand import (Duplication, Session, _renaming,
+                              enumerate_terms, flatten_det, funcF, funcG,
+                              funcH)
 from proofenum.grammar import build_grammar, enumerate_schemes
 from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent, MergeStep,
                            annotate, canon, merge_pairs, normalize,
@@ -17,7 +18,7 @@ from proofenum.syntax import (ensure_distinct_binders, parse_formula, render)
 
 from conftest import (FIG_FORMULA, SYSF_A1, SYSF_A2, alpha_set, corpus,
                       erase_formulas, is_normal, oracle_set, random_context,
-                      shape_ok)
+                      reference_rename_proof, shape_ok)
 from proofenum.sysf import parse_sysf_type, phi
 
 
@@ -316,23 +317,34 @@ def test_funcG_matches_brute_force_on_random_contexts():
     # Lifting every proof of the cleaned context's flattening back across
     # cleaning gives every proof of the raw context's flattening: the
     # oracle on both sides is the reference, not the small-step chain.
+    # Where cleaning merges nothing, the lift is a renaming, and it must
+    # give exactly the terms the reference renaming gives.
     start = time.monotonic()
     rng = random.Random(20231)
     goals = [parse_formula(t) for t in ("Q", "P", "R(x)", "P(x) -> Q")]
-    with_merge = 0
+    with_merge = renamed = 0
     for _ in range(400):
         ctx = annotate(random_context(rng, [rng.randint(1, 30)]))
         for goal in goals:
-            nf = _flat_sequent(flatten_det(normalize(ctx), goal))
-            raw = _flat_sequent(flatten_det(canon(ctx), goal))
-            lifted = funcG(ctx, goal, oracle_enumerate(nf, 4))
+            merged = {}
+            nf_flat = flatten_det(normalize(ctx, merged), goal)
+            raw_flat = flatten_det(canon(ctx), goal)
+            nf, raw = _flat_sequent(nf_flat), _flat_sequent(raw_flat)
+            terms = oracle_enumerate(nf, 4)
+            lifted = funcG(ctx, goal, terms)
             assert alpha_set(lifted) == \
                 alpha_set(oracle_enumerate(raw, 4))
             for t in lifted:
                 assert check_proof(raw.context, t, goal)
             if lifted and len(nf.context.hyps) < len(raw.context.hyps):
                 with_merge += 1
+            tmap, pmap = _renaming(nf_flat, raw_flat)
+            if not merged and (tmap or pmap):
+                assert lifted == [reference_rename_proof(t, tmap, pmap)
+                                  for t in terms]
+                renamed += bool(lifted)
     assert with_merge >= 100
+    assert renamed >= 100
     assert time.monotonic() - start < 10.0
 
 

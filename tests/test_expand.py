@@ -8,11 +8,12 @@ import proofenum.ljb
 import proofenum.syntax
 from proofenum import scheme_check
 from proofenum.expand import (Duplication, Flat, Session, _Expander,
-                              _renaming, enumerate_terms, flatten_det, funcF,
-                              funcG, funcH)
+                              _lift_table, _renaming, enumerate_terms,
+                              flatten_det, funcF, funcG, funcH)
 from proofenum.grammar import build_grammar, enumerate_schemes
 from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
-                           LJBSequent, annotate, normalize_chain)
+                           LJBSequent, annotate, canon, normalize,
+                           normalize_chain)
 from proofenum.ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext,
                               Spine, alpha_eq_sequent, check_proof,
                               render_proof, term_height)
@@ -32,7 +33,6 @@ def test_canonical_var_registry():
     assert s.canonical_var(parse_formula("P(y) -> Q")) == "c1"
     # exact syntax, no alpha-identification
     assert s.canonical_var(parse_formula("P(z) -> Q")) == "c2"
-    assert s.formula_of("c1") == parse_formula("P(y) -> Q")
     with pytest.raises(NotNegative):
         s.canonical_var(parse_formula("forall x. P(x)"))
 
@@ -164,6 +164,30 @@ def test_funcG_drop_only_trace():
     assert [render_proof(t) for t in out] == ["h0"]
 
 
+def test_funcG_rename_only_lift():
+    # Cleaning splits Q out of the bracket and merges nothing, so the
+    # normal form's flattening and the raw one differ only in the order
+    # of their hypotheses, and the lift renames proof variables.
+    inner = LJBContext((Fml(parse_formula("Q")), Fml(parse_formula("P(x)"))))
+    ctx = annotate(LJBContext((Fml(parse_formula("R")),
+                               Bracket(frozenset({"x"}), inner))))
+    for goal, u, lifted in [("Q", "h0", "h2"), ("R", "h1", "h0")]:
+        goal = parse_formula(goal)
+        nf = flatten_det(normalize(ctx), goal)
+        raw = flatten_det(canon(ctx), goal)
+        assert [(pv, render(f)) for _, pv, f in nf.hyps] == \
+            [("h0", "Q"), ("h1", "R"), ("h2", "P(x1)")]
+        assert [(pv, render(f)) for _, pv, f in raw.hyps] == \
+            [("h0", "R"), ("h1", "P(x1)"), ("h2", "Q")]
+        out = funcG(ctx, goal, [Spine(u)])
+        assert [render_proof(t) for t in out] == [lifted]
+        assert check_proof(NamedContext(tuple(
+            (pv, f) for _, pv, f in raw.hyps)), out[0], goal)
+        # None only onto the normal form's own flattening
+        assert _lift_table(ctx, goal, raw) is not None
+        assert _lift_table(ctx, goal, nf) is None
+
+
 def test_funcG_freshens_term_binders_free_in_the_context():
     # The normal form flattens to h0:P(x), h1:P(x1), h2:P(x1)->Q, so its
     # proof binds x2 and x3.  The second copy of the bracket makes x2
@@ -286,8 +310,8 @@ def test_enumerate_terms_shares_sub_scheme_expansions(monkeypatch):
 
 def test_expander_memo_lists_are_duplicate_free():
     # Expansion does not deduplicate its lists: distinct lift plans
-    # differ at the root head, and lifting and relabeling are injective,
-    # so every memoized list is duplicate-free as built.
+    # differ at the root head, and lifting is injective, so every
+    # memoized list is duplicate-free as built.
     goals = [(g, 6) for g in corpus()] + [
         (d_family(3), 11),
         (phi(parse_sysf_type("forall X. (X->X) -> (X->X) -> X -> X")), 14),

