@@ -129,11 +129,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "formulas via the scheme grammar.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, heights: bool) -> None:
+    def goal_input(p) -> None:
         p.add_argument("input",
                        help="formula (or type with --sysf); '-' for stdin")
         p.add_argument("--sysf", action="store_true",
                        help="input is a System F type")
+
+    def common(p, heights: bool) -> None:
+        goal_input(p)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                        help="limit on grammar nonterminals")
@@ -148,9 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
            heights=True)
     common(sub.add_parser("terms", help="enumerate proof-terms"),
            heights=True)
-    common(sub.add_parser("verify",
-                          help="re-check terms JSON from stdin"),
-           heights=False)
+    goal_input(sub.add_parser("verify",
+                              help="re-check terms JSON from stdin"))
     return parser
 
 
@@ -168,7 +170,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "max_height", 1) < 1:
         print("error: --max-height must be at least 1", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.cap < 1:
+    if getattr(args, "cap", 1) < 1:
         print("error: --cap must be at least 1", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:

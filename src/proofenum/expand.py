@@ -7,19 +7,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, count, product
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .grammar import (DEFAULT_CAP, Grammar, Production, build_grammar,
                       enumerate_schemes, fits, productions_by_lhs, saturate,
                       subschemes)
-from .ljb import (Bracket, Fml, InvariantError, LJBContext, LJBSequent,
-                  annotate, canon, expose, normalize)
+from .ljb import (Fml, InvariantError, LJBContext, LJBSequent, annotate,
+                  canon, premises, rule_step)
 from .ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext, ProofTerm,
                      Spine, sort_proofs, term_height)
-from .syntax import (Atom, Forall, Formula, NotNegative, all_names,
-                     decompose_negative, ensure_distinct_binders, fresh_name,
-                     is_negative, match_formula, rename, render, union_all)
+from .syntax import (Formula, NotNegative, all_names, decompose_negative,
+                     ensure_distinct_binders, fresh_name, is_negative,
+                     match_formula, rename, render, union_all)
 
 Scheme = ProofTerm
 
@@ -51,8 +52,7 @@ class Session:
 # ---------------------------------------------------------------------------
 # Flat sequents in occurrence coordinates
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """A flattening in occurrence coordinates: the (unchanged) goal and
     the hypotheses as (occurrence id, proof variable, renamed formula)."""
     goal: Formula
@@ -108,6 +108,8 @@ def _renaming(src: Flat, dst: Flat) -> Tuple[Dict[str, str],
     sig: Dict[str, str] = {}
     pmap: Dict[str, str] = {}
     for fid, pv, f in src.hyps:
+        if fid not in by_fid:
+            raise InvariantError(f"occurrence {fid} is not in the target")
         dpv, df = by_fid[fid]
         sig = match_formula(f, df, sig)
         if sig is None:
@@ -205,26 +207,26 @@ def funcF(u: ProofTerm, source: LJPlusSequent, target: LJPlusSequent,
 # ---------------------------------------------------------------------------
 # Expansion back across cleaning
 
-def _lift_table(ctx: LJBContext, goal: Formula, target: Flat):
-    """How terms proving the flattening of normalize(ctx) with goal lift
-    onto target, a flattening of ctx's occurrences: _lift's last four
-    arguments, or None when the terms prove target as they are.
-    Cleaning sends each occurrence of ctx to one occurrence of its
-    normal form, so the copy table maps each hypothesis of the normal
-    form's flattening to the hypotheses of target that cleaning sends to
-    it: one each unless cleaning merges.  Raises InvariantError when
-    the normal form's flattening and target do not match on the
-    occurrences they share."""
-    merged: Dict[int, int] = {}
-    nf = flatten_det(normalize(ctx, merged), goal)
-    tmap, pmap = _renaming(nf, target)
+def _lift_table(src: Flat, merged: Dict[int, int], target: Flat):
+    """How terms proving src lift onto target: _lift's last four
+    arguments, or None when the terms prove target as they are.  The
+    occurrence ids of src are those of a normal form that cleaning
+    reaches from target's occurrences, making the merges merged (see
+    normalize), so the copy table maps each hypothesis of src to the
+    hypotheses of target that cleaning sends to its occurrence: one
+    each unless cleaning merges.  Raises InvariantError when src and
+    target do not match on the occurrences they share, or cleaning
+    sends one of target's occurrences to none of src's."""
+    tmap, pmap = _renaming(src, target)
     if not (merged or tmap or pmap):
         return None
-    pv_of = {fid: pv for fid, pv, _ in nf.hyps}
+    pv_of = {fid: pv for fid, pv, _ in src.hyps}
     pairs: Dict[str, List[Tuple[str, Formula]]] = {}
     for fid, pv, f in target.hyps:
         while fid in merged:
             fid = merged[fid]
+        if fid not in pv_of:
+            raise InvariantError(f"cleaning sends no occurrence to {fid}")
         pairs.setdefault(pv_of[fid], []).append((pv, f))
     return ({nv: _copies(ps) for nv, ps in pairs.items()},
             frozenset(pv for _, pv, _ in target.hyps),
@@ -236,7 +238,9 @@ def funcG(ctx: LJBContext, goal: Formula,
     """Lift terms proving the flattening of normalize(ctx) with goal
     back across cleaning to all the terms proving the flattening of
     canon(ctx) whose cleaned images they are.  ctx is annotated."""
-    table = _lift_table(ctx, goal, flatten_det(canon(ctx), goal))
+    nf, _, _, merged = premises(ctx, (goal,), merges=True)
+    table = _lift_table(flatten_det(nf, goal), merged,
+                        flatten_det(canon(ctx), goal))
     if table is None:
         return list(terms)
     return [t for u in terms for t in _lift(u, goal, *table)]
@@ -249,55 +253,15 @@ def funcG(ctx: LJBContext, goal: Formula,
 class _Plan:
     """How the terms of a production's premises become terms of its
     left-hand side.  Each premise's terms prove the flattening of the
-    normal form of the rule's premise context, which is the premise
-    nonterminal's context up to occurrence ids (cleaning does not look
-    at them).  The premise's table (see _lift_table) lifts them in one
-    pass onto the flattening of the left-hand side's hypotheses with
-    the premise's goal, and wrap puts them together."""
+    premise nonterminal, whose context is the normal form of the rule
+    instance's premise context up to occurrence ids.  The premise's
+    table (see _lift_table) lifts them in one pass onto the flattening
+    of the left-hand side's hypotheses with the premise's goal, and
+    wrap, chosen by the production's kind, puts them together."""
     production: Production
     # (target goal, table) per premise
     lifts: Tuple[Tuple[Formula, Optional[tuple]], ...]
     wrap: Callable[[tuple], ProofTerm]
-
-
-def _plans(seq: LJBSequent, prods: Sequence[Production]) -> List[_Plan]:
-    """The lift plans of the productions of seq, built from its
-    annotated context: each rule instance's premise context before
-    cleaning, premise goals, targets and wrap."""
-    if not prods:
-        return []
-    ctx, goal = annotate(seq.context), seq.goal
-    flat = flatten_det(ctx, goal)
-    if isinstance(goal, Atom):
-        entries = expose(ctx, goal)
-        by_fid = {fid: (pv, f) for fid, pv, f in flat.hyps}
-        rules = []
-        for p in prods:
-            e = entries[p.occurrence_id]
-            pv, f = by_fid[e.fid]
-            targets = [Flat(b, flat.hyps) for b in decompose_negative(f)[0]]
-            rules.append((p, e.restructured, e.args, targets,
-                          partial(Spine, pv)))
-    elif isinstance(goal, Forall):
-        y, body = goal.var, goal.body
-        hyp_free = union_all(f.fvs for _, _, f in flat.hyps)
-        if y in hyp_free:
-            y = fresh_name(y, hyp_free | all_names(goal))
-            body = rename(body, {goal.var: y})
-        rules = [(prods[0],
-                  LJBContext((Bracket(goal.bvs, ctx),)),
-                  (goal.body,), [Flat(body, flat.hyps)],
-                  lambda ts: LamTm(y, ts[0]))]
-    else:
-        n = len(flat.hyps)  # annotate numbers the occurrences from 0
-        pvar = f"h{n}"
-        rules = [(prods[0], LJBContext(ctx.items + (Fml(goal.lhs, n),)),
-                  (goal.rhs,),
-                  [Flat(goal.rhs, flat.hyps + ((n, pvar, goal.lhs),))],
-                  lambda ts: LamPf(pvar, goal.lhs, ts[0]))]
-    return [_Plan(p, tuple((t.goal, _lift_table(raw, a, t))
-                           for a, t in zip(goals, targets)), wrap)
-            for p, raw, goals, targets, wrap in rules]
 
 
 class _Expander:
@@ -309,8 +273,10 @@ class _Expander:
     they are memoized by (nonterminal id, sub-scheme): schemes that
     share a sub-scheme share its expansion (Wells & Yakobowski, LOPSTR
     2004).  A scheme node expands through the productions that fit it;
-    a scheme that no production fits has no terms.  Lift plans are
-    built once per nonterminal, on first use.  The memos, and the
+    a scheme that no production fits has no terms.  Each nonterminal
+    the expander reaches, as a left-hand side or as a premise, is
+    flattened once, and its lift plans are built once, on first use,
+    from one rule step on its annotated sequent.  The memos, and the
     binder caches of the plans' tables, live as long as the expander,
     that is one call.
 
@@ -323,6 +289,7 @@ class _Expander:
     def __init__(self, grammar: Grammar) -> None:
         self._grammar = grammar
         self._by_lhs = productions_by_lhs(grammar)
+        self._flats: Dict[int, Flat] = {}
         self._plans: Dict[int, List[_Plan]] = {}
         self._terms: Dict[Tuple[int, Scheme], List[ProofTerm]] = {}
 
@@ -335,13 +302,61 @@ class _Expander:
         if out is None:
             plans = self._plans.get(nt)
             if plans is None:
-                plans = self._plans[nt] = _plans(
-                    self._grammar.nonterminals[nt].sequent,
-                    self._by_lhs.get(nt, ()))
+                plans = self._plans[nt] = self._plans_of(nt)
             out = self._terms[key] = [
                 t for plan in plans if fits(plan.production, pi)
                 for t in self._expand(plan, subschemes(pi))]
         return out
+
+    def _flat(self, nt: int, fids: Iterable[int]) -> Flat:
+        """The flattening of nonterminal nt's sequent, with fids, in
+        order, as the occurrence ids of its hypotheses.  It is built
+        once per nonterminal."""
+        flat = self._flats.get(nt)
+        if flat is None:
+            seq = self._grammar.nonterminals[nt].sequent
+            flat = self._flats[nt] = flatten_det(seq.context, seq.goal)
+        return Flat(flat.goal, tuple((fid, pv, f) for fid, (_, pv, f)
+                                     in zip(fids, flat.hyps)))
+
+    def _plans_of(self, nt: int) -> List[_Plan]:
+        """The lift plans of nt's productions, one per rule instance of
+        its annotated sequent.  Hypothesis h_i of a flattening is the
+        i-th occurrence of its context.  Nonterminal contexts are
+        canonical, so in the left-hand side's that is occurrence i of
+        the annotated context, and in a premise nonterminal's the i-th
+        occurrence of the instance's cleaned premise context."""
+        prods = self._by_lhs.get(nt, ())
+        if not prods:
+            return []
+        goal, hyps = self._flat(nt, count())
+        ctx = annotate(self._grammar.nonterminals[nt].sequent.context)
+        plans = []
+        steps = rule_step(LJBSequent(ctx, goal), merges=True)
+        for p, (premise_ctx, _, exposed, merged) in zip(prods, steps):
+            if p.kind == "spine":
+                _, pv, f = hyps[exposed.fid]
+                goals, wrap = decompose_negative(f)[0], partial(Spine, pv)
+            elif p.kind == "forall":
+                y, body = goal.var, goal.body
+                hyp_free = union_all(f.fvs for _, _, f in hyps)
+                if y in hyp_free:
+                    y = fresh_name(y, hyp_free | all_names(goal))
+                    body = rename(body, {goal.var: y})
+                goals, wrap = (body,), lambda ts: LamTm(y, ts[0])
+            else:
+                pvar = f"h{len(hyps)}"
+                goals = (goal.rhs,)
+                wrap = lambda ts: LamPf(pvar, goal.lhs, ts[0])
+                hyps += ((-1, pvar, goal.lhs),)  # see rule_step
+            fids = tuple(chain.from_iterable(
+                it.fids for it in premise_ctx.items))
+            lifts = []
+            for q, b in zip(p.premises, goals):
+                src = self._flat(q, fids)
+                lifts.append((b, _lift_table(src, merged, Flat(b, hyps))))
+            plans.append(_Plan(p, tuple(lifts), wrap))
+        return plans
 
     def _expand(self, plan: _Plan,
                 subs: Sequence[Scheme]) -> List[ProofTerm]:

@@ -10,12 +10,11 @@ from functools import cache
 from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .ljb import (LJBContext, LJBSequent, apply_rforall, apply_rimpl,
-                  expose, normalize, render_ljb_sequent)
+from .ljb import LJBContext, LJBSequent, render_ljb_sequent, rule_step
 from .ljplus import (LamPf, LamTm, ProofTerm, Spine, sort_proofs,
                      term_height)
-from .syntax import (Atom, Forall, Formula, Polarity,
-                     ensure_distinct_binders, polarity, render)
+from .syntax import (Forall, Formula, ensure_distinct_binders,
+                     is_positive, render)
 
 Scheme = ProofTerm
 
@@ -64,7 +63,7 @@ def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP,
     <= max_height uses no others.  The worklist is FIFO, so the result
     is a prefix of the full grammar (same ids, sequents and production
     order), and the cap counts only the nonterminals it holds."""
-    if polarity(goal) not in (Polarity.POSITIVE_ONLY, Polarity.BOTH):
+    if not is_positive(goal):
         raise NotPositive(render(goal))
     return saturate(LJBSequent(LJBContext(), ensure_distinct_binders(goal)),
                     session, cap, max_height)
@@ -73,51 +72,48 @@ def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP,
 def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
              max_height: Optional[int] = None) -> Grammar:
     """The grammar of the sequents reachable from start_seq, as in
-    build_grammar."""
+    build_grammar: one production per rule instance of rule_step, on
+    the contexts as they are (no occurrence ids, no merges recorded),
+    with the cleaned premise sequents as its premises."""
     ids: Dict[Tuple[str, str], int] = {}
     nts: List[Nonterminal] = []
     prods: List[Production] = []
     work: deque = deque()
 
-    def intern(seq: LJBSequent, depth: int) -> int:
-        k = (seq.context.key, seq.goal.key)
+    def intern(ctx: LJBContext, goal: Formula, depth: int) -> int:
+        k = (ctx.key, goal.key)
         if k in ids:
             return ids[k]
         if len(nts) >= cap:
             raise CapExceeded(f"more than {cap} nonterminals")
-        nt = Nonterminal(len(nts), seq)
+        nt = Nonterminal(len(nts), LJBSequent(ctx, goal))
         ids[k] = nt.id
         nts.append(nt)
         work.append((nt, depth))
         return nt.id
 
-    start = intern(start_seq, 0)
+    start = intern(start_seq.context, start_seq.goal, 0)
     while work:
         nt, depth = work.popleft()
         if max_height is not None and depth >= max_height:
             break  # FIFO: every later entry is at least as deep
         depth += 1  # of the premises
-        seq = nt.sequent
-        if isinstance(seq.goal, Atom):
-            for entry in expose(seq.context, seq.goal):
-                premise_ctx = normalize(entry.restructured)
-                premises = tuple(
-                    intern(LJBSequent(premise_ctx, a), depth)
-                    for a in entry.args)
+        goal = nt.sequent.goal
+        for ctx, goals, exposed, _ in rule_step(nt.sequent):
+            premises = tuple([intern(ctx, a, depth) for a in goals])
+            if exposed is not None:
                 prods.append(Production(
                     lhs=nt.id, kind="spine", premises=premises,
-                    head=session.canonical_var(entry.formula),
-                    occurrence_id=entry.occurrence_id))
-        elif isinstance(seq.goal, Forall):
-            premise = intern(apply_rforall(seq), depth)
-            prods.append(Production(lhs=nt.id, kind="forall",
-                                    premises=(premise,), var=seq.goal.var))
-        else:
-            premise = intern(apply_rimpl(seq), depth)
-            prods.append(Production(lhs=nt.id, kind="impl",
-                                    premises=(premise,),
-                                    head=session.canonical_var(seq.goal.lhs),
-                                    annot=seq.goal.lhs))
+                    head=session.canonical_var(exposed.formula),
+                    occurrence_id=exposed.occurrence_id))
+            elif isinstance(goal, Forall):
+                prods.append(Production(lhs=nt.id, kind="forall",
+                                        premises=premises, var=goal.var))
+            else:
+                prods.append(Production(lhs=nt.id, kind="impl",
+                                        premises=premises,
+                                        head=session.canonical_var(goal.lhs),
+                                        annot=goal.lhs))
     return Grammar(start, tuple(nts), tuple(prods))
 
 

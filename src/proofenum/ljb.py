@@ -124,7 +124,9 @@ def _canon_bracket(br: Bracket) -> Bracket:
 
 
 def annotate(ctx: LJBContext) -> LJBContext:
-    """Assign occurrence ids 0.. in traversal order of the canonical form."""
+    """Assign occurrence ids 0.. in traversal order of the canonical form.
+    Occurrence ids do not change a context's shape, so a level marked
+    normal stays marked."""
     ctx = canon(ctx)
     counter = [0]
 
@@ -136,7 +138,7 @@ def annotate(ctx: LJBContext) -> LJBContext:
                 counter[0] += 1
             else:
                 out.append(Bracket(it.binds, walk(it.inner)))
-        return LJBContext(tuple(out))
+        return _normal(tuple(out)) if c.normal else LJBContext(tuple(out))
 
     return walk(ctx)
 
@@ -305,18 +307,23 @@ def _normal(items: Tuple[Item, ...]) -> LJBContext:
     return ctx
 
 
-def _insert(items: Tuple[Item, ...], item: Item) -> Tuple[Item, ...]:
-    """The items of normalize(LJBContext(items + (item,))) for the items
-    of a normal level and a clean item: item goes where it sorts and,
-    as in normalize, of two items with one key the one that sorts first
-    stays.  items itself when that is the one already there."""
+def _insert(items: Tuple[Item, ...], item: Item,
+            merged: Optional[Dict[int, int]] = None) -> Tuple[Item, ...]:
+    """The items of normalize(LJBContext(items + (item,)), merged) for
+    the items of a normal level and a clean item: item goes where it
+    sorts and, as in normalize, of two items with one key the one that
+    sorts first stays.  items itself when that is the one already
+    there."""
     k = _canon_key(item)
     i = bisect_left(items, k, key=_canon_key)
-    if (i and items[i - 1].key == item.key
-            or i < len(items) and _canon_key(items[i]) == k):
-        return items
-    j = i + 1 if i < len(items) and items[i].key == item.key else i
-    return items[:i] + (item,) + items[j:]
+    if i and items[i - 1].key == item.key:
+        i -= 1
+    if i == len(items) or items[i].key != item.key:
+        return items[:i] + (item,) + items[i:]
+    kept, dropped = sorted((items[i], item), key=_canon_key)
+    if merged is not None:
+        merged.update(zip(dropped.fids, kept.fids))
+    return items if kept is items[i] else items[:i] + (item,) + items[i + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -377,28 +384,61 @@ def _restructure(chain, final_level: LJBContext, final_idx: int) -> LJBContext:
     return canon(LJBContext((core,) + rest + (exposed,)))
 
 
-def apply_rforall(s: LJBSequent) -> LJBSequent:
+def apply_rforall(s: LJBSequent,
+                  merged: Optional[Dict[int, int]] = None) -> LJBSequent:
     if not isinstance(s.goal, Forall):
         raise InvariantError(f"R-forall needs a forall goal, got "
                              f"{render(s.goal)}")
     # normalize(LJBContext((Bracket(binds, ctx),))) from the normal ctx:
     # the items free of the binds leave the bracket, which then holds a
     # normal level and is dropped when empty
-    binds, ctx = s.goal.bvs, normalize(s.context)
+    binds, ctx = s.goal.bvs, normalize(s.context, merged)
     free, kept = [], []
     for it in ctx.items:
         (free if it.fvs.isdisjoint(binds) else kept).append(it)
     if kept:
         inner = _normal(tuple(kept)) if free else ctx
-        ctx = _normal(_insert(tuple(free), Bracket(binds, inner)))
+        ctx = _normal(_insert(tuple(free), Bracket(binds, inner), merged))
     return LJBSequent(ctx, s.goal.body)
 
 
-def apply_rimpl(s: LJBSequent) -> LJBSequent:
+def apply_rimpl(s: LJBSequent,
+                merged: Optional[Dict[int, int]] = None) -> LJBSequent:
     if not isinstance(s.goal, Impl):
         raise InvariantError(f"R-impl needs an implication goal, got "
                              f"{render(s.goal)}")
-    ctx = normalize(s.context)
-    items = _insert(ctx.items, Fml(s.goal.lhs))
+    ctx = normalize(s.context, merged)
+    items = _insert(ctx.items, Fml(s.goal.lhs), merged)
     return LJBSequent(ctx if items is ctx.items else _normal(items),
                       s.goal.rhs)
+
+
+# The premises of one rule instance: (context, goals, exposed, merged),
+# their goals over one cleaned context, the ExposeEntry of a left rule
+# (None for a right rule), and cleaning's merges (see normalize) when
+# they were asked for, else None.
+Premises = Tuple[LJBContext, Tuple[Formula, ...], Optional[ExposeEntry],
+                 Optional[Dict[int, int]]]
+
+
+def premises(raw: LJBContext, goals: Tuple[Formula, ...], merges: bool,
+             exposed: Optional[ExposeEntry] = None) -> Premises:
+    """The premises with goals over the context raw before cleaning."""
+    merged = {} if merges else None
+    return normalize(raw, merged), goals, exposed, merged
+
+
+def rule_step(s: LJBSequent, merges: bool = False) -> List[Premises]:
+    """The premises of every rule instance with conclusion s, in the
+    order of the grammar's productions: one left rule per occurrence
+    that expose finds for an atomic goal, else the one right rule.  The
+    premise context of each instance is cleaned once, and with merges
+    each instance records cleaning's merges in a dict of its own.  The
+    hypothesis R-impl adds has no occurrence id (-1)."""
+    if isinstance(s.goal, Atom):
+        return [premises(e.restructured, e.args, merges, e)
+                for e in expose(s.context, s.goal)]
+    merged = {} if merges else None
+    rule = apply_rforall if isinstance(s.goal, Forall) else apply_rimpl
+    premise = rule(s, merged)
+    return [(premise.context, (premise.goal,), None, merged)]

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .ljplus import LamTm, ProofTerm, Spine
-from .syntax import (Atom, Forall, Formula, Impl, Polarity, SyntaxError_,
-                     Var, parse_formula, polarity)
+from .syntax import (Atom, Forall, Formula, Impl, SyntaxError_, Var,
+                     is_positive, parse_formula)
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def unphi(f: Formula) -> FType:
 
 
 def is_positive_type(t: FType) -> bool:
-    return polarity(phi(t)) in (Polarity.POSITIVE_ONLY, Polarity.BOTH)
+    return is_positive(phi(t))
 
 
 def _up(name: str) -> str:

@@ -1,15 +1,18 @@
-"""Shared fixtures: the formula corpus, small comparison helpers, the
-reference checks of cleaning, emptiness and alpha-equivalence, the
-reference renaming of proof-terms, and helpers that only the tests
-use."""
+"""Shared fixtures: the formula corpus, random goals, small comparison
+helpers, the reference checks of cleaning, emptiness and
+alpha-equivalence, the reference renaming of proof-terms and copy
+tables, and helpers that only the tests use."""
 
+import itertools
+
+from proofenum.expand import _copies, _renaming, flatten_det
 from proofenum.ljb import (Bracket, Fml, LJBContext, apply_step, canon,
                            normalize)
 from proofenum.ljplus import (IllFormed, LamPf, LamTm, LJPlusSequent,
                               NamedContext, Spine, check_proof,
                               oracle_enumerate, render_proof)
 from proofenum.syntax import (Atom, Fn, Forall, Impl, Var, fresh_name,
-                              parse_formula, rename)
+                              parse_formula, rename, union_all)
 from proofenum.sysf import parse_sysf_type, phi
 
 FIG_FORMULA = "((forall y. (P(y)->Q) -> (P(y)->Q)) -> Q) -> Q"
@@ -50,6 +53,54 @@ def d_family(k):
     bs = " -> ".join(f"(forall x{i}. (P(x{i}) -> Q) -> P(x{i}) -> Q)"
                      for i in range(1, k + 1))
     return parse_formula(f"({bs} -> Q) -> Q")
+
+
+def random_formula(rng):
+    """H1 -> ... -> Hn -> G whose hypotheses mostly take quantified
+    arguments, in the style of the decide workload's goals."""
+    fresh = itertools.count(1)
+
+    def atom(scope):
+        if scope and rng.random() < 0.6:
+            return f"{rng.choice('PR')}({rng.choice(scope)})"
+        return rng.choice("QQS")
+
+    def quantified():
+        v = f"x{next(fresh)}"
+        parts = [f"({atom(['a', v])} -> {atom(['a', v])})"
+                 if rng.random() < 0.5 else atom(["a", v])
+                 for _ in range(rng.choice([1, 1, 2]))]
+        return f"forall {v}. " + " -> ".join(parts + [atom(["a", v])])
+
+    goal = rng.choice("QS")
+    hyps = []
+    for _ in range(rng.choice([1, 2, 2, 3])):
+        args = [f"({quantified()})" if rng.random() < 0.7 else atom(["a"])
+                for _ in range(rng.choice([0, 1, 1, 2]))]
+        head = goal if rng.random() < 0.5 else atom(["a"])
+        hyps.append("(" + " -> ".join(args + [head]) + ")")
+    return parse_formula(" -> ".join(hyps + [goal]))
+
+
+def random_type(rng):
+    """forall X. [forall Y.] H1 -> ... -> Hn -> X with hypotheses taking
+    quantified arguments, after phi."""
+    fresh = itertools.count(1)
+    scope = ["X", "Y"] if rng.random() < 0.5 else ["X"]
+
+    def quantified():
+        v = f"Z{next(fresh)}"
+        inner = scope + [v]
+        return (f"forall {v}. ({rng.choice(inner)} -> {rng.choice(inner)})"
+                f" -> {rng.choice(inner)} -> {rng.choice(inner)}")
+
+    hyps = []
+    for _ in range(rng.choice([1, 2, 2])):
+        args = [f"({quantified()})" if rng.random() < 0.6
+                else rng.choice(scope) for _ in range(rng.choice([1, 1, 2]))]
+        hyps.append("(" + " -> ".join(args + [rng.choice(scope)]) + ")")
+    binders = "".join(f"forall {v}. " for v in scope)
+    return phi(parse_sysf_type(binders + " -> ".join(hyps + [scope[0]])))
 
 
 def alpha_set(terms):
@@ -228,6 +279,30 @@ def reference_rename_proof(t, tmap, pmap):
         pv = npv
     return LamPf(pv, rename(t.annot, tmap),
                  reference_rename_proof(body, tmap, inner_p))
+
+
+def reference_lift_table(raw, goal, target):
+    """The copy table of a premise whose context before cleaning is raw,
+    built per premise: clean raw, flatten the normal form with goal,
+    and send each hypothesis of target, through cleaning's merges, to
+    the hypothesis of that flattening with its occurrence id.  The
+    first three of _lift's last four arguments, or None when the terms
+    prove target as they are.  The reference for the tables of lift
+    plans, which take occurrence ids by position."""
+    merged = {}
+    nf = flatten_det(normalize(raw, merged), goal)
+    tmap, pmap = _renaming(nf, target)
+    if not (merged or tmap or pmap):
+        return None
+    pv_of = {fid: pv for fid, pv, _ in nf.hyps}
+    pairs = {}
+    for fid, pv, f in target.hyps:
+        while fid in merged:
+            fid = merged[fid]
+        pairs.setdefault(pv_of[fid], []).append((pv, f))
+    return ({nv: _copies(ps) for nv, ps in pairs.items()},
+            frozenset(pv for _, pv, _ in target.hyps),
+            union_all(f.fvs for _, _, f in target.hyps))
 
 
 def reference_match_formula(a, b, sig, bnd):

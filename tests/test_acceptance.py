@@ -17,8 +17,8 @@ from proofenum.ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext,
 from proofenum.syntax import (ensure_distinct_binders, parse_formula, render)
 
 from conftest import (FIG_FORMULA, SYSF_A1, SYSF_A2, alpha_set, corpus,
-                      erase_formulas, is_normal, oracle_set, random_context,
-                      reference_rename_proof, shape_ok)
+                      d_family, erase_formulas, is_normal, oracle_set,
+                      random_context, reference_rename_proof, shape_ok)
 from proofenum.sysf import parse_sysf_type, phi
 
 
@@ -189,6 +189,26 @@ def test_matches_brute_force_enumeration():
             assert alpha_set(enumerate_terms(goal, k)) == \
                 oracle_set(goal, k), (render(goal), k)
     assert time.monotonic() - start < 120.0
+
+
+def test_terms_equal_the_oracle_exactly():
+    # Not only up to alpha-equivalence: expansion names hypotheses
+    # h0, h1, ... by position, as the oracle does, so the rendered lists
+    # are equal in order and name for name.
+    def sysf(text):
+        return phi(parse_sysf_type(text))
+
+    cases = [(goal, 6) for goal in corpus()] + [
+        (sysf(SYSF_A2), 24), (sysf(SYSF_A1), 20),
+        (sysf("forall X. (X->X) -> (X->X) -> X -> X"), 14),
+        (sysf("forall X. X -> (X->X) -> X"), 40),
+        (parse_formula(FIG_FORMULA), 20), (d_family(2), 13),
+        (parse_formula("((forall x. Q(x)) -> P) -> forall x. P(x) -> P(x)"),
+         5)]
+    for goal, h in cases:
+        want = oracle_enumerate(LJPlusSequent(NamedContext(), goal), h)
+        assert list(map(render_proof, enumerate_terms(goal, h))) == \
+            list(map(render_proof, want)), (render(goal), h)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,22 @@ def test_bad_cap(capsys):
                 "error: --cap must be at least 1\n"
 
 
+def test_verify_takes_only_the_goal_options(monkeypatch, capsys):
+    # verify reads no grammar, so --cap and --format are unknown to it
+    # rather than accepted and ignored
+    for extra in (["--cap", "0"], ["--cap", "5"], ["--format", "json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "P -> P", *extra])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    code, out = run(["terms", SYSF_A2, "--sysf", "--max-height", "16",
+                     "--format", "json"])
+    assert code == 0
+    code, out = run(["verify", SYSF_A2, "--sysf"], stdin_text=out,
+                    monkeypatch=monkeypatch)
+    assert (code, out.strip()) == (0, "verified 14/14")
+
+
 def test_invalid_json_verify(monkeypatch):
     # malformed JSON, and well-formed JSON that is not a list of terms
     for stdin_text in [

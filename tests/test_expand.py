@@ -1,4 +1,6 @@
+import random
 import sys
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -10,19 +12,21 @@ from proofenum import scheme_check
 from proofenum.expand import (Duplication, Flat, Session, _Expander,
                               _lift_table, _renaming, enumerate_terms,
                               flatten_det, funcF, funcG, funcH)
-from proofenum.grammar import build_grammar, enumerate_schemes
+from proofenum.grammar import (build_grammar, enumerate_schemes,
+                               productions_by_lhs)
 from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
-                           LJBSequent, annotate, canon, normalize,
+                           LJBSequent, annotate, canon, expose, normalize,
                            normalize_chain)
 from proofenum.ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext,
                               Spine, alpha_eq_sequent, check_proof,
                               render_proof, term_height)
-from proofenum.syntax import (NotNegative, ensure_distinct_binders,
-                              parse_formula, render)
+from proofenum.syntax import (Atom, Forall, NotNegative,
+                              ensure_distinct_binders, parse_formula, render)
 from proofenum.sysf import parse_sysf_type, phi
 
 from conftest import (FIG_FORMULA, SYSF_A2, alpha_set, corpus, d_family,
-                      oracle_set)
+                      oracle_set, random_formula, random_type,
+                      reference_lift_table)
 
 
 def test_canonical_var_registry():
@@ -184,8 +188,8 @@ def test_funcG_rename_only_lift():
         assert check_proof(NamedContext(tuple(
             (pv, f) for _, pv, f in raw.hyps)), out[0], goal)
         # None only onto the normal form's own flattening
-        assert _lift_table(ctx, goal, raw) is not None
-        assert _lift_table(ctx, goal, nf) is None
+        assert _lift_table(nf, {}, raw) is not None
+        assert _lift_table(nf, {}, nf) is None
 
 
 def test_funcG_freshens_term_binders_free_in_the_context():
@@ -292,19 +296,13 @@ def test_enumerate_terms_keeps_repeated_binders():
 
 
 def test_enumerate_terms_shares_sub_scheme_expansions(monkeypatch):
-    # The 37 Church-numeral schemes up to height 40 are nested chains:
-    # sharing sub-schemes exposes each level once (37 calls), while
+    # The 37 Church-numeral schemes up to height 40 are nested chains
+    # through the one nonterminal with an atomic goal: saturation exposes
+    # its context once and its lift plans once more (2 calls), while
     # expanding every scheme on its own exposes 703 times.
-    calls = []
-    expose = proofenum.expand.expose
-
-    def counting_expose(*args):
-        calls.append(args)
-        return expose(*args)
-
-    monkeypatch.setattr(proofenum.expand, "expose", counting_expose)
     goal = phi(parse_sysf_type("forall X. X -> (X->X) -> X"))
-    assert len(enumerate_terms(goal, 40)) == 37
+    with counting(monkeypatch, proofenum.ljb, "expose") as calls:
+        assert len(enumerate_terms(goal, 40)) == 37
     assert len(calls) <= 40
 
 
@@ -327,6 +325,56 @@ def test_expander_memo_lists_are_duplicate_free():
             assert len(set(terms)) == len(terms)
         lists += len(expander._terms)
     assert lists > 500
+
+
+def _raw_premises(grammar, nt, prods):
+    """Per production of nt: the premise context of its rule instance
+    before cleaning, built from nt's annotated sequent as saturation's
+    rules build it, the premise goals, and the hypotheses of the plan's
+    targets."""
+    seq = grammar.nonterminals[nt].sequent
+    ctx, goal = annotate(seq.context), seq.goal
+    hyps = flatten_det(ctx, goal).hyps
+    if isinstance(goal, Atom):
+        entries = [expose(ctx, goal)[p.occurrence_id] for p in prods]
+        return [(e.restructured, e.args, hyps) for e in entries]
+    if isinstance(goal, Forall):
+        return [(LJBContext((Bracket(goal.bvs, ctx),)), (goal.body,), hyps)]
+    n = len(hyps)
+    return [(LJBContext(ctx.items + (Fml(goal.lhs, n),)), (goal.rhs,),
+             hyps + ((n, f"h{n}", goal.lhs),))]
+
+
+def test_plan_tables_match_the_per_premise_reference():
+    # Lift plans clean each production's premise context once and take
+    # the premise nonterminal's flattening by position; the reference
+    # cleans and flattens the raw premise context for every premise.
+    rng = random.Random(4242)
+    goals = [(g, None) for g in corpus()] + [
+        (d_family(3), 11), (d_family(4), 9), (d_family(5), 9)]
+    goals += [(random_type(rng) if i % 4 == 3 else random_formula(rng), 8)
+              for i in range(300)]
+    tables = lifted = merging = 0
+    for goal, h in goals:
+        grammar = build_grammar(goal, Session(), max_height=h)
+        expander = _Expander(grammar)
+        by_lhs = productions_by_lhs(grammar)
+        for nt in range(len(grammar.nonterminals)):
+            prods = by_lhs.get(nt, [])
+            raws = _raw_premises(grammar, nt, prods) if prods else []
+            plans = expander._plans_of(nt)
+            assert len(plans) == len(raws)
+            for plan, (raw, args, hyps) in zip(plans, raws):
+                for (b, table), a in zip(plan.lifts, args, strict=True):
+                    ref = reference_lift_table(raw, a, Flat(b, hyps))
+                    assert (None if table is None else table[:3]) == ref
+                    tables += 1
+                    lifted += table is not None
+                    merging += table is not None and sum(
+                        len(pvs) for copies in table[0].values()
+                        for pvs, _, _ in copies) > len(table[0])
+    # premises; lifted premises; lifted premises with merged copies
+    assert (tables, lifted, merging) == (2478, 455, 43)
 
 
 @contextmanager
@@ -372,6 +420,21 @@ def test_saturation_keeps_no_cleaning_trace(monkeypatch):
         g = build_grammar(d_family(4), Session())
     assert len(g.nonterminals) == 1054
     assert calls == []
+
+
+def test_expansion_flattens_each_nonterminal_once(monkeypatch):
+    # Lift plans take a premise's flattening from its nonterminal, by
+    # position, so no flattening is built twice in one call.
+    for goal, h, flattened in [(d_family(5), 9, 52), (d_family(3), 11, 77),
+                               (phi(parse_sysf_type(SYSF_A2)), 24, 10)]:
+        with counting(monkeypatch, proofenum.expand, "flatten_det") as calls:
+            enumerate_terms(goal, h)
+        sequents = {(c.key, g.key) for c, g in calls}
+        assert len(calls) == len(sequents) == flattened
+        # saturation exposes a context once, and expansion once more
+        with counting(monkeypatch, proofenum.ljb, "expose") as exposed:
+            enumerate_terms(goal, h)
+        assert max(Counter((c.key, a.key) for c, a in exposed).values()) == 2
 
 
 def test_renaming_matches_equal_formulas_without_walking(monkeypatch):

@@ -1,4 +1,3 @@
-import itertools
 import random
 from dataclasses import replace
 
@@ -12,9 +11,9 @@ from proofenum.grammar import (CapExceeded, Grammar, Nonterminal, NotPositive,
 from proofenum.ljb import LJBContext, LJBSequent
 from proofenum.ljplus import Spine, render_proof, term_height
 from proofenum.syntax import ensure_distinct_binders, parse_formula
-from proofenum.sysf import parse_sysf_type, phi
 
-from conftest import FIG_FORMULA, corpus, d_family, fixpoint_is_inhabited
+from conftest import (FIG_FORMULA, corpus, d_family, fixpoint_is_inhabited,
+                      random_formula, random_type)
 
 
 def test_not_positive_rejected():
@@ -151,54 +150,6 @@ def test_scheme_check_accepts_the_grammar_schemes():
 # Linear emptiness against the fixpoint sweep
 
 
-def _random_formula(rng):
-    """H1 -> ... -> Hn -> G whose hypotheses mostly take quantified
-    arguments, in the style of the decide workload's goals."""
-    fresh = itertools.count(1)
-
-    def atom(scope):
-        if scope and rng.random() < 0.6:
-            return f"{rng.choice('PR')}({rng.choice(scope)})"
-        return rng.choice("QQS")
-
-    def quantified():
-        v = f"x{next(fresh)}"
-        parts = [f"({atom(['a', v])} -> {atom(['a', v])})"
-                 if rng.random() < 0.5 else atom(["a", v])
-                 for _ in range(rng.choice([1, 1, 2]))]
-        return f"forall {v}. " + " -> ".join(parts + [atom(["a", v])])
-
-    goal = rng.choice("QS")
-    hyps = []
-    for _ in range(rng.choice([1, 2, 2, 3])):
-        args = [f"({quantified()})" if rng.random() < 0.7 else atom(["a"])
-                for _ in range(rng.choice([0, 1, 1, 2]))]
-        head = goal if rng.random() < 0.5 else atom(["a"])
-        hyps.append("(" + " -> ".join(args + [head]) + ")")
-    return parse_formula(" -> ".join(hyps + [goal]))
-
-
-def _random_type(rng):
-    """forall X. [forall Y.] H1 -> ... -> Hn -> X with hypotheses taking
-    quantified arguments, after phi."""
-    fresh = itertools.count(1)
-    scope = ["X", "Y"] if rng.random() < 0.5 else ["X"]
-
-    def quantified():
-        v = f"Z{next(fresh)}"
-        inner = scope + [v]
-        return (f"forall {v}. ({rng.choice(inner)} -> {rng.choice(inner)})"
-                f" -> {rng.choice(inner)} -> {rng.choice(inner)}")
-
-    hyps = []
-    for _ in range(rng.choice([1, 2, 2])):
-        args = [f"({quantified()})" if rng.random() < 0.6
-                else rng.choice(scope) for _ in range(rng.choice([1, 1, 2]))]
-        hyps.append("(" + " -> ".join(args + [rng.choice(scope)]) + ")")
-    binders = "".join(f"forall {v}. " for v in scope)
-    return phi(parse_sysf_type(binders + " -> ".join(hyps + [scope[0]])))
-
-
 def _random_grammar(rng):
     """A grammar over a few nonterminals with random premises, often
     cyclic and sometimes without a production that has no premises."""
@@ -218,7 +169,7 @@ def test_linear_emptiness_matches_fixpoint():
                 for goal in corpus() + [d_family(k) for k in range(2, 6)]]
     rng = random.Random(1984)
     for i in range(200):
-        goal = _random_type(rng) if i % 4 == 3 else _random_formula(rng)
+        goal = random_type(rng) if i % 4 == 3 else random_formula(rng)
         grammars.append(build_grammar(goal, Session()))
     verdicts = [is_inhabited(g) for g in grammars]
     assert verdicts == [fixpoint_is_inhabited(g) for g in grammars]

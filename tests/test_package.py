@@ -31,3 +31,19 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_expansion_takes_the_rule_step_from_ljb():
+    # Expansion follows the rule instances ljb.rule_step decides; it
+    # exposes and cleans nothing of its own.
+    path = Path(proofenum.__file__).parent / "expand.py"
+    tree = ast.parse(path.read_text(), str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert names.isdisjoint({"expose", "normalize"})
