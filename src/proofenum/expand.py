@@ -5,7 +5,6 @@ cleaning and funcH over a whole scheme."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, count, product
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
@@ -18,9 +17,9 @@ from .ljb import (Fml, InvariantError, LJBContext, LJBSequent, annotate,
                   canon, premises, rule_step)
 from .ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext, ProofTerm,
                      Spine, sort_proofs, term_height)
-from .syntax import (Formula, NotNegative, all_names, decompose_negative,
-                     ensure_distinct_binders, fresh_name, is_negative,
-                     match_formula, rename, render, union_all)
+from .syntax import (Formula, NotNegative, Record, _set, all_names,
+                     decompose_negative, ensure_distinct_binders, fresh_name,
+                     is_negative, match_formula, rename, render, union_all)
 
 Scheme = ProofTerm
 
@@ -64,35 +63,32 @@ def flatten_det(ctx: LJBContext, goal: Formula) -> Flat:
     bracket-bound variable that occurs in its bracket is renamed to a
     fresh name (left-to-right, numeric suffixes), brackets are erased and
     hypotheses are named h0, h1, ... in traversal order."""
-    avoid = set(all_names(goal))
-
-    def collect(c: LJBContext) -> None:
+    avoid, levels = set(all_names(goal)), [ctx]
+    for c in levels:
         for it in c.items:
             if isinstance(it, Fml):
                 avoid.update(all_names(it.formula))
             else:
                 avoid.update(it.binds)
-                collect(it.inner)
-
-    collect(ctx)
+                levels.append(it.inner)
     hyps: List[Tuple[int, str, Formula]] = []
-
-    def walk(c: LJBContext, env: Dict[str, str]) -> None:
-        for it in c.items:
-            if isinstance(it, Fml):
-                hyps.append((it.fid, f"h{len(hyps)}",
-                             rename(it.formula, env)))
-                continue
-            occ = union_all(sub.fvs for sub in it.inner.items) & it.binds
-            env2 = {k: v for k, v in env.items() if k not in it.binds}
-            for v in sorted(occ):
-                nv = fresh_name(v, avoid)
-                avoid.add(nv)
-                env2[v] = nv
-            walk(it.inner, env2)
-
-    walk(ctx, {})
+    _flatten(ctx, {}, avoid, hyps)
     return Flat(goal, tuple(hyps))
+
+
+def _flatten(c: LJBContext, env: Dict[str, str], avoid: set,
+             hyps: List[Tuple[int, str, Formula]]) -> None:
+    for it in c.items:
+        if isinstance(it, Fml):
+            hyps.append((it.fid, f"h{len(hyps)}", rename(it.formula, env)))
+            continue
+        occ = union_all(sub.fvs for sub in it.inner.items) & it.binds
+        env2 = {k: v for k, v in env.items() if k not in it.binds}
+        for v in sorted(occ):
+            nv = fresh_name(v, avoid)
+            avoid.add(nv)
+            env2[v] = nv
+        _flatten(it.inner, env2, avoid, hyps)
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +176,16 @@ def _lift(u: ProofTerm, goal: Formula, copies: Dict[str, Copies],
                            used | {nv}, tvars | goal.lhs.fvs, binders)]
 
 
-@dataclass(frozen=True)
-class Duplication:
+class Duplication(Record):
     """sigma1/sigma2 share a domain and have fresh, distinct images;
     copies maps each source proof variable to the target variable of each
     of its retained copies (a nonempty subset of {1, 2})."""
-    sigma1: Dict[str, str]
-    sigma2: Dict[str, str]
-    copies: Dict[str, Dict[int, str]]
+    __slots__ = ("sigma1", "sigma2", "copies")
+
+    def __init__(self, sigma1: dict, sigma2: dict, copies: dict):
+        _set(self, "sigma1", sigma1)
+        _set(self, "sigma2", sigma2)
+        _set(self, "copies", copies)
 
 
 def funcF(u: ProofTerm, source: LJPlusSequent, target: LJPlusSequent,
@@ -249,19 +247,27 @@ def funcG(ctx: LJBContext, goal: Formula,
 # ---------------------------------------------------------------------------
 # Expansion of a whole scheme along the grammar's productions
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(Record):
     """How the terms of a production's premises become terms of its
     left-hand side.  Each premise's terms prove the flattening of the
     premise nonterminal, whose context is the normal form of the rule
-    instance's premise context up to occurrence ids.  The premise's
-    table (see _lift_table) lifts them in one pass onto the flattening
-    of the left-hand side's hypotheses with the premise's goal, and
-    wrap, chosen by the production's kind, puts them together."""
-    production: Production
-    # (target goal, table) per premise
-    lifts: Tuple[Tuple[Formula, Optional[tuple]], ...]
-    wrap: Callable[[tuple], ProofTerm]
+    instance's premise context (occurrence ids fids, cleaning's merges
+    merged) up to occurrence ids.  The premise's table (see _lift_table,
+    kept in tables once built) lifts them in one pass onto its target,
+    the flattening of the left-hand side's hypotheses with the premise's
+    goal, and wrap, chosen by the production's kind, puts them together."""
+    __slots__ = ("production", "fids", "merged", "targets", "wrap",
+                 "tables")
+
+    def __init__(self, production: Production, fids: Tuple[int, ...],
+                 merged: Dict[int, int], targets: Tuple[Flat, ...],
+                 wrap: Callable[[tuple], ProofTerm]):
+        _set(self, "production", production)
+        _set(self, "fids", fids)
+        _set(self, "merged", merged)
+        _set(self, "targets", targets)
+        _set(self, "wrap", wrap)
+        _set(self, "tables", {})
 
 
 class _Expander:
@@ -273,12 +279,12 @@ class _Expander:
     they are memoized by (nonterminal id, sub-scheme): schemes that
     share a sub-scheme share its expansion (Wells & Yakobowski, LOPSTR
     2004).  A scheme node expands through the productions that fit it;
-    a scheme that no production fits has no terms.  Each nonterminal
-    the expander reaches, as a left-hand side or as a premise, is
-    flattened once, and its lift plans are built once, on first use,
-    from one rule step on its annotated sequent.  The memos, and the
-    binder caches of the plans' tables, live as long as the expander,
-    that is one call.
+    a scheme that no production fits has no terms.  Each nonterminal is
+    flattened at most once, and its lift plans are built once, on first
+    use, from one rule step on its annotated sequent; a plan's table for
+    a premise once the premise has terms.  The memos, and the binder
+    caches of the plans' tables, live as long as the expander, that is
+    one call.
 
     The memoized lists are duplicate-free as built, so nothing here
     deduplicates: distinct plans differ at the root head (each spine
@@ -351,20 +357,25 @@ class _Expander:
                 hyps += ((-1, pvar, goal.lhs),)  # see rule_step
             fids = tuple(chain.from_iterable(
                 it.fids for it in premise_ctx.items))
-            lifts = []
-            for q, b in zip(p.premises, goals):
-                src = self._flat(q, fids)
-                lifts.append((b, _lift_table(src, merged, Flat(b, hyps))))
-            plans.append(_Plan(p, tuple(lifts), wrap))
+            plans.append(_Plan(p, fids, merged,
+                               tuple(Flat(b, hyps) for b in goals), wrap))
         return plans
+
+    def _table(self, plan: _Plan, i: int) -> Optional[tuple]:
+        """The table of plan's premise i, built on first use."""
+        if i not in plan.tables:
+            src = self._flat(plan.production.premises[i], plan.fids)
+            plan.tables[i] = _lift_table(src, plan.merged, plan.targets[i])
+        return plan.tables[i]
 
     def _expand(self, plan: _Plan,
                 subs: Sequence[Scheme]) -> List[ProofTerm]:
         choice_sets = []
-        for q, sub, (goal, table) in zip(
-                plan.production.premises, subs, plan.lifts):
+        for i, (q, sub) in enumerate(zip(plan.production.premises, subs)):
             terms = self.H(q, sub)
+            table = self._table(plan, i) if terms else None
             if table is not None:
+                goal = plan.targets[i].goal
                 terms = [t for u in terms for t in _lift(u, goal, *table)]
             if not terms:
                 return []

@@ -5,16 +5,15 @@ of a scheme against the grammar's productions."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .ljb import LJBContext, LJBSequent, render_ljb_sequent, rule_step
 from .ljplus import (LamPf, LamTm, ProofTerm, Spine, sort_proofs,
                      term_height)
-from .syntax import (Forall, Formula, ensure_distinct_binders,
-                     is_positive, render)
+from .syntax import (Forall, Formula, Record, _set,
+                     ensure_distinct_binders, is_positive, render)
 
 Scheme = ProofTerm
 
@@ -29,28 +28,39 @@ class CapExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Nonterminal:
-    id: int
-    sequent: LJBSequent
+class Nonterminal(Record):
+    __slots__ = ("id", "sequent")
+
+    def __init__(self, id: int, sequent: LJBSequent):
+        _set(self, "id", id)
+        _set(self, "sequent", sequent)
 
 
-@dataclass(frozen=True)
-class Production:
-    lhs: int
-    kind: str  # "spine" | "forall" | "impl"
-    premises: Tuple[int, ...]
-    head: Optional[str] = None
-    var: Optional[str] = None
-    annot: Optional[Formula] = None
-    occurrence_id: Optional[int] = None
+class Production(Record):
+    __slots__ = ("lhs", "kind", "premises", "head", "var", "annot",
+                 "occurrence_id")
+
+    def __init__(self, lhs: int, kind: str,  # "spine" | "forall" | "impl"
+                 premises: Tuple[int, ...], head: Optional[str] = None,
+                 var: Optional[str] = None, annot: Optional[Formula] = None,
+                 occurrence_id: Optional[int] = None):
+        _set(self, "lhs", lhs)
+        _set(self, "kind", kind)
+        _set(self, "premises", premises)
+        _set(self, "head", head)
+        _set(self, "var", var)
+        _set(self, "annot", annot)
+        _set(self, "occurrence_id", occurrence_id)
 
 
-@dataclass(frozen=True)
-class Grammar:
-    start: int
-    nonterminals: Tuple[Nonterminal, ...]
-    productions: Tuple[Production, ...]
+class Grammar(Record):
+    __slots__ = ("start", "nonterminals", "productions")
+
+    def __init__(self, start: int, nonterminals: Tuple[Nonterminal, ...],
+                 productions: Tuple[Production, ...]):
+        _set(self, "start", start)
+        _set(self, "nonterminals", nonterminals)
+        _set(self, "productions", productions)
 
 
 def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP,
@@ -152,30 +162,30 @@ def productions_by_lhs(g: Grammar) -> Dict[int, List[Production]]:
 def enumerate_schemes(g: Grammar, max_height: int) -> List[Scheme]:
     """All schemes of height <= max_height derivable from the start
     nonterminal, canonically ordered."""
-    by_lhs = productions_by_lhs(g)
-    memo: Dict[Tuple[int, int], FrozenSet[Scheme]] = {}
+    return sort_proofs(_schemes(g.start, max_height, productions_by_lhs(g),
+                                {}))
 
-    def gen(nt: int, h: int) -> FrozenSet[Scheme]:
-        if h <= 0:
-            return frozenset()
-        key = (nt, h)
-        if key in memo:
-            return memo[key]
-        memo[key] = frozenset()  # cycle guard; heights strictly decrease
-        out: set = set()
-        for p in by_lhs.get(nt, []):
-            if p.kind == "spine":
-                choices = [gen(q, h - 1) for q in p.premises]
-                out.update(Spine(p.head, tup) for tup in product(*choices))
-            elif p.kind == "forall":
-                out.update(LamTm(p.var, b) for b in gen(p.premises[0], h - 1))
-            else:
-                out.update(LamPf(p.head, p.annot, b)
-                           for b in gen(p.premises[0], h - 1))
-        memo[key] = frozenset(out)
+
+def _schemes(nt: int, h: int, by_lhs: Dict[int, List[Production]],
+             memo: dict) -> FrozenSet[Scheme]:
+    """Schemes of height <= h derivable from nt; memo maps (nt, h) to them."""
+    if h <= 0:
+        return frozenset()
+    key = (nt, h)
+    if key in memo:
         return memo[key]
-
-    return sort_proofs(gen(g.start, max_height))
+    memo[key] = frozenset()  # cycle guard; heights strictly decrease
+    out: set = set()
+    for p in by_lhs.get(nt, []):
+        if p.kind == "spine":
+            choices = [_schemes(q, h - 1, by_lhs, memo) for q in p.premises]
+            out.update(Spine(p.head, tup) for tup in product(*choices))
+        else:
+            wrap = partial(LamTm, p.var) if p.kind == "forall" else \
+                partial(LamPf, p.head, p.annot)
+            out.update(map(wrap, _schemes(p.premises[0], h - 1, by_lhs, memo)))
+    memo[key] = frozenset(out)
+    return memo[key]
 
 
 def fits(p: Production, pi: Scheme) -> bool:

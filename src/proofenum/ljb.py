@@ -5,16 +5,14 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple, Union
 
-from .syntax import (Atom, Forall, Formula, Impl, cached_field, key_hash,
+from .syntax import (Atom, Forall, Formula, Impl, Record, _set, key_hash,
                      render, split_arrows, union_all)
 
 STEP_CAP = 10 ** 6
-
-_set = object.__setattr__
 
 
 class CleaningOverflow(RuntimeError):
@@ -33,67 +31,55 @@ class InvariantError(RuntimeError):
 
 # Like formulas, items and contexts compute their canonical key once: the
 # rendered string, which orders canonical contexts and identifies the
-# sequents of the grammar.  Items also cache their free variables and
-# their formula occurrence ids.
+# sequents of the grammar.  Items also keep their free variables and their
+# occurrence ids.  They hash by key but compare and print their fields.
 
 
-@dataclass(frozen=True, slots=True)
-class Fml:
-    formula: Formula
-    fid: int = -1
-    key: str = cached_field()
-    fvs: frozenset = cached_field()
-    fids: Tuple[int, ...] = cached_field()
-
+class Fml(Record):
+    __slots__ = ("formula", "fid", "key", "fvs", "fids")
     __hash__ = key_hash
 
-    def __post_init__(self):
-        _set(self, "key", self.formula.key)
-        _set(self, "fvs", self.formula.fvs)
-        _set(self, "fids", (self.fid,))
+    def __init__(self, formula: Formula, fid: int = -1):
+        _set(self, "formula", formula)
+        _set(self, "fid", fid)
+        _set(self, "key", formula.key)
+        _set(self, "fvs", formula.fvs)
+        _set(self, "fids", (fid,))
 
 
-@dataclass(frozen=True, slots=True)
-class Bracket:
-    binds: frozenset
-    inner: "LJBContext"
-    key: str = cached_field()
-    fvs: frozenset = cached_field()
-    fids: Tuple[int, ...] = cached_field()
-
+class Bracket(Record):
+    __slots__ = ("binds", "inner", "key", "fvs", "fids")
     __hash__ = key_hash
 
-    def __post_init__(self):
-        items = self.inner.items
-        _set(self, "key",
-             f"[{self.inner.key}]_{{{','.join(sorted(self.binds))}}}")
-        fvs = union_all(it.fvs for it in items)
-        _set(self, "fvs",
-             fvs - self.binds if not fvs.isdisjoint(self.binds) else fvs)
+    def __init__(self, binds: frozenset, inner: "LJBContext"):
+        _set(self, "binds", binds)
+        _set(self, "inner", inner)
+        _set(self, "key", f"[{inner.key}]_{{{','.join(sorted(binds))}}}")
+        fvs = union_all(it.fvs for it in inner.items)
+        _set(self, "fvs", fvs - binds if not fvs.isdisjoint(binds) else fvs)
         _set(self, "fids", tuple(itertools.chain.from_iterable(
-            it.fids for it in items)))
+            it.fids for it in inner.items)))
 
 
 Item = Union[Fml, Bracket]
 
 
-@dataclass(frozen=True, slots=True)
-class LJBContext:
-    items: Tuple[Item, ...] = ()
-    key: str = cached_field()
-    normal: bool = cached_field()  # normalize(ctx) returns ctx itself
-
+class LJBContext(Record):
+    __slots__ = ("items", "key", "normal")
     __hash__ = key_hash
 
-    def __post_init__(self):
-        _set(self, "key", ", ".join(it.key for it in self.items))
-        _set(self, "normal", False)
+    def __init__(self, items: Tuple[Item, ...] = (), *, normal: bool = False):
+        _set(self, "items", items)
+        _set(self, "key", ", ".join([it.key for it in items]))
+        _set(self, "normal", normal)  # normalize(ctx) returns ctx itself
 
 
-@dataclass(frozen=True)
-class LJBSequent:
-    context: LJBContext
-    goal: Formula
+class LJBSequent(Record):
+    __slots__ = ("context", "goal")
+
+    def __init__(self, context: LJBContext, goal: Formula):
+        _set(self, "context", context)
+        _set(self, "goal", goal)
 
 
 def render_ljb_sequent(s: LJBSequent) -> str:
@@ -127,44 +113,44 @@ def annotate(ctx: LJBContext) -> LJBContext:
     """Assign occurrence ids 0.. in traversal order of the canonical form.
     Occurrence ids do not change a context's shape, so a level marked
     normal stays marked."""
-    ctx = canon(ctx)
-    counter = [0]
+    return _annotate(canon(ctx), itertools.count())
 
-    def walk(c: LJBContext) -> LJBContext:
-        out = []
-        for it in c.items:
-            if isinstance(it, Fml):
-                out.append(Fml(it.formula, counter[0]))
-                counter[0] += 1
-            else:
-                out.append(Bracket(it.binds, walk(it.inner)))
-        return _normal(tuple(out)) if c.normal else LJBContext(tuple(out))
 
-    return walk(ctx)
+def _annotate(c: LJBContext, fids) -> LJBContext:
+    out = [Fml(it.formula, next(fids)) if isinstance(it, Fml)
+           else Bracket(it.binds, _annotate(it.inner, fids))
+           for it in c.items]
+    return LJBContext(tuple(out), normal=c.normal)
 
 
 # ---------------------------------------------------------------------------
 # Cleaning
 
 
-@dataclass(frozen=True)
-class SplitStep:
-    parent: Tuple[int, ...]
-    bracket: int
-    inner: int
+class SplitStep(Record):
+    __slots__ = ("parent", "bracket", "inner")
+
+    def __init__(self, parent: Tuple[int, ...], bracket: int, inner: int):
+        _set(self, "parent", parent)
+        _set(self, "bracket", bracket)
+        _set(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class DropStep:
-    parent: Tuple[int, ...]
-    bracket: int
+class DropStep(Record):
+    __slots__ = ("parent", "bracket")
+
+    def __init__(self, parent: Tuple[int, ...], bracket: int):
+        _set(self, "parent", parent)
+        _set(self, "bracket", bracket)
 
 
-@dataclass(frozen=True)
-class MergeStep:
-    parent: Tuple[int, ...]
-    keep: int
-    drop: int
+class MergeStep(Record):
+    __slots__ = ("parent", "keep", "drop")
+
+    def __init__(self, parent: Tuple[int, ...], keep: int, drop: int):
+        _set(self, "parent", parent)
+        _set(self, "keep", keep)
+        _set(self, "drop", drop)
 
 
 CleaningStep = Union[SplitStep, DropStep, MergeStep]
@@ -299,12 +285,9 @@ def normalize(ctx: LJBContext,
     return _normal(tuple(items))
 
 
-def _normal(items: Tuple[Item, ...]) -> LJBContext:
-    """The context of items, which are sorted, clean and of distinct
-    keys, marked normal."""
-    ctx = LJBContext(items)
-    _set(ctx, "normal", True)
-    return ctx
+# The context of items, which are sorted, clean and of distinct keys,
+# marked normal.
+_normal = partial(LJBContext, normal=True)
 
 
 def _insert(items: Tuple[Item, ...], item: Item,
@@ -330,13 +313,16 @@ def _insert(items: Tuple[Item, ...], item: Item,
 # Deduction rules
 
 
-@dataclass(frozen=True)
-class ExposeEntry:
-    occurrence_id: int
-    restructured: LJBContext
-    formula: Formula
-    fid: int
-    args: Tuple[Formula, ...]
+class ExposeEntry(Record):
+    __slots__ = ("occurrence_id", "restructured", "formula", "fid", "args")
+
+    def __init__(self, occurrence_id: int, restructured: LJBContext,
+                 formula: Formula, fid: int, args: Tuple[Formula, ...]):
+        _set(self, "occurrence_id", occurrence_id)
+        _set(self, "restructured", restructured)
+        _set(self, "formula", formula)
+        _set(self, "fid", fid)
+        _set(self, "args", args)
 
 
 def expose(ctx: LJBContext, goal_atom: Formula) -> List[ExposeEntry]:
@@ -346,27 +332,23 @@ def expose(ctx: LJBContext, goal_atom: Formula) -> List[ExposeEntry]:
         raise InvariantError(f"expose needs an atomic goal, got "
                              f"{render(goal_atom)}")
     entries: List[ExposeEntry] = []
-
-    def walk(level: LJBContext, chain, crossed: frozenset):
-        for idx, it in enumerate(level.items):
-            if isinstance(it, Bracket):
-                walk(it.inner, chain + [(level, idx, it.binds)],
-                     crossed | it.binds)
-                continue
-            args, head = split_arrows(it.formula)
-            if head != goal_atom:
-                continue
-            if not head.fvs.isdisjoint(crossed):
-                continue
-            entries.append(ExposeEntry(
-                occurrence_id=len(entries),
-                restructured=_restructure(chain, level, idx),
-                formula=it.formula,
-                fid=it.fid,
-                args=args))
-
-    walk(ctx, [], frozenset())
+    _expose(ctx, goal_atom, [], frozenset(), entries)
     return entries
+
+
+def _expose(level: LJBContext, goal_atom: Atom, chain, crossed: frozenset,
+            entries: List[ExposeEntry]) -> None:
+    for idx, it in enumerate(level.items):
+        if isinstance(it, Bracket):
+            _expose(it.inner, goal_atom, chain + [(level, idx, it.binds)],
+                    crossed | it.binds, entries)
+            continue
+        args, head = split_arrows(it.formula)
+        if head != goal_atom or not head.fvs.isdisjoint(crossed):
+            continue
+        entries.append(ExposeEntry(
+            len(entries), _restructure(chain, level, idx), it.formula,
+            it.fid, args))
 
 
 def _restructure(chain, final_level: LJBContext, final_idx: int) -> LJBContext:

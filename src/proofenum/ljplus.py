@@ -7,9 +7,10 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
-from .syntax import (Atom, Forall, Formula, NotNegative,
+from .syntax import (Atom, Forall, Formula, NotNegative, Record, _set,
                      decompose_negative, free_vars, fresh_name,
-                     match_formula, parse_formula, rename, render)
+                     match_formula, parse_formula, rename, render,
+                     union_all)
 
 
 class IllFormed(Exception):
@@ -18,9 +19,6 @@ class IllFormed(Exception):
 
 # ---------------------------------------------------------------------------
 # Proof-terms
-
-
-_set = object.__setattr__
 
 
 def _structural(*names: str):
@@ -50,7 +48,9 @@ def _hash_cache():
 # Expansion shares sub-terms between the terms it builds, so a term is a
 # DAG.  Equality stays structural, and only the hash is cached, on first
 # use: a printed key per node would cost memory in proportion to size
-# times depth.
+# times depth.  Unlike the Records of the other layers, proof-terms are
+# frozen dataclasses, so that dataclasses.replace rebuilds them with a
+# field changed.
 
 @dataclass(frozen=True, slots=True)
 class Spine:
@@ -187,33 +187,31 @@ def _json_name(d: dict, field: str) -> str:
 # Sequents
 
 
-@dataclass(frozen=True)
-class NamedContext:
-    hyps: Tuple[Tuple[str, Formula], ...] = ()
+class NamedContext(Record):
+    __slots__ = ("hyps",)
+
+    def __init__(self, hyps: Tuple[Tuple[str, Formula], ...] = ()):
+        _set(self, "hyps", hyps)
 
     def lookup(self, pvar: str) -> Optional[Formula]:
-        for name, f in self.hyps:
-            if name == pvar:
-                return f
-        return None
+        return next((f for name, f in self.hyps if name == pvar), None)
 
     def extend(self, pvar: str, f: Formula) -> "NamedContext":
         return NamedContext(self.hyps + ((pvar, f),))
 
     def free_term_vars(self) -> FrozenSet[str]:
-        out: set = set()
-        for _, f in self.hyps:
-            out |= free_vars(f)
-        return frozenset(out)
+        return union_all(f.fvs for _, f in self.hyps)
 
     def pvars(self) -> FrozenSet[str]:
         return frozenset(name for name, _ in self.hyps)
 
 
-@dataclass(frozen=True)
-class LJPlusSequent:
-    context: NamedContext
-    goal: Formula
+class LJPlusSequent(Record):
+    __slots__ = ("context", "goal")
+
+    def __init__(self, context: NamedContext, goal: Formula):
+        _set(self, "context", context)
+        _set(self, "goal", goal)
 
 
 # ---------------------------------------------------------------------------

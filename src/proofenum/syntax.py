@@ -6,8 +6,7 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Tuple, Union
 
 
 class SyntaxError_(Exception):
@@ -23,27 +22,66 @@ class NotNegative(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Terms and formulas
-#
-# Every node computes, once and at construction, its canonical key (the
-# rendered string, so `render` is a field read and orders by key are the
-# printed orders) and its free variables; formulas also their bound
-# variables.  Its hash is the key's, which the string itself caches.
-# Equality is the key's too, which needs no recursion: the key is
-# injective on the identifiers that the parser and fresh_name make.
+# Records, terms and formulas
 
 
-def cached_field():
-    """A field that __post_init__ computes; not compared, not printed."""
-    return field(init=False, repr=False, compare=False)
+class Record:
+    """An immutable record with slots, for the nodes and records of
+    every layer but proof-terms.  Its fields are the positional
+    parameters of its __init__, which is written out (a generated one
+    costs several times more to define at import) and stores each in
+    the slot of that name with _set, and other values in further slots.
+    Nothing else writes a slot.  Records of one class with equal fields
+    are equal, the hash agrees, repr shows the fields, and pickling and
+    copying call __init__ again on the fields."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = getattr(cls.__init__, "__code__", None)  # Node has none
+        if code is not None:
+            cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self._fields, self._values())
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def key_hash(node) -> int:
     return hash(node.key)
 
 
-def key_eq(a, b) -> bool:
-    return type(a) is type(b) and a.key == b.key
+class Node(Record):
+    """A first-order term or formula.  It computes its canonical key in
+    __init__: the rendered string, so `render` is a field read and
+    orders by key are the printed orders.  It hashes and compares by
+    key, without recursion: the string caches its hash, and the key is
+    injective on the identifiers that the parser and fresh_name make.
+    It also keeps its free variables; a formula its bound ones too."""
+
+    __slots__ = ()
+    __hash__ = key_hash
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.key == self.key
 
 
 _set = object.__setattr__
@@ -59,78 +97,52 @@ def union_all(sets) -> frozenset:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
-    key: str = cached_field()
-    fvs: frozenset = cached_field()
+class Var(Node):
+    __slots__ = ("name", "key", "fvs")
 
-    __hash__ = key_hash
-    __eq__ = key_eq
-
-    def __post_init__(self):
-        _set(self, "key", self.name)
-        _set(self, "fvs", frozenset((self.name,)))
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "key", name)
+        _set(self, "fvs", frozenset((name,)))
 
 
-@dataclass(frozen=True, slots=True)
-class Fn:
-    symbol: str
-    args: tuple
-    key: str = cached_field()
-    fvs: frozenset = cached_field()
+class Fn(Node):
+    __slots__ = ("symbol", "args", "key", "fvs")
 
-    __hash__ = key_hash
-    __eq__ = key_eq
-
-    def __post_init__(self):
-        _set(self, "key",
-             f"{self.symbol}({', '.join(a.key for a in self.args)})")
-        _set(self, "fvs", union_all(a.fvs for a in self.args))
+    def __init__(self, symbol: str, args: tuple):
+        _set(self, "symbol", symbol)
+        _set(self, "args", args)
+        _set(self, "key", f"{symbol}({', '.join(a.key for a in args)})")
+        _set(self, "fvs", union_all(a.fvs for a in args))
 
 
 FoTerm = Union[Var, Fn]
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    pred: str
-    args: tuple = ()
-    key: str = cached_field()
-    fvs: frozenset = cached_field()
-    bvs: frozenset = cached_field()
+class Atom(Node):
+    __slots__ = ("pred", "args", "key", "fvs", "bvs")
 
-    __hash__ = key_hash
-    __eq__ = key_eq
-
-    def __post_init__(self):
+    def __init__(self, pred: str, args: tuple = ()):
+        _set(self, "pred", pred)
+        _set(self, "args", args)
         _set(self, "bvs", _EMPTY)
-        args = self.args
         if len(args) == 1:
-            _set(self, "key", f"{self.pred}({args[0].key})")
+            _set(self, "key", f"{pred}({args[0].key})")
             _set(self, "fvs", args[0].fvs)
         elif args:
-            _set(self, "key",
-                 f"{self.pred}({', '.join(a.key for a in args)})")
+            _set(self, "key", f"{pred}({', '.join(a.key for a in args)})")
             _set(self, "fvs", union_all(a.fvs for a in args))
         else:
-            _set(self, "key", self.pred)
+            _set(self, "key", pred)
             _set(self, "fvs", _EMPTY)
 
 
-@dataclass(frozen=True, slots=True)
-class Impl:
-    lhs: "Formula"
-    rhs: "Formula"
-    key: str = cached_field()
-    fvs: frozenset = cached_field()
-    bvs: frozenset = cached_field()
+class Impl(Node):
+    __slots__ = ("lhs", "rhs", "key", "fvs", "bvs")
 
-    __hash__ = key_hash
-    __eq__ = key_eq
-
-    def __post_init__(self):
-        lhs, rhs = self.lhs, self.rhs
+    def __init__(self, lhs: "Formula", rhs: "Formula"):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
         _set(self, "key", f"{lhs.key} -> {rhs.key}" if type(lhs) is Atom
              else f"({lhs.key}) -> {rhs.key}")
         a, b = lhs.fvs, rhs.fvs
@@ -139,22 +151,16 @@ class Impl:
         _set(self, "bvs", a if b <= a else b if a <= b else a | b)
 
 
-@dataclass(frozen=True, slots=True)
-class Forall:
-    var: str
-    body: "Formula"
-    key: str = cached_field()
-    fvs: frozenset = cached_field()
-    bvs: frozenset = cached_field()
+class Forall(Node):
+    __slots__ = ("var", "body", "key", "fvs", "bvs")
 
-    __hash__ = key_hash
-    __eq__ = key_eq
-
-    def __post_init__(self):
-        _set(self, "key", f"forall {self.var}. {self.body.key}")
-        fvs = self.body.fvs
-        _set(self, "fvs", fvs - {self.var} if self.var in fvs else fvs)
-        _set(self, "bvs", self.body.bvs | {self.var})
+    def __init__(self, var: str, body: "Formula"):
+        _set(self, "var", var)
+        _set(self, "body", body)
+        _set(self, "key", f"forall {var}. {body.key}")
+        fvs = body.fvs
+        _set(self, "fvs", fvs - {var} if var in fvs else fvs)
+        _set(self, "bvs", body.bvs | {var})
 
 
 Formula = Union[Atom, Impl, Forall]
@@ -376,41 +382,30 @@ def fresh_name(base: str, avoid) -> str:
             return cand
 
 
-def _is_barendregt(f: Formula) -> bool:
-    seen = set()
-
-    def walk(g: Formula) -> bool:
-        if isinstance(g, Atom):
-            return True
-        if isinstance(g, Impl):
-            return walk(g.lhs) and walk(g.rhs)
-        if g.var in seen:
-            return False
-        seen.add(g.var)
-        return walk(g.body)
-
-    return walk(f) and not (seen & free_vars(f))
-
-
 def ensure_distinct_binders(f: Formula) -> Formula:
     """Rename binders so they are pairwise distinct and distinct from the
     free variables.  Already-conforming formulas are returned unchanged."""
-    if _is_barendregt(f):
-        return f
-    avoid = set(all_names(f))
-
-    def walk(g: Formula, env: dict) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(subst_term(t, env) for t in g.args))
+    seen, todo = set(f.fvs), [f]
+    while todo:
+        g = todo.pop()
         if isinstance(g, Impl):
-            return Impl(walk(g.lhs, env), walk(g.rhs, env))
-        nv = fresh_name(g.var, avoid)
-        avoid.add(nv)
-        env2 = dict(env)
-        env2[g.var] = nv
-        return Forall(nv, walk(g.body, env2))
+            todo += (g.lhs, g.rhs)
+        elif isinstance(g, Forall):
+            if g.var in seen:
+                return _rebind(f, {}, set(all_names(f)))
+            seen.add(g.var)
+            todo.append(g.body)
+    return f
 
-    return walk(f, {})
+
+def _rebind(g: Formula, env: dict, avoid: set) -> Formula:
+    if isinstance(g, Atom):
+        return Atom(g.pred, tuple(subst_term(t, env) for t in g.args))
+    if isinstance(g, Impl):
+        return Impl(_rebind(g.lhs, env, avoid), _rebind(g.rhs, env, avoid))
+    nv = fresh_name(g.var, avoid)
+    avoid.add(nv)
+    return Forall(nv, _rebind(g.body, {**env, g.var: nv}, avoid))
 
 
 # ---------------------------------------------------------------------------

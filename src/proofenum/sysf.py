@@ -3,29 +3,34 @@ formulas, positivity of types and System F rendering of proof-terms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .ljplus import LamTm, ProofTerm, Spine
-from .syntax import (Atom, Forall, Formula, Impl, SyntaxError_, Var,
-                     is_positive, parse_formula)
+from .syntax import (Atom, Forall, Formula, Impl, Record, SyntaxError_, Var,
+                     _set, is_positive, parse_formula)
 
 
-@dataclass(frozen=True)
-class TVar:
-    name: str
+class TVar(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Arrow:
-    lhs: "FType"
-    rhs: "FType"
+class Arrow(Record):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: "FType", rhs: "FType"):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class ForallT:
-    var: str
-    body: "FType"
+class ForallT(Record):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: "FType"):
+        _set(self, "var", var)
+        _set(self, "body", body)
 
 
 FType = Union[TVar, Arrow, ForallT]
@@ -35,19 +40,18 @@ PRED = "eps"
 
 def parse_sysf_type(text: str) -> FType:
     """`forall X. T`, right-associative `->`, variables as identifiers."""
-    f = parse_formula(text)
+    return _type_of(parse_formula(text))
 
-    def conv(g: Formula) -> FType:
-        if isinstance(g, Atom):
-            if g.args:
-                raise SyntaxError_(
-                    f"type variable {g.pred!r} takes no arguments", 0)
-            return TVar(g.pred)
-        if isinstance(g, Impl):
-            return Arrow(conv(g.lhs), conv(g.rhs))
-        return ForallT(g.var, conv(g.body))
 
-    return conv(f)
+def _type_of(g: Formula) -> FType:
+    if isinstance(g, Atom):
+        if g.args:
+            raise SyntaxError_(
+                f"type variable {g.pred!r} takes no arguments", 0)
+        return TVar(g.pred)
+    if isinstance(g, Impl):
+        return Arrow(_type_of(g.lhs), _type_of(g.rhs))
+    return ForallT(g.var, _type_of(g.body))
 
 
 def phi(t: FType) -> Formula:

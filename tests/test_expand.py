@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from collections import Counter
@@ -365,8 +366,11 @@ def test_plan_tables_match_the_per_premise_reference():
             plans = expander._plans_of(nt)
             assert len(plans) == len(raws)
             for plan, (raw, args, hyps) in zip(plans, raws):
-                for (b, table), a in zip(plan.lifts, args, strict=True):
-                    ref = reference_lift_table(raw, a, Flat(b, hyps))
+                for i, (target, a) in enumerate(
+                        zip(plan.targets, args, strict=True)):
+                    table = expander._table(plan, i)
+                    ref = reference_lift_table(raw, a,
+                                               Flat(target.goal, hyps))
                     assert (None if table is None else table[:3]) == ref
                     tables += 1
                     lifted += table is not None
@@ -424,8 +428,10 @@ def test_saturation_keeps_no_cleaning_trace(monkeypatch):
 
 def test_expansion_flattens_each_nonterminal_once(monkeypatch):
     # Lift plans take a premise's flattening from its nonterminal, by
-    # position, so no flattening is built twice in one call.
-    for goal, h, flattened in [(d_family(5), 9, 52), (d_family(3), 11, 77),
+    # position, so no flattening is built twice in one call; and only
+    # once the premise has terms, so only nonterminals that expansion
+    # reaches with productions are flattened.
+    for goal, h, flattened in [(d_family(5), 9, 27), (d_family(3), 11, 59),
                                (phi(parse_sysf_type(SYSF_A2)), 24, 10)]:
         with counting(monkeypatch, proofenum.expand, "flatten_det") as calls:
             enumerate_terms(goal, h)
@@ -437,6 +443,22 @@ def test_expansion_flattens_each_nonterminal_once(monkeypatch):
         assert max(Counter((c.key, a.key) for c, a in exposed).values()) == 2
 
 
+def test_calls_leave_no_cyclic_garbage():
+    # Recursive helpers are module functions, not closures: a closure
+    # that calls itself forms a cycle with its cell, which keeps all it
+    # refers to, the grammar or the terms of a call, until the collector
+    # runs.
+    gc.collect()
+    gc.disable()
+    try:
+        build_grammar(d_family(5), Session())
+        assert gc.collect() == 0
+        enumerate_terms(d_family(4), 9)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_renaming_matches_equal_formulas_without_walking(monkeypatch):
     # Every pair _renaming compares on D_4 at height 9 is one formula
     # twice, so the matcher answers each in one entry without walking
@@ -444,8 +466,8 @@ def test_renaming_matches_equal_formulas_without_walking(monkeypatch):
     with counting(monkeypatch, proofenum.syntax, "match_formula") as calls, \
             counting(monkeypatch, proofenum.expand, "_renaming") as plans:
         enumerate_terms(d_family(4), 9)
-    assert sum(len(src.hyps) + 1 for src, _ in plans) == 126
-    assert len(calls) == 126
+    assert sum(len(src.hyps) + 1 for src, _ in plans) == 62
+    assert len(calls) == 62
 
 
 def test_relabel_rejects_non_matching_flattenings():

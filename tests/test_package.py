@@ -1,9 +1,20 @@
 import ast
+import copy
+import dataclasses
 import importlib
 import importlib.util
+import pickle
 from pathlib import Path
 
+import pytest
+
 import proofenum
+from proofenum.expand import Session
+from proofenum.grammar import build_grammar
+from proofenum.ljb import (Bracket, DropStep, Fml, LJBContext, LJBSequent,
+                           MergeStep, SplitStep)
+from proofenum.syntax import parse_formula
+from proofenum.sysf import TVar
 
 
 def test_public_names_resolve():
@@ -31,6 +42,61 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_proof_terms_are_dataclasses():
+    # @dataclass generates and compiles each class's methods at import,
+    # which made up a third of the package's import time; the other
+    # records are syntax.Record subclasses.  Proof-terms stay
+    # dataclasses, for dataclasses.replace.
+    found = []
+    for path in sorted(Path(proofenum.__file__).parent.glob("*.py")):
+        name = "proofenum" + ("" if path.stem == "__init__"
+                              else f".{path.stem}")
+        module = importlib.import_module(name)
+        found += [obj.__name__ for obj in vars(module).values()
+                  if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                  and obj.__module__ == name]
+    assert sorted(found) == ["LamPf", "LamTm", "Spine"]
+
+
+def _records():
+    f = parse_formula("forall x. P(x) -> Q")
+    inner = LJBContext((Fml(parse_formula("P(x)"), 1),))
+    ctx = LJBContext((Fml(parse_formula("R"), 0),
+                      Bracket(frozenset({"x"}), inner)))
+    g = build_grammar(parse_formula("(P -> Q) -> P -> Q"), Session())
+    return [f, ctx, g.productions[0], g, LJBSequent(ctx, f), TVar("x")]
+
+
+@pytest.mark.parametrize("r", _records(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable_values(r):
+    field = r._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(r, field, getattr(r, field))
+    with pytest.raises(AttributeError):
+        delattr(r, field)
+    with pytest.raises(AttributeError):
+        r.extra = 1
+    for twin in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+        assert twin is not r and type(twin) is type(r)
+        assert twin == r and hash(twin) == hash(r) and repr(twin) == repr(r)
+    fields = tuple(getattr(r, name) for name in r._fields)
+    assert r != fields and fields != r
+    # a record of another class with the same fields
+    other = type("Other", (type(r),), {"__slots__": ()})(*fields)
+    assert other._values() == fields
+    assert r != other and other != r
+
+
+def test_records_of_one_shape_differ_by_class():
+    assert SplitStep((), 0, 1) != MergeStep((), 0, 1)
+    assert DropStep((), 0) != ((), 0)
+    assert repr(Fml(parse_formula("P"), 3)) == \
+        "Fml(formula=Atom(pred='P', args=()), fid=3)"
+    # fields are compared, not keys: occurrence ids tell items apart
+    p = parse_formula("P")
+    assert Fml(p, 0) != Fml(p, 1) and hash(Fml(p, 0)) == hash(Fml(p, 1))
 
 
 def test_expansion_takes_the_rule_step_from_ljb():
