@@ -36,12 +36,15 @@ def _parse_goal(text: str, sysf: bool) -> Formula:
 
 
 def _cmd_check(args) -> int:
+    text = _read_input(args.input)
     try:
-        goal = _parse_goal(_read_input(args.input), args.sysf)
-        session = Session()
-        g = build_grammar(goal, session, args.cap)
+        goal = _parse_goal(text, args.sysf)
+        g = build_grammar(goal, Session(), args.cap)
     except NotPositive as exc:
-        print(f"positive: no ({exc})")
+        if args.format == "json":
+            print(json.dumps({"goal": text.strip(), "positive": False}))
+        else:
+            print(f"positive: no ({exc})")
         return EXIT_BAD_INPUT
     inhabited = is_inhabited(g)
     if args.format == "json":

@@ -15,8 +15,8 @@ from .grammar import (DEFAULT_CAP, Grammar, Production, build_grammar,
                       subschemes)
 from .ljb import (Fml, InvariantError, LJBContext, LJBSequent, annotate,
                   canon, premises, rule_step)
-from .ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext, ProofTerm,
-                     Spine, sort_proofs, term_height)
+from .ljplus import (LamPf, LamTm, LJPlusSequent, ProofTerm, Spine,
+                     sort_proofs, term_height)
 from .syntax import (Formula, NotNegative, Record, _set, all_names,
                      decompose_negative, ensure_distinct_binders, fresh_name,
                      is_negative, match_formula, rename, render, union_all)
@@ -136,6 +136,17 @@ def _copies(pairs: Iterable[Tuple[str, Formula]]) -> Copies:
                  for f, pvs in groups.items())
 
 
+def _bind(goal: Formula, taken: frozenset) -> Tuple[str, Formula]:
+    """The binder name and body of a term binder proving the forall
+    goal in a context whose free term variables are taken: goal's own
+    name, or a fresh one where taken holds it, as check_proof requires
+    (the oracle's rule)."""
+    if goal.var not in taken:
+        return goal.var, goal.body
+    var = fresh_name(goal.var, taken | goal.fvs)
+    return var, rename(goal.body, {goal.var: var})
+
+
 def _lift(u: ProofTerm, goal: Formula, copies: Dict[str, Copies],
           used: frozenset, tvars: frozenset,
           binders: Dict[Tuple[str, Formula], Copies]) -> List[ProofTerm]:
@@ -146,10 +157,11 @@ def _lift(u: ProofTerm, goal: Formula, copies: Dict[str, Copies],
     head takes each of its copies whose formula ends in goal, and its
     arguments are lifted against that copy's argument formulas, once
     per formula: copies with one formula share the lifted arguments.  A
-    proof binder gets one copy, typed by goal.lhs, and a term binder
-    free in the context gets a fresh name, as check_proof requires.
-    binders caches the copy entry of each proof binder by (name,
-    formula), so each is decomposed once per cache."""
+    proof binder gets one copy, typed by goal.lhs, and a term binder is
+    named by _bind.  With an empty copy table, _lift retypes a closed
+    term proving an alpha-variant of goal onto goal itself.  binders
+    caches the copy entry of each proof binder by (name, formula), so
+    each is decomposed once per cache."""
     if isinstance(u, Spine):
         out: List[ProofTerm] = []
         for pvs, args, head in copies.get(u.head, ()):
@@ -160,10 +172,7 @@ def _lift(u: ProofTerm, goal: Formula, copies: Dict[str, Copies],
                 out.extend(Spine(pv, tup) for pv in pvs for tup in tups)
         return out
     if isinstance(u, LamTm):
-        var = u.var if u.var not in tvars else \
-            fresh_name(u.var, tvars | goal.fvs)
-        body = goal.body if var == goal.var else \
-            rename(goal.body, {goal.var: var})
+        var, body = _bind(goal, tvars)
         return [LamTm(var, b)
                 for b in _lift(u.body, body, copies, used, tvars, binders)]
     nv = u.pvar if u.pvar not in used else fresh_name(u.pvar, used)
@@ -344,11 +353,7 @@ class _Expander:
                 _, pv, f = hyps[exposed.fid]
                 goals, wrap = decompose_negative(f)[0], partial(Spine, pv)
             elif p.kind == "forall":
-                y, body = goal.var, goal.body
-                hyp_free = union_all(f.fvs for _, _, f in hyps)
-                if y in hyp_free:
-                    y = fresh_name(y, hyp_free | all_names(goal))
-                    body = rename(body, {goal.var: y})
+                y, body = _bind(goal, union_all(f.fvs for _, _, f in hyps))
                 goals, wrap = (body,), lambda ts: LamTm(y, ts[0])
             else:
                 pvar = f"h{len(hyps)}"
@@ -410,27 +415,6 @@ def enumerate_terms(goal: Formula, max_height: int,
     for pi in enumerate_schemes(grammar, max_height):
         out.update(expander.H(grammar.start, pi))
     if distinct is not goal:
-        out = {_onto_goal(t, goal, NamedContext()) for t in out}
+        out = {s for t in out
+               for s in _lift(t, goal, {}, frozenset(), frozenset(), {})}
     return sort_proofs(out)
-
-
-def _onto_goal(t: ProofTerm, goal: Formula,
-               ctx: NamedContext) -> ProofTerm:
-    """Retype t, a proof of an alpha-variant of goal under ctx, against
-    goal itself: term binders take goal's names (fresh ones where ctx
-    has the name free, as check_proof requires) and annotations are
-    goal's own.  No first-order term is ever applied, so nothing else
-    in t changes."""
-    if isinstance(t, Spine):
-        args, _ = decompose_negative(ctx.lookup(t.head))
-        return Spine(t.head, tuple(_onto_goal(u, a, ctx)
-                                   for u, a in zip(t.args, args)))
-    if isinstance(t, LamTm):
-        taken = ctx.free_term_vars()
-        var, body = goal.var, goal.body
-        if var in taken:
-            var = fresh_name(var, taken | goal.fvs)
-            body = rename(body, {goal.var: var})
-        return LamTm(var, _onto_goal(t.body, body, ctx))
-    return LamPf(t.pvar, goal.lhs,
-                 _onto_goal(t.body, goal.rhs, ctx.extend(t.pvar, goal.lhs)))

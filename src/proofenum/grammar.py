@@ -5,7 +5,7 @@ of a scheme against the grammar's productions."""
 from __future__ import annotations
 
 from collections import deque
-from functools import cache, partial
+from functools import partial
 from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -210,15 +210,19 @@ def scheme_check(session, s: LJBSequent, pi: Scheme) -> bool:
     canonical proof variables: some derivation of the grammar of s
     fits pi node by node."""
     g = saturate(s, session, max_height=term_height(pi))
-    by_lhs = productions_by_lhs(g)
+    return _derives(g.start, pi, productions_by_lhs(g), {})
 
-    @cache
-    def derives(nt: int, node: Scheme) -> bool:
-        return any(fits(p, node) and all(map(derives, p.premises,
-                                             subschemes(node)))
-                   for p in by_lhs.get(nt, ()))
 
-    return derives(g.start, pi)
+def _derives(nt: int, node: Scheme, by_lhs: Dict[int, List[Production]],
+             memo: dict) -> bool:
+    """Whether nt derives the scheme node; memo maps (nt, node) to it."""
+    key = (nt, node)
+    if key not in memo:
+        memo[key] = any(fits(p, node) and all(
+            _derives(q, sub, by_lhs, memo)
+            for q, sub in zip(p.premises, subschemes(node)))
+            for p in by_lhs.get(nt, ()))
+    return memo[key]
 
 
 def render_grammar(g: Grammar) -> str:

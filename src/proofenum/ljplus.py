@@ -221,22 +221,24 @@ def alpha_eq_sequent(s1: LJPlusSequent, s2: LJPlusSequent) -> bool:
     """True iff some renaming of term variables (and of proof variables)
     makes the sequents alpha-equivalent; free variables are treated as
     bound by the turnstile."""
+    return len(s1.context.hyps) == len(s2.context.hyps) and \
+        _alpha_from(s1, s2, 0, frozenset(), {})
+
+
+def _alpha_from(s1: LJPlusSequent, s2: LJPlusSequent, i: int,
+                used: frozenset, sig: dict) -> bool:
+    """Whether sig extends to match s1's hypotheses from i on with
+    distinct hypotheses of s2 outside used, and then the goals."""
     h1, h2 = s1.context.hyps, s2.context.hyps
-    if len(h1) != len(h2):
-        return False
-
-    def go(i: int, used: frozenset, sig: dict) -> bool:
-        if i == len(h1):
-            return match_formula(s1.goal, s2.goal, sig) is not None
-        for j in range(len(h2)):
-            if j in used:
-                continue
-            nxt = match_formula(h1[i][1], h2[j][1], sig)
-            if nxt is not None and go(i + 1, used | {j}, nxt):
-                return True
-        return False
-
-    return go(0, frozenset(), {})
+    if i == len(h1):
+        return match_formula(s1.goal, s2.goal, sig) is not None
+    for j in range(len(h2)):
+        if j in used:
+            continue
+        nxt = match_formula(h1[i][1], h2[j][1], sig)
+        if nxt is not None and _alpha_from(s1, s2, i + 1, used | {j}, nxt):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -289,52 +291,51 @@ def check_proof(ctx: NamedContext, t: ProofTerm, goal: Formula) -> bool:
 def oracle_enumerate(seq: LJPlusSequent, max_height: int):
     """All beta-normal eta-long proof-terms of height <= max_height, by
     direct backward application of the rules; canonically ordered."""
-    memo: dict = {}
+    return list(_oracle(seq.context, seq.goal, max_height, {}))
 
-    def key(ctx: NamedContext, goal: Formula, h: int):
-        return (tuple((n, render(f)) for n, f in ctx.hyps), render(goal), h)
 
-    def go(ctx: NamedContext, goal: Formula, h: int):
-        if h <= 0:
-            return ()
-        k = key(ctx, goal, h)
-        if k in memo:
-            return memo[k]
-        out: List[ProofTerm] = []
-        if isinstance(goal, Atom):
-            for name, f in ctx.hyps:
-                try:
-                    args, head = decompose_negative(f)
-                except NotNegative:
-                    continue
-                if head != goal:
-                    continue
-                if not args:
-                    out.append(Spine(name))
-                    continue
-                choices = [go(ctx, a, h - 1) for a in args]
-                if all(choices):
-                    stack = [()]
-                    for ch in choices:
-                        stack = [pre + (u,) for pre in stack for u in ch]
-                    out.extend(Spine(name, tup) for tup in stack)
-        elif isinstance(goal, Forall):
-            fv = ctx.free_term_vars()
-            if goal.var in fv:
-                v = fresh_name(goal.var, fv | free_vars(goal))
-                body = rename(goal.body, {goal.var: v})
-            else:
-                v, body = goal.var, goal.body
-            out.extend(LamTm(v, u) for u in go(ctx, body, h - 1))
+def _oracle(ctx: NamedContext, goal: Formula, h: int,
+            memo: dict) -> Tuple[ProofTerm, ...]:
+    """oracle_enumerate's terms of ctx |- goal of height <= h; memo maps
+    the rendered sequent and h to them."""
+    if h <= 0:
+        return ()
+    k = (tuple((n, render(f)) for n, f in ctx.hyps), render(goal), h)
+    if k in memo:
+        return memo[k]
+    out: List[ProofTerm] = []
+    if isinstance(goal, Atom):
+        for name, f in ctx.hyps:
+            try:
+                args, head = decompose_negative(f)
+            except NotNegative:
+                continue
+            if head != goal:
+                continue
+            if not args:
+                out.append(Spine(name))
+                continue
+            choices = [_oracle(ctx, a, h - 1, memo) for a in args]
+            if all(choices):
+                stack = [()]
+                for ch in choices:
+                    stack = [pre + (u,) for pre in stack for u in ch]
+                out.extend(Spine(name, tup) for tup in stack)
+    elif isinstance(goal, Forall):
+        fv = ctx.free_term_vars()
+        if goal.var in fv:
+            v = fresh_name(goal.var, fv | free_vars(goal))
+            body = rename(goal.body, {goal.var: v})
         else:
-            pv = f"h{len(ctx.hyps)}"
-            while pv in ctx.pvars():
-                pv += "'"
-            sub = ctx.extend(pv, goal.lhs)
-            out.extend(LamPf(pv, goal.lhs, u)
-                       for u in go(sub, goal.rhs, h - 1))
-        res = tuple(sorted(set(out), key=render_proof))
-        memo[k] = res
-        return res
-
-    return list(go(seq.context, seq.goal, max_height))
+            v, body = goal.var, goal.body
+        out.extend(LamTm(v, u) for u in _oracle(ctx, body, h - 1, memo))
+    else:
+        pv = f"h{len(ctx.hyps)}"
+        while pv in ctx.pvars():
+            pv += "'"
+        sub = ctx.extend(pv, goal.lhs)
+        out.extend(LamPf(pv, goal.lhs, u)
+                   for u in _oracle(sub, goal.rhs, h - 1, memo))
+    res = tuple(sorted(set(out), key=render_proof))
+    memo[k] = res
+    return res

@@ -36,6 +36,16 @@ def test_check_not_positive():
     assert "positive: no" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "(forall x. P(x)) -> Q "],
+    ["check", "--sysf", "(forall X. X) -> Y "],
+])
+def test_check_not_positive_json(argv):
+    code, out = run(argv + ["--format", "json"])
+    assert code == 2
+    assert json.loads(out) == {"goal": argv[-1].strip(), "positive": False}
+
+
 def test_parse_error_exit_code():
     code, _ = run(["terms", "P ->"])
     assert code == 2

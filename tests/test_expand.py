@@ -20,7 +20,7 @@ from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
                            normalize_chain)
 from proofenum.ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext,
                               Spine, alpha_eq_sequent, check_proof,
-                              render_proof, term_height)
+                              oracle_enumerate, render_proof, term_height)
 from proofenum.syntax import (Atom, Forall, NotNegative,
                               ensure_distinct_binders, parse_formula, render)
 from proofenum.sysf import parse_sysf_type, phi
@@ -213,6 +213,15 @@ def test_funcG_freshens_term_binders_free_in_the_context():
     src = _flat_sequent(ctx, goal)
     for t in out:
         assert check_proof(src.context, t, src.goal)
+
+
+def test_funcG_names_term_binders_from_the_goal():
+    # Cleaning merges the two Q, so the normal form flattens to h0:Q; a
+    # lifted binder takes the goal's name x, not the term's z.
+    q = Fml(parse_formula("Q"))
+    out = funcG(annotate(LJBContext((q, q))), parse_formula("forall x. Q"),
+                [LamTm("z", Spine("h0"))])
+    assert [render_proof(t) for t in out] == ["\\x. h0", "\\x. h1"]
 
 
 def _fig_setup():
@@ -448,12 +457,21 @@ def test_calls_leave_no_cyclic_garbage():
     # that calls itself forms a cycle with its cell, which keeps all it
     # refers to, the grammar or the terms of a call, until the collector
     # runs.
+    d4, session = d_family(4), Session()
+    pi = enumerate_schemes(build_grammar(d4, session, max_height=9), 9)[0]
+    seq = LJPlusSequent(NamedContext((("h0", d4.lhs),)), d4.rhs)
     gc.collect()
     gc.disable()
     try:
         build_grammar(d_family(5), Session())
         assert gc.collect() == 0
         enumerate_terms(d_family(4), 9)
+        assert gc.collect() == 0
+        assert scheme_check(session, LJBSequent(LJBContext(), d4), pi)
+        assert gc.collect() == 0
+        assert oracle_enumerate(LJPlusSequent(NamedContext(), d4), 9)
+        assert gc.collect() == 0
+        assert alpha_eq_sequent(seq, seq)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -1,7 +1,8 @@
 """Output fingerprints: the grammars of D_3, D_4 and D_5, the terms of A2 and
 of the deep enumeration inputs, and funcH's terms for the corpus schemes
 must stay byte-identical, so that nonterminal numbering, fids and
-hypothesis names cannot shift unnoticed."""
+hypothesis names cannot shift unnoticed.  The terms must also equal the
+oracle's as rendered lists, binder names included."""
 
 import hashlib
 import json
@@ -11,12 +12,12 @@ import pytest
 from proofenum.expand import Session, enumerate_terms, funcH
 from proofenum.grammar import build_grammar, enumerate_schemes, grammar_to_json
 from proofenum.ljb import LJBContext, LJBSequent
-from proofenum.ljplus import render_proof, term_height
+from proofenum.ljplus import (LJPlusSequent, NamedContext, oracle_enumerate,
+                              render_proof, term_height)
 from proofenum.syntax import ensure_distinct_binders, parse_formula
 from proofenum.sysf import parse_sysf_type, phi
 
-from conftest import (FIG_FORMULA, SYSF_A1, SYSF_A2, alpha_set, corpus,
-                      d_family, oracle_set)
+from conftest import FIG_FORMULA, SYSF_A1, SYSF_A2, corpus, d_family
 
 
 def fingerprint(text):
@@ -51,6 +52,9 @@ def test_a2_terms_fingerprint():
 CHURCH = "forall X. X -> (X->X) -> X"
 TWO_SUCC = "forall X. (X->X) -> (X->X) -> X -> X"
 BINDER_CLASH = "((forall x. Q(x)) -> P) -> forall x. P(x) -> P(x)"
+# Its deepest term binds x, x1, x2 and x3: the goal's x, made fresh
+# where the context already has it free.
+NESTED_CLASH = "Q -> ((forall x. P(x) -> forall x. R(x) -> Q) -> Q) -> Q"
 
 
 @pytest.mark.parametrize("goal, height, count, digest", [
@@ -62,13 +66,17 @@ BINDER_CLASH = "((forall x. Q(x)) -> P) -> forall x. P(x) -> P(x)"
     (phi(parse_sysf_type(SYSF_A1)), 20, 10, "e4b2c9afdba0e9f1"),
     (parse_formula(FIG_FORMULA), 20, 10, "771fa7da1b466eb6"),
     (parse_formula(BINDER_CLASH), 5, 1, "3fa300c6c6d914a6"),
+    (parse_formula(NESTED_CLASH), 13, 3, "aee8f872242b7c68"),
 ], ids=["church@40", "two-succ@14", "D_2@13", "D_3@11", "A2@24", "A1@20",
-        "fig@20", "binder-clash@5"])
+        "fig@20", "binder-clash@5", "nested-clash@13"])
 def test_deep_terms_fingerprint(goal, height, count, digest):
     terms = enumerate_terms(goal, height)
     assert len(terms) == count
-    assert fingerprint("\n".join(map(render_proof, terms))) == digest
-    assert alpha_set(terms) == oracle_set(goal, height)
+    rendered = list(map(render_proof, terms))
+    assert fingerprint("\n".join(rendered)) == digest
+    # Not only up to alpha: the binders are named by the oracle's rule.
+    seq = LJPlusSequent(NamedContext(), goal)
+    assert rendered == list(map(render_proof, oracle_enumerate(seq, height)))
 
 
 def _funcH(session, pi, goal):
