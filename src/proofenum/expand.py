@@ -148,41 +148,41 @@ def _bind(goal: Formula, taken: frozenset) -> Tuple[str, Formula]:
 
 
 def _lift(u: ProofTerm, goal: Formula, copies: Dict[str, Copies],
-          used: frozenset, tvars: frozenset,
+          n: int, tvars: frozenset,
           binders: Dict[Tuple[str, Formula], Copies]) -> List[ProofTerm]:
     """All terms proving goal in a larger context whose image under
     copy -> original is u.  copies maps each proof variable of u's
-    context to its copies in the larger context, used holds the larger
-    context's proof variables and tvars its free term variables.  A
-    head takes each of its copies whose formula ends in goal, and its
+    context to its copies in the larger context, n is the number of
+    proof variables in scope there and tvars its free term variables.
+    A head takes each of its copies whose formula ends in goal, and its
     arguments are lifted against that copy's argument formulas, once
     per formula: copies with one formula share the lifted arguments.  A
-    proof binder gets one copy, typed by goal.lhs, and a term binder is
-    named by _bind.  With an empty copy table, _lift retypes a closed
-    term proving an alpha-variant of goal onto goal itself.  binders
-    caches the copy entry of each proof binder by (name, formula), so
-    each is decomposed once per cache."""
+    proof binder gets one copy, typed by goal.lhs and named h<n> by its
+    place in scope (the oracle's rule), and a term binder is named by
+    _bind.  With an empty copy table, _lift retypes a closed term
+    proving an alpha-variant of goal onto goal itself.  binders caches
+    the copy entry of each proof binder by (name, formula), so each is
+    decomposed once per cache."""
     if isinstance(u, Spine):
         out: List[ProofTerm] = []
         for pvs, args, head in copies.get(u.head, ()):
             if head == goal:
-                tups = list(product(*(_lift(a, c, copies, used, tvars,
-                                            binders)
+                tups = list(product(*(_lift(a, c, copies, n, tvars, binders)
                                       for a, c in zip(u.args, args))))
                 out.extend(Spine(pv, tup) for pv in pvs for tup in tups)
         return out
     if isinstance(u, LamTm):
         var, body = _bind(goal, tvars)
         return [LamTm(var, b)
-                for b in _lift(u.body, body, copies, used, tvars, binders)]
-    nv = u.pvar if u.pvar not in used else fresh_name(u.pvar, used)
+                for b in _lift(u.body, body, copies, n, tvars, binders)]
+    nv = f"h{n}"
     key = (nv, goal.lhs)
     entry = binders.get(key)
     if entry is None:
         entry = binders[key] = _copies((key,))
     return [LamPf(nv, goal.lhs, b)
             for b in _lift(u.body, goal.rhs, {**copies, u.pvar: entry},
-                           used | {nv}, tvars | goal.lhs.fvs, binders)]
+                           n + 1, tvars | goal.lhs.fvs, binders)]
 
 
 class Duplication(Record):
@@ -200,13 +200,19 @@ class Duplication(Record):
 def funcF(u: ProofTerm, source: LJPlusSequent, target: LJPlusSequent,
           d: Duplication) -> List[ProofTerm]:
     """All duplicated variants of u proving the partial duplication
-    target of source (empty when no copy assignment is consistent)."""
-    src, tgt = dict(source.context.hyps), dict(target.context.hyps)
+    target of source (empty when no copy assignment is consistent).
+    Their proof binders are named h<n>, h<n+1>, ... by place in scope,
+    from the least n, at least the number of target's hypotheses, above
+    every k of a hypothesis named h<k>, so that none clashes."""
+    hyps = target.context.hyps
+    src, tgt = dict(source.context.hyps), dict(hyps)
     sigma = {1: d.sigma1, 2: d.sigma2}
     copies = {spv: _copies((pv, tgt[pv]) for i, pv in sorted(m.items())
                            if rename(src[spv], sigma[i]) == tgt[pv])
               for spv, m in d.copies.items()}
-    out = _lift(u, target.goal, copies, target.context.pvars(),
+    n = max([len(hyps)] + [int(pv[1:]) + 1 for pv, _ in hyps
+                           if pv[:1] == "h" and pv[1:].isdecimal()])
+    out = _lift(u, target.goal, copies, n,
                 target.context.free_term_vars(), {})
     return sort_proofs(set(out))
 
@@ -236,7 +242,7 @@ def _lift_table(src: Flat, merged: Dict[int, int], target: Flat):
             raise InvariantError(f"cleaning sends no occurrence to {fid}")
         pairs.setdefault(pv_of[fid], []).append((pv, f))
     return ({nv: _copies(ps) for nv, ps in pairs.items()},
-            frozenset(pv for _, pv, _ in target.hyps),
+            len(target.hyps),
             union_all(f.fvs for _, _, f in target.hyps), {})
 
 
@@ -416,5 +422,5 @@ def enumerate_terms(goal: Formula, max_height: int,
         out.update(expander.H(grammar.start, pi))
     if distinct is not goal:
         out = {s for t in out
-               for s in _lift(t, goal, {}, frozenset(), frozenset(), {})}
+               for s in _lift(t, goal, {}, 0, frozenset(), {})}
     return sort_proofs(out)

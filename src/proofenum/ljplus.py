@@ -8,9 +8,8 @@ from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .syntax import (Atom, Forall, Formula, NotNegative, Record, _set,
-                     decompose_negative, free_vars, fresh_name,
-                     match_formula, parse_formula, rename, render,
-                     union_all)
+                     decompose_negative, fresh_name, match_formula,
+                     parse_formula, rename, render, union_all)
 
 
 class IllFormed(Exception):
@@ -272,7 +271,7 @@ def check_proof(ctx: NamedContext, t: ProofTerm, goal: Formula) -> bool:
         if t.var == goal.var:
             body_goal = goal.body
         else:
-            if t.var in free_vars(goal.body):
+            if t.var in goal.body.fvs:
                 return False
             body_goal = rename(goal.body, {goal.var: t.var})
         return check_proof(ctx, t.body, body_goal)
@@ -324,7 +323,7 @@ def _oracle(ctx: NamedContext, goal: Formula, h: int,
     elif isinstance(goal, Forall):
         fv = ctx.free_term_vars()
         if goal.var in fv:
-            v = fresh_name(goal.var, fv | free_vars(goal))
+            v = fresh_name(goal.var, fv | goal.fvs)
             body = rename(goal.body, {goal.var: v})
         else:
             v, body = goal.var, goal.body

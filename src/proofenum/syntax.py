@@ -221,14 +221,6 @@ def decompose_negative(f: Formula):
 # ---------------------------------------------------------------------------
 # Variables
 
-def free_vars(f: Formula) -> frozenset:
-    return f.fvs
-
-
-def bound_vars(f: Formula) -> frozenset:
-    return f.bvs
-
-
 def all_names(f: Formula) -> frozenset:
     return f.fvs | f.bvs
 
@@ -250,7 +242,7 @@ def rename(f: Formula, m: Mapping[str, str]) -> Formula:
     if isinstance(f, Impl):
         return Impl(rename(f.lhs, m), rename(f.rhs, m))
     inner = {k: v for k, v in m.items() if k != f.var}
-    relevant = free_vars(f.body) & set(inner)
+    relevant = f.body.fvs & set(inner)
     inner = {k: v for k, v in inner.items() if k in relevant}
     if f.var in inner.values():
         nv = fresh_name(f.var,

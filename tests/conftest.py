@@ -301,8 +301,7 @@ def reference_lift_table(raw, goal, target):
             fid = merged[fid]
         pairs.setdefault(pv_of[fid], []).append((pv, f))
     return ({nv: _copies(ps) for nv, ps in pairs.items()},
-            frozenset(pv for _, pv, _ in target.hyps),
-            union_all(f.fvs for _, _, f in target.hyps))
+            len(target.hyps), union_all(f.fvs for _, _, f in target.hyps))
 
 
 def reference_match_formula(a, b, sig, bnd):

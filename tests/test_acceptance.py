@@ -204,7 +204,10 @@ def test_terms_equal_the_oracle_exactly():
         (sysf("forall X. X -> (X->X) -> X"), 40),
         (parse_formula(FIG_FORMULA), 20), (d_family(2), 13),
         (parse_formula("((forall x. Q(x)) -> P) -> forall x. P(x) -> P(x)"),
-         5)]
+         5),
+        # chain_30: 30 terms of 30 proof binders, each level of the one
+        # scheme lifting the binders of the level below
+        (parse_formula(" -> ".join(["P"] * 31)), 32)]
     for goal, h in cases:
         want = oracle_enumerate(LJPlusSequent(NamedContext(), goal), h)
         assert list(map(render_proof, enumerate_terms(goal, h))) == \

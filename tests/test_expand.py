@@ -135,6 +135,20 @@ def test_funcF_empty_result():
     assert funcF(u, src, tgt, d) == []
 
 
+def test_funcF_names_proof_binders_by_place_in_scope():
+    # The binder takes the first h<n> above both the target's size and
+    # its hypotheses named h<k>, whatever the term called it.
+    imp = parse_formula("P -> Q")
+    src = LJPlusSequent(NamedContext((("a", imp),)), imp)
+    u = LamPf("h1", parse_formula("P"), Spine("a", (Spine("h1"),)))
+    tgt = LJPlusSequent(NamedContext((("a1", imp), ("h2", imp))), imp)
+    out = funcF(u, src, tgt, Duplication({}, {}, {"a": {1: "a1", 2: "h2"}}))
+    assert [render_proof(t) for t in out] == \
+        ["\\h3:P. (a1 h3)", "\\h3:P. (h2 h3)"]
+    for t in out:
+        assert check_proof(tgt.context, t, tgt.goal)
+
+
 def test_funcG_merge_duplicates_proof():
     br = Bracket(frozenset({"x"}),
                  LJBContext((Fml(parse_formula("P(x)")),
@@ -475,6 +489,16 @@ def test_calls_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_lift_names_proof_binders_without_a_search(monkeypatch):
+    # Every proof binder of a lift is h<n> by its place in scope, so no
+    # lift scans for a fresh name (chain_20 made 2,280 scans when a
+    # binder kept the term's name unless it clashed).
+    chain = parse_formula(" -> ".join(["P"] * 21))
+    with counting(monkeypatch, proofenum.syntax, "fresh_name") as calls:
+        assert len(enumerate_terms(chain, 22)) == 20
+    assert calls == []
 
 
 def test_renaming_matches_equal_formulas_without_walking(monkeypatch):

@@ -9,7 +9,7 @@ from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
 from proofenum.grammar import scheme_check
 from proofenum.ljplus import LamPf, LamTm, Spine
 from proofenum.expand import Session
-from proofenum.syntax import bound_vars, parse_formula, render, split_arrows
+from proofenum.syntax import parse_formula, render, split_arrows
 
 from conftest import (erase_formulas, is_normal, random_context,
                       render_context, replay)
@@ -239,7 +239,7 @@ def _rimpl_by_cleaning(s):
 
 
 def _rforall_by_cleaning(s):
-    v = frozenset(bound_vars(s.goal))
+    v = s.goal.bvs
     return LJBSequent(normalize(LJBContext((Bracket(v, s.context),))),
                       s.goal.body)
 

@@ -4,10 +4,9 @@ import pytest
 
 from proofenum.syntax import (Atom, Forall, Fn, Impl, NotNegative, Polarity,
                               SyntaxError_, Var, alpha_eq, all_names,
-                              bound_vars, decompose_negative,
-                              ensure_distinct_binders, free_vars, fresh_name,
-                              is_positive, match_formula, parse_formula,
-                              polarity, rename, render)
+                              decompose_negative, ensure_distinct_binders,
+                              fresh_name, is_positive, match_formula,
+                              parse_formula, polarity, rename, render)
 
 from conftest import (fold_negative, formula_size, reference_alpha_eq,
                       reference_match_formula)
@@ -85,8 +84,8 @@ def test_decompose_negative():
 
 def test_free_bound_vars():
     f = parse_formula("forall x. P(x, y) -> Q(z)")
-    assert free_vars(f) == frozenset({"y", "z"})
-    assert bound_vars(f) == frozenset({"x"})
+    assert f.fvs == frozenset({"y", "z"})
+    assert f.bvs == frozenset({"x"})
     assert all_names(f) == frozenset({"x", "y", "z"})
 
 
@@ -115,14 +114,14 @@ def test_fresh_name():
 def test_ensure_distinct_binders():
     f = parse_formula("(forall x. P(x)) -> (forall x. Q(x)) -> R")
     g = ensure_distinct_binders(f)
-    assert len(bound_vars(g)) == 2
+    assert len(g.bvs) == 2
     assert alpha_eq(f, g)
     assert ensure_distinct_binders(g) is g
     # free variables never get captured
     h = parse_formula("(forall x. P(x, y)) -> P(x, z)")
     k = ensure_distinct_binders(h)
-    assert free_vars(k) == free_vars(h)
-    assert not bound_vars(k) & free_vars(k)
+    assert k.fvs == h.fvs
+    assert not k.bvs & k.fvs
 
 
 def test_alpha_eq():
