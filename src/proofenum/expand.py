@@ -5,10 +5,9 @@ cleaning and funcH over a whole scheme."""
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import chain, count, product
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .grammar import (DEFAULT_CAP, Grammar, Production, build_grammar,
                       enumerate_schemes, fits, productions_by_lhs, saturate,
@@ -29,11 +28,8 @@ Scheme = ProofTerm
 
 class Session:
     """Per-run registry assigning each negative formula (exact syntax, no
-    alpha-identification) its canonical proof variable c0, c1, ...
-
-    It holds only this registry.  Expansion state (the lift plans and
-    the terms of each nonterminal and sub-scheme) belongs to the
-    expander of one call."""
+    alpha-identification) its canonical proof variable c0, c1, ...  It
+    holds no expansion state: that lives in the expander of one call."""
 
     def __init__(self) -> None:
         self._registry: Dict[Formula, str] = {}
@@ -121,19 +117,44 @@ def _renaming(src: Flat, dst: Flat) -> Tuple[Dict[str, str],
 # ---------------------------------------------------------------------------
 # Lifting terms to a context with more copies of each hypothesis
 
-# The copies of one hypothesis, grouped by formula: (proof variables,
-# argument formulas, head) per distinct formula.
 Copies = Tuple[Tuple[Tuple[str, ...], Tuple[Formula, ...], Formula], ...]
 
 
 def _copies(pairs: Iterable[Tuple[str, Formula]]) -> Copies:
     """The (proof variable, formula) pairs of a hypothesis's copies,
-    grouped by formula and decomposed into arguments and head."""
+    grouped by formula: (proof variables, arguments, head) each."""
     groups: Dict[Formula, List[str]] = {}
     for pv, f in pairs:
         groups.setdefault(f, []).append(pv)
     return tuple((tuple(pvs), *decompose_negative(f))
                  for f, pvs in groups.items())
+
+
+class _Top:
+    """A top context, compared by identity: copies maps each proof
+    variable of a term's own context to its copies in the top, n counts
+    the proof variables in scope there and tvars are its free ones."""
+    __slots__ = ("copies", "n", "tvars")
+
+    def __init__(self, copies: Dict[str, Copies], n: int, tvars: frozenset):
+        self.copies, self.n, self.tvars = copies, n, tvars
+
+    def bind(self, pvar: str, goal: Formula) -> _Top:
+        """self under goal's proof binder h<n>, the one copy of pvar."""
+        entry = _copies(((f"h{self.n}", goal.lhs),))
+        return _Top({**self.copies, pvar: entry}, self.n + 1,
+                    self.tvars | goal.lhs.fvs)
+
+    def below(self, table: _Top) -> _Top:
+        """The top of the terms that table lifts into self's context."""
+        copies = {}
+        for pv, groups in table.copies.items():
+            pairs: Dict[tuple, List[str]] = {}
+            for top_pvs, *f in (c for pvs, _, _ in groups for mid in pvs
+                                for c in self.copies[mid]):
+                pairs.setdefault(tuple(f), []).extend(top_pvs)
+            copies[pv] = tuple((tuple(pvs), *f) for f, pvs in pairs.items())
+        return _Top(copies, self.n, self.tvars)
 
 
 def _bind(goal: Formula, taken: frozenset) -> Tuple[str, Formula]:
@@ -147,42 +168,24 @@ def _bind(goal: Formula, taken: frozenset) -> Tuple[str, Formula]:
     return var, rename(goal.body, {goal.var: var})
 
 
-def _lift(u: ProofTerm, goal: Formula, copies: Dict[str, Copies],
-          n: int, tvars: frozenset,
-          binders: Dict[Tuple[str, Formula], Copies]) -> List[ProofTerm]:
-    """All terms proving goal in a larger context whose image under
-    copy -> original is u.  copies maps each proof variable of u's
-    context to its copies in the larger context, n is the number of
-    proof variables in scope there and tvars its free term variables.
-    A head takes each of its copies whose formula ends in goal, and its
-    arguments are lifted against that copy's argument formulas, once
-    per formula: copies with one formula share the lifted arguments.  A
-    proof binder gets one copy, typed by goal.lhs and named h<n> by its
-    place in scope (the oracle's rule), and a term binder is named by
-    _bind.  With an empty copy table, _lift retypes a closed term
-    proving an alpha-variant of goal onto goal itself.  binders caches
-    the copy entry of each proof binder by (name, formula), so each is
-    decomposed once per cache."""
+def _lift(u: ProofTerm, goal: Formula, top: _Top) -> List[ProofTerm]:
+    """All terms proving goal in top's context whose image under
+    copy -> original is u.  A head takes each of its copies whose
+    formula ends in goal, with arguments lifted once per copy formula
+    and shared; binders are named by _bind and _Top.bind."""
     if isinstance(u, Spine):
         out: List[ProofTerm] = []
-        for pvs, args, head in copies.get(u.head, ()):
+        for pvs, args, head in top.copies.get(u.head, ()):
             if head == goal:
-                tups = list(product(*(_lift(a, c, copies, n, tvars, binders)
+                tups = list(product(*(_lift(a, c, top)
                                       for a, c in zip(u.args, args))))
                 out.extend(Spine(pv, tup) for pv in pvs for tup in tups)
         return out
     if isinstance(u, LamTm):
-        var, body = _bind(goal, tvars)
-        return [LamTm(var, b)
-                for b in _lift(u.body, body, copies, n, tvars, binders)]
-    nv = f"h{n}"
-    key = (nv, goal.lhs)
-    entry = binders.get(key)
-    if entry is None:
-        entry = binders[key] = _copies((key,))
-    return [LamPf(nv, goal.lhs, b)
-            for b in _lift(u.body, goal.rhs, {**copies, u.pvar: entry},
-                           n + 1, tvars | goal.lhs.fvs, binders)]
+        var, body = _bind(goal, top.tvars)
+        return [LamTm(var, b) for b in _lift(u.body, body, top)]
+    return [LamPf(f"h{top.n}", goal.lhs, b)
+            for b in _lift(u.body, goal.rhs, top.bind(u.pvar, goal))]
 
 
 class Duplication(Record):
@@ -212,24 +215,20 @@ def funcF(u: ProofTerm, source: LJPlusSequent, target: LJPlusSequent,
               for spv, m in d.copies.items()}
     n = max([len(hyps)] + [int(pv[1:]) + 1 for pv, _ in hyps
                            if pv[:1] == "h" and pv[1:].isdecimal()])
-    out = _lift(u, target.goal, copies, n,
-                target.context.free_term_vars(), {})
-    return sort_proofs(set(out))
+    top = _Top(copies, n, target.context.free_term_vars())
+    return sort_proofs(set(_lift(u, target.goal, top)))
 
 
 # ---------------------------------------------------------------------------
 # Expansion back across cleaning
 
-def _lift_table(src: Flat, merged: Dict[int, int], target: Flat):
-    """How terms proving src lift onto target: _lift's last four
-    arguments, or None when the terms prove target as they are.  The
-    occurrence ids of src are those of a normal form that cleaning
-    reaches from target's occurrences, making the merges merged (see
-    normalize), so the copy table maps each hypothesis of src to the
-    hypotheses of target that cleaning sends to its occurrence: one
-    each unless cleaning merges.  Raises InvariantError when src and
-    target do not match on the occurrences they share, or cleaning
-    sends one of target's occurrences to none of src's."""
+def _lift_table(src: Flat, merged: Dict[int, int],
+                target: Flat) -> Optional[_Top]:
+    """The top that lifts terms proving src onto target, or None when
+    they prove target as they are: a hypothesis of src has as copies the
+    hypotheses of target that cleaning, with the merges merged (see
+    normalize), sends to its occurrence.  Raises InvariantError when src
+    and target differ on an occurrence, or one of target's has none."""
     tmap, pmap = _renaming(src, target)
     if not (merged or tmap or pmap):
         return None
@@ -241,9 +240,8 @@ def _lift_table(src: Flat, merged: Dict[int, int], target: Flat):
         if fid not in pv_of:
             raise InvariantError(f"cleaning sends no occurrence to {fid}")
         pairs.setdefault(pv_of[fid], []).append((pv, f))
-    return ({nv: _copies(ps) for nv, ps in pairs.items()},
-            len(target.hyps),
-            union_all(f.fvs for _, _, f in target.hyps), {})
+    return _Top({nv: _copies(ps) for nv, ps in pairs.items()},
+                len(target.hyps), union_all(f.fvs for _, _, f in target.hyps))
 
 
 def funcG(ctx: LJBContext, goal: Formula,
@@ -252,87 +250,100 @@ def funcG(ctx: LJBContext, goal: Formula,
     back across cleaning to all the terms proving the flattening of
     canon(ctx) whose cleaned images they are.  ctx is annotated."""
     nf, _, _, merged = premises(ctx, (goal,), merges=True)
-    table = _lift_table(flatten_det(nf, goal), merged,
-                        flatten_det(canon(ctx), goal))
-    if table is None:
+    top = _lift_table(flatten_det(nf, goal), merged,
+                      flatten_det(canon(ctx), goal))
+    if top is None:
         return list(terms)
-    return [t for u in terms for t in _lift(u, goal, *table)]
+    return [t for u in terms for t in _lift(u, goal, top)]
 
 
 # ---------------------------------------------------------------------------
 # Expansion of a whole scheme along the grammar's productions
 
 class _Plan(Record):
-    """How the terms of a production's premises become terms of its
-    left-hand side.  Each premise's terms prove the flattening of the
-    premise nonterminal, whose context is the normal form of the rule
-    instance's premise context (occurrence ids fids, cleaning's merges
-    merged) up to occurrence ids.  The premise's table (see _lift_table,
-    kept in tables once built) lifts them in one pass onto its target,
-    the flattening of the left-hand side's hypotheses with the premise's
-    goal, and wrap, chosen by the production's kind, puts them together."""
-    __slots__ = ("production", "fids", "merged", "targets", "wrap",
+    """How a production's premises lift onto its left-hand side: premise
+    i's context is cleaned from the rule instance's (occurrence ids
+    fids, merges merged) and its table (_lift_table, kept in tables)
+    lifts onto targets[i].  pvar is what a spine exposes or R-> binds."""
+    __slots__ = ("production", "fids", "merged", "targets", "pvar",
                  "tables")
 
     def __init__(self, production: Production, fids: Tuple[int, ...],
                  merged: Dict[int, int], targets: Tuple[Flat, ...],
-                 wrap: Callable[[tuple], ProofTerm]):
+                 pvar: Optional[str]):
         _set(self, "production", production)
         _set(self, "fids", fids)
         _set(self, "merged", merged)
         _set(self, "targets", targets)
-        _set(self, "wrap", wrap)
+        _set(self, "pvar", pvar)
         _set(self, "tables", {})
 
 
 class _Expander:
-    """The expansion of schemes along the productions of one grammar,
-    for one enumerate_terms or funcH call.
-
-    The terms of a sub-scheme at a nonterminal prove the flattening of
-    the nonterminal's annotated sequent and depend only on the two, so
-    they are memoized by (nonterminal id, sub-scheme): schemes that
-    share a sub-scheme share its expansion (Wells & Yakobowski, LOPSTR
-    2004).  A scheme node expands through the productions that fit it;
-    a scheme that no production fits has no terms.  Each nonterminal is
-    flattened at most once, and its lift plans are built once, on first
-    use, from one rule step on its annotated sequent; a plan's table for
-    a premise once the premise has terms.  The memos, and the binder
-    caches of the plans' tables, live as long as the expander, that is
-    one call.
-
-    The memoized lists are duplicate-free as built, so nothing here
-    deduplicates: distinct plans differ at the root head (each spine
-    production exposes its own occurrence, a right rule has one plan),
-    and lifting is injective.  Terms share their sub-terms (see _lift),
-    so the caller's final set hashes each shared node once."""
+    """The expansion of schemes along one grammar's productions, for one
+    call: each term node is built once, in the top where it lives, and
+    memoized with the sub-scheme, nonterminal, goal and top (Wells &
+    Yakobowski, LOPSTR 2004).  Each top is built once per (top, plan,
+    premise or goal), so keys meet, and each nonterminal is flattened
+    and planned once.  The lists are duplicate-free as built: distinct
+    plans differ at the root head, distinct copies are distinct heads."""
 
     def __init__(self, grammar: Grammar) -> None:
         self._grammar = grammar
         self._by_lhs = productions_by_lhs(grammar)
         self._flats: Dict[int, Flat] = {}
         self._plans: Dict[int, List[_Plan]] = {}
-        self._terms: Dict[Tuple[int, Scheme], List[ProofTerm]] = {}
+        self._terms: Dict[tuple, List[ProofTerm]] = {}
+        self._tops: Dict[tuple, _Top] = {}
 
-    def H(self, nt: int, pi: Scheme) -> List[ProofTerm]:
-        """The terms proving the flattening of nonterminal nt's annotated
-        sequent that collapse to pi, without duplicates and in no fixed
-        order.  The list is shared: do not change it."""
-        key = (nt, pi)
+    def H(self, nt: int, pi: Scheme, goal: Formula,
+          top: _Top) -> List[ProofTerm]:
+        """The terms proving goal in top that lift terms of nt's
+        flattening collapsing to pi, in no fixed order (a shared list: do
+        not change it).  heads: root names with their premises' goals."""
+        key = (nt, pi, goal.key, top)
         out = self._terms.get(key)
-        if out is None:
-            plans = self._plans.get(nt)
-            if plans is None:
-                plans = self._plans[nt] = self._plans_of(nt)
-            out = self._terms[key] = [
-                t for plan in plans if fits(plan.production, pi)
-                for t in self._expand(plan, subschemes(pi))]
+        if out is not None:
+            return out
+        plans = self._plans.get(nt)
+        if plans is None:
+            plans = self._plans[nt] = self._plans_of(nt)
+        out = self._terms[key] = []
+        for plan in plans:
+            p = plan.production
+            if not fits(p, pi):
+                continue
+            inner = top
+            if p.kind == "spine":
+                heads = [(pvs, args) for pvs, args, head
+                         in top.copies.get(plan.pvar, ()) if head == goal]
+            elif p.kind == "forall":
+                var, body = _bind(goal, top.tvars)
+                heads = [((var,), (body,))]
+            else:
+                k = (top, id(plan), goal.key)
+                heads = [((f"h{top.n}",), (goal.rhs,))]
+                inner = self._tops.get(k) or self._tops.setdefault(
+                    k, top.bind(plan.pvar, goal))
+            for pvs, goals in heads:
+                choice_sets = []
+                for i, (q, sub) in enumerate(zip(p.premises, subschemes(pi))):
+                    terms = self.H(q, sub, goals[i],
+                                   self._top(plan, i, inner))
+                    if not terms:
+                        break
+                    choice_sets.append(terms)
+                else:
+                    tups = list(product(*choice_sets))
+                    out += (Spine(pv, tup) if p.kind == "spine"
+                            else LamTm(pv, tup[0]) if p.kind == "forall"
+                            else LamPf(pv, goal.lhs, tup[0])
+                            for pv in pvs for tup in tups)
         return out
 
     def _flat(self, nt: int, fids: Iterable[int]) -> Flat:
-        """The flattening of nonterminal nt's sequent, with fids, in
-        order, as the occurrence ids of its hypotheses.  It is built
-        once per nonterminal."""
+        """The flattening of nonterminal nt's sequent, built once, with
+        fids, in order, as the occurrence ids of its hypotheses."""
         flat = self._flats.get(nt)
         if flat is None:
             seq = self._grammar.nonterminals[nt].sequent
@@ -342,11 +353,9 @@ class _Expander:
 
     def _plans_of(self, nt: int) -> List[_Plan]:
         """The lift plans of nt's productions, one per rule instance of
-        its annotated sequent.  Hypothesis h_i of a flattening is the
-        i-th occurrence of its context.  Nonterminal contexts are
-        canonical, so in the left-hand side's that is occurrence i of
-        the annotated context, and in a premise nonterminal's the i-th
-        occurrence of the instance's cleaned premise context."""
+        its annotated sequent.  Hypothesis h_i of a (canonical)
+        nonterminal's flattening is the i-th occurrence of its context:
+        of the annotated one, or of the instance's cleaned premise one."""
         prods = self._by_lhs.get(nt, ())
         if not prods:
             return []
@@ -355,54 +364,49 @@ class _Expander:
         plans = []
         steps = rule_step(LJBSequent(ctx, goal), merges=True)
         for p, (premise_ctx, _, exposed, merged) in zip(prods, steps):
+            pvar = None
             if p.kind == "spine":
-                _, pv, f = hyps[exposed.fid]
-                goals, wrap = decompose_negative(f)[0], partial(Spine, pv)
+                _, pvar, f = hyps[exposed.fid]
+                goals = decompose_negative(f)[0]
             elif p.kind == "forall":
-                y, body = _bind(goal, union_all(f.fvs for _, _, f in hyps))
-                goals, wrap = (body,), lambda ts: LamTm(y, ts[0])
+                goals = _bind(goal, union_all(f.fvs for _, _, f in hyps))[1:]
             else:
-                pvar = f"h{len(hyps)}"
-                goals = (goal.rhs,)
-                wrap = lambda ts: LamPf(pvar, goal.lhs, ts[0])
+                pvar, goals = f"h{len(hyps)}", (goal.rhs,)
                 hyps += ((-1, pvar, goal.lhs),)  # see rule_step
-            fids = tuple(chain.from_iterable(
-                it.fids for it in premise_ctx.items))
-            plans.append(_Plan(p, fids, merged,
-                               tuple(Flat(b, hyps) for b in goals), wrap))
+            plans.append(_Plan(p, tuple(chain.from_iterable(
+                it.fids for it in premise_ctx.items)), merged,
+                tuple(Flat(b, hyps) for b in goals), pvar))
         return plans
 
-    def _table(self, plan: _Plan, i: int) -> Optional[tuple]:
+    def _table(self, plan: _Plan, i: int) -> Optional[_Top]:
         """The table of plan's premise i, built on first use."""
         if i not in plan.tables:
             src = self._flat(plan.production.premises[i], plan.fids)
             plan.tables[i] = _lift_table(src, plan.merged, plan.targets[i])
         return plan.tables[i]
 
-    def _expand(self, plan: _Plan,
-                subs: Sequence[Scheme]) -> List[ProofTerm]:
-        choice_sets = []
-        for i, (q, sub) in enumerate(zip(plan.production.premises, subs)):
-            terms = self.H(q, sub)
-            table = self._table(plan, i) if terms else None
-            if table is not None:
-                goal = plan.targets[i].goal
-                terms = [t for u in terms for t in _lift(u, goal, *table)]
-            if not terms:
-                return []
-            choice_sets.append(terms)
-        return [plan.wrap(args) for args in product(*choice_sets)]
+    def _top(self, plan: _Plan, i: int, top: _Top) -> _Top:
+        """The top of plan's premise i below the left-hand side's top."""
+        table = self._table(plan, i)
+        if table is None:
+            return top
+        key = (top, id(plan), i)
+        return self._tops.get(key) or self._tops.setdefault(
+            key, top.below(table))
 
 
 def funcH(session: Session, pi: Scheme, seq: LJBSequent) -> List[ProofTerm]:
     """All proof-terms of the flattening of seq's annotated sequent
     (flatten_det(annotate(seq.context), seq.goal)) that collapse to the
-    scheme pi, sorted; none when seq does not derive pi.  It runs the
-    same expander as enumerate_terms, on the grammar of the annotated
-    sequent bounded at pi's height."""
+    scheme pi, sorted; none when seq does not derive pi: the expander of
+    the grammar bounded at pi's height, from that flattening's identity."""
     start = LJBSequent(annotate(seq.context), seq.goal)
     grammar = saturate(start, session, max_height=term_height(pi))
-    return sort_proofs(set(_Expander(grammar).H(grammar.start, pi)))
+    expander = _Expander(grammar)
+    hyps = expander._flat(grammar.start, count()).hyps
+    top = _Top({pv: _copies(((pv, f),)) for _, pv, f in hyps}, len(hyps),
+               union_all(f.fvs for _, _, f in hyps))
+    return sort_proofs(expander.H(grammar.start, pi, seq.goal, top))
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +415,12 @@ def funcH(session: Session, pi: Scheme, seq: LJBSequent) -> List[ProofTerm]:
 def enumerate_terms(goal: Formula, max_height: int,
                     cap: int = DEFAULT_CAP) -> List[ProofTerm]:
     """The complete set of beta-normal eta-long proof-terms of |- goal of
-    height <= max_height, via the scheme grammar.  The terms prove the
-    goal as given, with its own binder names in their annotations."""
-    distinct = ensure_distinct_binders(goal)
-    session = Session()
-    grammar = build_grammar(distinct, session, cap, max_height)
-    expander = _Expander(grammar)
-    out: set = set()
+    height <= max_height, via the scheme grammar.  The terms prove goal
+    as given: the grammar works on a copy with distinct binders, and
+    expansion builds each term straight onto goal."""
+    grammar = build_grammar(ensure_distinct_binders(goal), Session(), cap,
+                            max_height)
+    expander, top, out = _Expander(grammar), _Top({}, 0, frozenset()), []
     for pi in enumerate_schemes(grammar, max_height):
-        out.update(expander.H(grammar.start, pi))
-    if distinct is not goal:
-        out = {s for t in out
-               for s in _lift(t, goal, {}, 0, frozenset(), {})}
+        out += expander.H(grammar.start, pi, goal, top)
     return sort_proofs(out)

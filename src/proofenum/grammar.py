@@ -5,7 +5,6 @@ of a scheme against the grammar's productions."""
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -163,12 +162,15 @@ def enumerate_schemes(g: Grammar, max_height: int) -> List[Scheme]:
     """All schemes of height <= max_height derivable from the start
     nonterminal, canonically ordered."""
     return sort_proofs(_schemes(g.start, max_height, productions_by_lhs(g),
-                                {}))
+                                {}, {}))
 
 
 def _schemes(nt: int, h: int, by_lhs: Dict[int, List[Production]],
-             memo: dict) -> FrozenSet[Scheme]:
-    """Schemes of height <= h derivable from nt; memo maps (nt, h) to them."""
+             memo: dict, nodes: dict) -> FrozenSet[Scheme]:
+    """Schemes of height <= h derivable from nt; memo maps (nt, h) to
+    them.  Equal schemes are one object (hash-consing, Filliâtre &
+    Conchon, ML Workshop 2006): nodes maps the constructor and the ids of
+    a node's interned sub-schemes to the node, for one call."""
     if h <= 0:
         return frozenset()
     key = (nt, h)
@@ -178,12 +180,19 @@ def _schemes(nt: int, h: int, by_lhs: Dict[int, List[Production]],
     out: set = set()
     for p in by_lhs.get(nt, []):
         if p.kind == "spine":
-            choices = [_schemes(q, h - 1, by_lhs, memo) for q in p.premises]
-            out.update(Spine(p.head, tup) for tup in product(*choices))
-        else:
-            wrap = partial(LamTm, p.var) if p.kind == "forall" else \
-                partial(LamPf, p.head, p.annot)
-            out.update(map(wrap, _schemes(p.premises[0], h - 1, by_lhs, memo)))
+            subs = [_schemes(q, h - 1, by_lhs, memo, nodes)
+                    for q in p.premises]
+        else:  # one premise: no comprehension, which costs a frame
+            subs = [_schemes(p.premises[0], h - 1, by_lhs, memo, nodes)]
+        tag = (p.kind, p.head, p.var, p.annot and p.annot.key)
+        for tup in product(*subs):
+            k = (tag, *map(id, tup))
+            node = nodes.get(k)
+            if node is None:
+                node = nodes[k] = Spine(p.head, tup) if p.kind == "spine" \
+                    else LamTm(p.var, tup[0]) if p.kind == "forall" \
+                    else LamPf(p.head, p.annot, tup[0])
+            out.add(node)
     memo[key] = frozenset(out)
     return memo[key]
 

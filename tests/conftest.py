@@ -286,9 +286,9 @@ def reference_lift_table(raw, goal, target):
     built per premise: clean raw, flatten the normal form with goal,
     and send each hypothesis of target, through cleaning's merges, to
     the hypothesis of that flattening with its occurrence id.  The
-    first three of _lift's last four arguments, or None when the terms
-    prove target as they are.  The reference for the tables of lift
-    plans, which take occurrence ids by position."""
+    copies, n and tvars of the top that _lift_table returns, or None
+    when the terms prove target as they are.  The reference for the
+    tables of lift plans, which take occurrence ids by position."""
     merged = {}
     nf = flatten_det(normalize(raw, merged), goal)
     tmap, pmap = _renaming(nf, target)

@@ -205,9 +205,10 @@ def test_terms_equal_the_oracle_exactly():
         (parse_formula(FIG_FORMULA), 20), (d_family(2), 13),
         (parse_formula("((forall x. Q(x)) -> P) -> forall x. P(x) -> P(x)"),
          5),
-        # chain_30: 30 terms of 30 proof binders, each level of the one
-        # scheme lifting the binders of the level below
-        (parse_formula(" -> ".join(["P"] * 31)), 32)]
+        # chain_30 and chain_80: n terms of n proof binders, each level
+        # of the one scheme binding below the binders of the levels above
+        (parse_formula(" -> ".join(["P"] * 31)), 32),
+        (parse_formula(" -> ".join(["P"] * 81)), 82)]
     for goal, h in cases:
         want = oracle_enumerate(LJPlusSequent(NamedContext(), goal), h)
         assert list(map(render_proof, enumerate_terms(goal, h))) == \

@@ -206,3 +206,12 @@ def test_height_bounded_commands_ignore_cap_beyond_bound():
         assert code == 0
         assert (code, out) == run(argv)
         assert out.strip()
+
+
+def test_terms_of_deep_church_numerals():
+    # 297 terms (closed form h - 3), the deepest of height 300: no
+    # RecursionError, so not the exit code of input nested too deeply.
+    code, out = run(["terms", "--sysf", "forall X. X -> (X->X) -> X",
+                     "--max-height", "300"])
+    assert code == 0
+    assert len(out.splitlines()) == 297

@@ -11,6 +11,7 @@ from proofenum.grammar import (CapExceeded, Grammar, Nonterminal, NotPositive,
 from proofenum.ljb import LJBContext, LJBSequent
 from proofenum.ljplus import Spine, render_proof, term_height
 from proofenum.syntax import ensure_distinct_binders, parse_formula
+from proofenum.sysf import parse_sysf_type, phi
 
 from conftest import (FIG_FORMULA, corpus, d_family, fixpoint_is_inhabited,
                       random_formula, random_type)
@@ -193,3 +194,21 @@ def test_linear_emptiness_on_cycles_without_terminal_productions():
     verdicts = [is_inhabited(g) for g in grammars]
     assert verdicts == [fixpoint_is_inhabited(g) for g in grammars]
     assert 100 <= sum(verdicts) <= 400
+
+
+def test_equal_schemes_are_one_object():
+    # Schemes are hash-consed within one enumeration: every node is
+    # interned, so structurally equal sub-schemes are the same object
+    # and lookups keyed by schemes compare them by identity.
+    church = phi(parse_sysf_type("forall X. X -> (X->X) -> X"))
+    for goal, h in [(church, 40), (d_family(3), 11),
+                    (parse_formula(FIG_FORMULA), 20)]:
+        g = build_grammar(ensure_distinct_binders(goal), Session(),
+                          max_height=h)
+        by_id, todo = {}, list(enumerate_schemes(g, h))
+        while todo:
+            t = todo.pop()
+            if id(t) not in by_id:
+                by_id[id(t)] = t
+                todo.extend(t.args if isinstance(t, Spine) else (t.body,))
+        assert len(set(by_id.values())) == len(by_id) > 20
