@@ -74,8 +74,7 @@ def _cmd_schemes(args) -> int:
     if args.format == "json":
         print(json.dumps({"goal": render(goal),
                           "maxHeight": args.max_height,
-                          "schemes": [proof_to_json(s) for s in schemes]},
-                         indent=2))
+                          "schemes": [proof_to_json(s) for s in schemes]}))
     else:
         for s in schemes:
             print(render_proof(s))
@@ -95,7 +94,7 @@ def _cmd_terms(args) -> int:
             entries.append(entry)
         print(json.dumps({"goal": render(goal),
                           "maxHeight": args.max_height,
-                          "terms": entries}, indent=2))
+                          "terms": entries}))
     else:
         for t in terms:
             print(render_sysf_term(t) if args.sysf else render_proof(t))

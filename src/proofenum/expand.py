@@ -5,7 +5,7 @@ cleaning and funcH over a whole scheme."""
 
 from __future__ import annotations
 
-from itertools import chain, count, product
+from itertools import chain, product
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -145,13 +145,13 @@ class _Top:
         return _Top({**self.copies, pvar: entry}, self.n + 1,
                     self.tvars | goal.lhs.fvs)
 
-    def below(self, table: _Top) -> _Top:
-        """The top of the terms that table lifts into self's context."""
+    def below(self, table: Dict[str, List[str]]) -> _Top:
+        """The top of the terms that table (_copy_table) lifts into
+        self's context."""
         copies = {}
-        for pv, groups in table.copies.items():
+        for pv, mids in table.items():
             pairs: Dict[tuple, List[str]] = {}
-            for top_pvs, *f in (c for pvs, _, _ in groups for mid in pvs
-                                for c in self.copies[mid]):
+            for top_pvs, *f in (c for mid in mids for c in self.copies[mid]):
                 pairs.setdefault(tuple(f), []).extend(top_pvs)
             copies[pv] = tuple((tuple(pvs), *f) for f, pvs in pairs.items())
         return _Top(copies, self.n, self.tvars)
@@ -222,38 +222,43 @@ def funcF(u: ProofTerm, source: LJPlusSequent, target: LJPlusSequent,
 # ---------------------------------------------------------------------------
 # Expansion back across cleaning
 
-def _lift_table(src: Flat, merged: Dict[int, int],
-                target: Flat) -> Optional[_Top]:
-    """The top that lifts terms proving src onto target, or None when
-    they prove target as they are: a hypothesis of src has as copies the
-    hypotheses of target that cleaning, with the merges merged (see
-    normalize), sends to its occurrence.  Raises InvariantError when src
-    and target differ on an occurrence, or one of target's has none."""
-    tmap, pmap = _renaming(src, target)
-    if not (merged or tmap or pmap):
-        return None
-    pv_of = {fid: pv for fid, pv, _ in src.hyps}
-    pairs: Dict[str, List[Tuple[str, Formula]]] = {}
-    for fid, pv, f in target.hyps:
+def _copy_table(src: Sequence[int], merged: Dict[int, int],
+                dst: Sequence[int]) -> Dict[str, List[str]]:
+    """Where cleaning sends each occurrence: hypothesis h_j of a cleaned
+    context, whose occurrence ids are src in order, has as copies the
+    hypotheses h_i of the context before cleaning, whose ids are dst in
+    order, that cleaning, with the merges merged (see normalize), sends
+    to its occurrence.  Raises InvariantError when it sends one of dst's
+    to none of src's."""
+    at = {fid: j for j, fid in enumerate(src)}
+    table: Dict[str, List[str]] = {}
+    for i, fid in enumerate(dst):
         while fid in merged:
             fid = merged[fid]
-        if fid not in pv_of:
+        if fid not in at:
             raise InvariantError(f"cleaning sends no occurrence to {fid}")
-        pairs.setdefault(pv_of[fid], []).append((pv, f))
-    return _Top({nv: _copies(ps) for nv, ps in pairs.items()},
-                len(target.hyps), union_all(f.fvs for _, _, f in target.hyps))
+        table.setdefault(f"h{at[fid]}", []).append(f"h{i}")
+    return table
 
 
 def funcG(ctx: LJBContext, goal: Formula,
           terms: Sequence[ProofTerm]) -> List[ProofTerm]:
     """Lift terms proving the flattening of normalize(ctx) with goal
     back across cleaning to all the terms proving the flattening of
-    canon(ctx) whose cleaned images they are.  ctx is annotated."""
+    canon(ctx) whose cleaned images they are.  ctx is annotated.
+    Raises InvariantError when the two flattenings differ on an
+    occurrence."""
     nf, _, _, merged = premises(ctx, (goal,), merges=True)
-    top = _lift_table(flatten_det(nf, goal), merged,
-                      flatten_det(canon(ctx), goal))
-    if top is None:
+    src, dst = flatten_det(nf, goal), flatten_det(canon(ctx), goal)
+    tmap, pmap = _renaming(src, dst)
+    if not (merged or tmap or pmap):
         return list(terms)
+    formula = {pv: f for _, pv, f in dst.hyps}
+    table = _copy_table([fid for fid, _, _ in src.hyps], merged,
+                        [fid for fid, _, _ in dst.hyps])
+    top = _Top({pv: _copies((c, formula[c]) for c in cs)
+                for pv, cs in table.items()},
+               len(dst.hyps), union_all(f.fvs for f in formula.values()))
     return [t for u in terms for t in _lift(u, goal, top)]
 
 
@@ -261,37 +266,32 @@ def funcG(ctx: LJBContext, goal: Formula,
 # Expansion of a whole scheme along the grammar's productions
 
 class _Plan(Record):
-    """How a production's premises lift onto its left-hand side: premise
-    i's context is cleaned from the rule instance's (occurrence ids
-    fids, merges merged) and its table (_lift_table, kept in tables)
-    lifts onto targets[i].  pvar is what a spine exposes or R-> binds."""
-    __slots__ = ("production", "fids", "merged", "targets", "pvar",
-                 "tables")
+    """How a production's premises lift onto its left-hand side: table
+    (_copy_table) sends the proof variables of the premises' cleaned
+    context to their copies in the left-hand side's, or is None for the
+    identity.  pvar is what a spine exposes or R-> binds."""
+    __slots__ = ("production", "pvar", "table")
 
-    def __init__(self, production: Production, fids: Tuple[int, ...],
-                 merged: Dict[int, int], targets: Tuple[Flat, ...],
-                 pvar: Optional[str]):
+    def __init__(self, production: Production, pvar: Optional[str],
+                 table: Optional[Dict[str, List[str]]]):
         _set(self, "production", production)
-        _set(self, "fids", fids)
-        _set(self, "merged", merged)
-        _set(self, "targets", targets)
         _set(self, "pvar", pvar)
-        _set(self, "tables", {})
+        _set(self, "table", table)
 
 
 class _Expander:
     """The expansion of schemes along one grammar's productions, for one
     call: each term node is built once, in the top where it lives, and
     memoized with the sub-scheme, nonterminal, goal and top (Wells &
-    Yakobowski, LOPSTR 2004).  Each top is built once per (top, plan,
-    premise or goal), so keys meet, and each nonterminal is flattened
-    and planned once.  The lists are duplicate-free as built: distinct
-    plans differ at the root head, distinct copies are distinct heads."""
+    Yakobowski, LOPSTR 2004).  Each top is built once per (top, plan),
+    and R-> binds once per (top, plan, goal), so keys meet; each
+    nonterminal is planned once.  The lists are duplicate-free as built:
+    distinct plans differ at the root head, distinct copies are distinct
+    heads."""
 
     def __init__(self, grammar: Grammar) -> None:
         self._grammar = grammar
         self._by_lhs = productions_by_lhs(grammar)
-        self._flats: Dict[int, Flat] = {}
         self._plans: Dict[int, List[_Plan]] = {}
         self._terms: Dict[tuple, List[ProofTerm]] = {}
         self._tops: Dict[tuple, _Top] = {}
@@ -325,11 +325,14 @@ class _Expander:
                 heads = [((f"h{top.n}",), (goal.rhs,))]
                 inner = self._tops.get(k) or self._tops.setdefault(
                     k, top.bind(plan.pvar, goal))
+            if heads and plan.table is not None:
+                k = (inner, id(plan))
+                inner = self._tops.get(k) or self._tops.setdefault(
+                    k, inner.below(plan.table))
             for pvs, goals in heads:
                 choice_sets = []
-                for i, (q, sub) in enumerate(zip(p.premises, subschemes(pi))):
-                    terms = self.H(q, sub, goals[i],
-                                   self._top(plan, i, inner))
+                for q, sub, g in zip(p.premises, subschemes(pi), goals):
+                    terms = self.H(q, sub, g, inner)
                     if not terms:
                         break
                     choice_sets.append(terms)
@@ -341,58 +344,31 @@ class _Expander:
                             for pv in pvs for tup in tups)
         return out
 
-    def _flat(self, nt: int, fids: Iterable[int]) -> Flat:
-        """The flattening of nonterminal nt's sequent, built once, with
-        fids, in order, as the occurrence ids of its hypotheses."""
-        flat = self._flats.get(nt)
-        if flat is None:
-            seq = self._grammar.nonterminals[nt].sequent
-            flat = self._flats[nt] = flatten_det(seq.context, seq.goal)
-        return Flat(flat.goal, tuple((fid, pv, f) for fid, (_, pv, f)
-                                     in zip(fids, flat.hyps)))
-
     def _plans_of(self, nt: int) -> List[_Plan]:
         """The lift plans of nt's productions, one per rule instance of
         its annotated sequent.  Hypothesis h_i of a (canonical)
         nonterminal's flattening is the i-th occurrence of its context:
-        of the annotated one, or of the instance's cleaned premise one."""
+        of the annotated one, or of the instance's cleaned premise one,
+        and R-> adds h_n, which has no occurrence id (see rule_step)."""
         prods = self._by_lhs.get(nt, ())
         if not prods:
             return []
-        goal, hyps = self._flat(nt, count())
-        ctx = annotate(self._grammar.nonterminals[nt].sequent.context)
+        seq = self._grammar.nonterminals[nt].sequent
+        ctx = annotate(seq.context)
+        fids = tuple(chain.from_iterable(it.fids for it in ctx.items))
         plans = []
-        steps = rule_step(LJBSequent(ctx, goal), merges=True)
+        steps = rule_step(LJBSequent(ctx, seq.goal), merges=True)
         for p, (premise_ctx, _, exposed, merged) in zip(prods, steps):
-            pvar = None
+            pvar, dst = None, fids
             if p.kind == "spine":
-                _, pvar, f = hyps[exposed.fid]
-                goals = decompose_negative(f)[0]
-            elif p.kind == "forall":
-                goals = _bind(goal, union_all(f.fvs for _, _, f in hyps))[1:]
-            else:
-                pvar, goals = f"h{len(hyps)}", (goal.rhs,)
-                hyps += ((-1, pvar, goal.lhs),)  # see rule_step
-            plans.append(_Plan(p, tuple(chain.from_iterable(
-                it.fids for it in premise_ctx.items)), merged,
-                tuple(Flat(b, hyps) for b in goals), pvar))
+                pvar = f"h{exposed.fid}"
+            elif p.kind == "impl":
+                pvar, dst = f"h{len(fids)}", fids + (-1,)
+            src = tuple(chain.from_iterable(
+                it.fids for it in premise_ctx.items))
+            plans.append(_Plan(p, pvar, None if src == dst
+                               else _copy_table(src, merged, dst)))
         return plans
-
-    def _table(self, plan: _Plan, i: int) -> Optional[_Top]:
-        """The table of plan's premise i, built on first use."""
-        if i not in plan.tables:
-            src = self._flat(plan.production.premises[i], plan.fids)
-            plan.tables[i] = _lift_table(src, plan.merged, plan.targets[i])
-        return plan.tables[i]
-
-    def _top(self, plan: _Plan, i: int, top: _Top) -> _Top:
-        """The top of plan's premise i below the left-hand side's top."""
-        table = self._table(plan, i)
-        if table is None:
-            return top
-        key = (top, id(plan), i)
-        return self._tops.get(key) or self._tops.setdefault(
-            key, top.below(table))
 
 
 def funcH(session: Session, pi: Scheme, seq: LJBSequent) -> List[ProofTerm]:
@@ -402,11 +378,11 @@ def funcH(session: Session, pi: Scheme, seq: LJBSequent) -> List[ProofTerm]:
     the grammar bounded at pi's height, from that flattening's identity."""
     start = LJBSequent(annotate(seq.context), seq.goal)
     grammar = saturate(start, session, max_height=term_height(pi))
-    expander = _Expander(grammar)
-    hyps = expander._flat(grammar.start, count()).hyps
+    hyps = flatten_det(start.context, seq.goal).hyps
     top = _Top({pv: _copies(((pv, f),)) for _, pv, f in hyps}, len(hyps),
                union_all(f.fvs for _, _, f in hyps))
-    return sort_proofs(expander.H(grammar.start, pi, seq.goal, top))
+    return sort_proofs(_Expander(grammar).H(grammar.start, pi, seq.goal,
+                                            top))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple, Union
 
-from .syntax import (Atom, Forall, Formula, Impl, Record, _set, key_hash,
+from .syntax import (Atom, Formula, Impl, Record, _set, key_hash,
                      render, split_arrows, union_all)
 
 STEP_CAP = 10 ** 6
@@ -366,35 +366,6 @@ def _restructure(chain, final_level: LJBContext, final_idx: int) -> LJBContext:
     return canon(LJBContext((core,) + rest + (exposed,)))
 
 
-def apply_rforall(s: LJBSequent,
-                  merged: Optional[Dict[int, int]] = None) -> LJBSequent:
-    if not isinstance(s.goal, Forall):
-        raise InvariantError(f"R-forall needs a forall goal, got "
-                             f"{render(s.goal)}")
-    # normalize(LJBContext((Bracket(binds, ctx),))) from the normal ctx:
-    # the items free of the binds leave the bracket, which then holds a
-    # normal level and is dropped when empty
-    binds, ctx = s.goal.bvs, normalize(s.context, merged)
-    free, kept = [], []
-    for it in ctx.items:
-        (free if it.fvs.isdisjoint(binds) else kept).append(it)
-    if kept:
-        inner = _normal(tuple(kept)) if free else ctx
-        ctx = _normal(_insert(tuple(free), Bracket(binds, inner), merged))
-    return LJBSequent(ctx, s.goal.body)
-
-
-def apply_rimpl(s: LJBSequent,
-                merged: Optional[Dict[int, int]] = None) -> LJBSequent:
-    if not isinstance(s.goal, Impl):
-        raise InvariantError(f"R-impl needs an implication goal, got "
-                             f"{render(s.goal)}")
-    ctx = normalize(s.context, merged)
-    items = _insert(ctx.items, Fml(s.goal.lhs), merged)
-    return LJBSequent(ctx if items is ctx.items else _normal(items),
-                      s.goal.rhs)
-
-
 # The premises of one rule instance: (context, goals, exposed, merged),
 # their goals over one cleaned context, the ExposeEntry of a left rule
 # (None for a right rule), and cleaning's merges (see normalize) when
@@ -421,6 +392,18 @@ def rule_step(s: LJBSequent, merges: bool = False) -> List[Premises]:
         return [premises(e.restructured, e.args, merges, e)
                 for e in expose(s.context, s.goal)]
     merged = {} if merges else None
-    rule = apply_rforall if isinstance(s.goal, Forall) else apply_rimpl
-    premise = rule(s, merged)
-    return [(premise.context, (premise.goal,), None, merged)]
+    ctx = normalize(s.context, merged)
+    if isinstance(s.goal, Impl):
+        items = _insert(ctx.items, Fml(s.goal.lhs), merged)
+        return [(ctx if items is ctx.items else _normal(items),
+                 (s.goal.rhs,), None, merged)]
+    # R-forall, normalize(LJBContext((Bracket(binds, ctx),))) from the
+    # normal ctx: the items free of the binds leave the bracket, which
+    # then holds a normal level and is dropped when empty
+    binds, free, kept = s.goal.bvs, [], []
+    for it in ctx.items:
+        (free if it.fvs.isdisjoint(binds) else kept).append(it)
+    if kept:
+        inner = _normal(tuple(kept)) if free else ctx
+        ctx = _normal(_insert(tuple(free), Bracket(binds, inner), merged))
+    return [(ctx, (s.goal.body,), None, merged)]

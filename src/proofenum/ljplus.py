@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Tuple, Union)
 
 from .syntax import (Atom, Forall, Formula, NotNegative, Record, _set,
                      decompose_negative, fresh_name, match_formula,
@@ -96,12 +97,19 @@ def term_height(t: ProofTerm) -> int:
     return height
 
 
-def render_proof(t: ProofTerm, memo: Optional[Dict[int, str]] = None) -> str:
-    """The printed form of t.  With memo, the printed form of each spine
-    with arguments is also kept in memo under id(spine) and read back
-    from it, so a spine shared between the terms printed with one memo
-    is printed once.  A memo must not outlive the terms printed with
-    it."""
+def _binder(x: Union[LamTm, LamPf]) -> str:
+    return (f"\\{x.var}. " if type(x) is LamTm
+            else f"\\{x.pvar}:{render(x.annot)}. ")
+
+
+def render_proof(t: ProofTerm, memo: Optional[Dict[int, str]] = None,
+                 binder: Callable[[Union[LamTm, LamPf]], str] = _binder
+                 ) -> str:
+    """The printed form of t, with binder(x) as the text of each binder
+    node x.  With memo, the printed form of each spine with arguments is
+    also kept in memo under id(spine) and read back from it, so a spine
+    shared between the terms printed with one memo is printed once.  A
+    memo must not outlive the terms printed with it."""
     done: List[str] = []  # printed sub-terms, left to right
     todo: list = [t]
     while todo:
@@ -120,8 +128,7 @@ def render_proof(t: ProofTerm, memo: Optional[Dict[int, str]] = None) -> str:
             continue
         binders = ""
         while type(x) is not Spine:
-            binders += (f"\\{x.var}. " if type(x) is LamTm
-                        else f"\\{x.pvar}:{render(x.annot)}. ")
+            binders += binder(x)
             x = x.body
         if not x.args:
             text = x.head

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .ljplus import LamTm, ProofTerm, Spine
+from .ljplus import LamPf, LamTm, ProofTerm, render_proof
 from .syntax import (Atom, Forall, Formula, Impl, Record, SyntaxError_, Var,
                      _set, is_positive, parse_formula)
 
@@ -97,11 +97,10 @@ def render_sysf_term(t: ProofTerm) -> str:
     binders become (uppercase) type abstractions and proof binders keep
     their System F type annotations.  Spines need no type applications
     since instantiation happens at binding time."""
-    if isinstance(t, Spine):
-        if not t.args:
-            return t.head
-        return f"({t.head} {' '.join(render_sysf_term(a) for a in t.args)})"
-    if isinstance(t, LamTm):
-        return f"\\{_up(t.var)}. {render_sysf_term(t.body)}"
-    return (f"\\{t.pvar}:{render_type(unphi(t.annot))}. "
-            f"{render_sysf_term(t.body)}")
+    return render_proof(t, binder=_sysf_binder)
+
+
+def _sysf_binder(x: Union[LamTm, LamPf]) -> str:
+    if type(x) is LamTm:
+        return f"\\{_up(x.var)}. "
+    return f"\\{x.pvar}:{render_type(unphi(x.annot))}. "

@@ -215,3 +215,15 @@ def test_terms_of_deep_church_numerals():
                      "--max-height", "300"])
     assert code == 0
     assert len(out.splitlines()) == 297
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sysf_terms_print_deep_church_numerals(fmt):
+    # render_sysf_term prints through render_proof's explicit stack: a
+    # printer that recursed twice per level ran out of frames at height
+    # 400 (exit 2, input nested too deeply).
+    code, out = run(["terms", "--sysf", "forall X. X -> (X->X) -> X",
+                     "--max-height", "400", "--format", fmt])
+    assert code == 0
+    terms = json.loads(out)["terms"] if fmt == "json" else out.splitlines()
+    assert len(terms) == 397

@@ -6,12 +6,13 @@ from contextlib import contextmanager
 
 import pytest
 
+import conftest
 import proofenum.expand
 import proofenum.ljb
 import proofenum.syntax
 from proofenum import scheme_check
-from proofenum.expand import (Duplication, Flat, Session, _Expander,
-                              _lift_table, _Top, _renaming, enumerate_terms,
+from proofenum.expand import (Duplication, Flat, Session, _bind, _copy_table,
+                              _Expander, _Top, _renaming, enumerate_terms,
                               flatten_det, funcF, funcG, funcH)
 from proofenum.grammar import (build_grammar, enumerate_schemes,
                                productions_by_lhs)
@@ -21,8 +22,9 @@ from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
 from proofenum.ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext,
                               Spine, alpha_eq_sequent, check_proof,
                               oracle_enumerate, render_proof, term_height)
-from proofenum.syntax import (Atom, Forall, NotNegative,
-                              ensure_distinct_binders, parse_formula, render)
+from proofenum.syntax import (Atom, Forall, NotNegative, decompose_negative,
+                              ensure_distinct_binders, parse_formula, render,
+                              union_all)
 from proofenum.sysf import parse_sysf_type, phi
 
 from conftest import (FIG_FORMULA, SYSF_A1, SYSF_A2, alpha_set, corpus,
@@ -202,9 +204,12 @@ def test_funcG_rename_only_lift():
         assert [render_proof(t) for t in out] == [lifted]
         assert check_proof(NamedContext(tuple(
             (pv, f) for _, pv, f in raw.hyps)), out[0], goal)
-        # None only onto the normal form's own flattening
-        assert _lift_table(nf, {}, raw) is not None
-        assert _lift_table(nf, {}, nf) is None
+        # the identity only onto the normal form's own flattening
+        fids = [[fid for fid, _, _ in flat.hyps] for flat in (nf, raw)]
+        assert _copy_table(fids[0], {}, fids[1]) == \
+            {"h0": ["h2"], "h1": ["h0"], "h2": ["h1"]}
+        assert _copy_table(fids[0], {}, fids[0]) == \
+            {"h0": ["h0"], "h1": ["h1"], "h2": ["h2"]}
 
 
 def test_funcG_freshens_term_binders_free_in_the_context():
@@ -354,55 +359,88 @@ def test_expander_memo_lists_are_duplicate_free():
 def _raw_premises(grammar, nt, prods):
     """Per production of nt: the premise context of its rule instance
     before cleaning, built from nt's annotated sequent as saturation's
-    rules build it, the premise goals, and the hypotheses of the plan's
-    targets."""
+    rules build it, the premise goals, the targets the premises lift
+    onto (nt's flattening, with each premise goal in its coordinates)
+    and the proof variable a spine exposes or R-> binds."""
     seq = grammar.nonterminals[nt].sequent
     ctx, goal = annotate(seq.context), seq.goal
     hyps = flatten_det(ctx, goal).hyps
     if isinstance(goal, Atom):
-        entries = [expose(ctx, goal)[p.occurrence_id] for p in prods]
-        return [(e.restructured, e.args, hyps) for e in entries]
+        out = []
+        for p in prods:
+            e = expose(ctx, goal)[p.occurrence_id]
+            _, pvar, f = hyps[e.fid]
+            out.append((e.restructured, e.args, [
+                Flat(b, hyps) for b in decompose_negative(f)[0]], pvar))
+        return out
     if isinstance(goal, Forall):
-        return [(LJBContext((Bracket(goal.bvs, ctx),)), (goal.body,), hyps)]
+        body = _bind(goal, union_all(f.fvs for _, _, f in hyps))[1]
+        return [(LJBContext((Bracket(goal.bvs, ctx),)), (goal.body,),
+                 [Flat(body, hyps)], None)]
     n = len(hyps)
+    target = Flat(goal.rhs, hyps + ((n, f"h{n}", goal.lhs),))
     return [(LJBContext(ctx.items + (Fml(goal.lhs, n),)), (goal.rhs,),
-             hyps + ((n, f"h{n}", goal.lhs),))]
+             [target], f"h{n}")]
+
+
+def _reference_tables(grammar, nts=None):
+    """Per rule instance of each nonterminal of grammar (or of nts) that
+    has productions: its lift plan and, per premise, the reference's
+    copy table projected to proof variables (h_j -> sorted copies), or
+    None when the reference lifts by a term renaming alone or not at
+    all."""
+    expander = _Expander(grammar)
+    by_lhs = productions_by_lhs(grammar)
+    for nt in range(len(grammar.nonterminals)) if nts is None else nts:
+        prods = by_lhs.get(nt, [])
+        raws = _raw_premises(grammar, nt, prods) if prods else []
+        plans = expander._plans_of(nt)
+        assert len(plans) == len(raws)
+        for plan, (raw, args, targets, pvar) in zip(plans, raws):
+            assert plan.pvar == pvar
+            refs = []
+            for a, target in zip(args, targets, strict=True):
+                ref = reference_lift_table(raw, a, target)
+                table = None if ref is None else {
+                    pv: sorted(c for pvs, _, _ in copies for c in pvs)
+                    for pv, copies in ref[0].items()}
+                refs.append(table)
+            yield plan, refs
 
 
 def test_plan_tables_match_the_per_premise_reference():
-    # Lift plans clean each production's premise context once and take
-    # the premise nonterminal's flattening by position; the reference
-    # cleans and flattens the raw premise context for every premise.
+    # A lift plan takes one table of occurrence ids for all the premises
+    # of a production, from the positions of its cleaned premise
+    # context; the reference cleans and flattens the raw premise context
+    # for every premise, and checks that its flattening and the target
+    # are alpha-equivalent.
     rng = random.Random(4242)
     goals = [(g, None) for g in corpus()] + [
         (d_family(3), 11), (d_family(4), 9), (d_family(5), 9)]
     goals += [(random_type(rng) if i % 4 == 3 else random_formula(rng), 8)
               for i in range(300)]
-    tables = lifted = merging = 0
+    tables = lifted = merging = renamed = 0
     for goal, h in goals:
         grammar = build_grammar(goal, Session(), max_height=h)
-        expander = _Expander(grammar)
-        by_lhs = productions_by_lhs(grammar)
-        for nt in range(len(grammar.nonterminals)):
-            prods = by_lhs.get(nt, [])
-            raws = _raw_premises(grammar, nt, prods) if prods else []
-            plans = expander._plans_of(nt)
-            assert len(plans) == len(raws)
-            for plan, (raw, args, hyps) in zip(plans, raws):
-                for i, (target, a) in enumerate(
-                        zip(plan.targets, args, strict=True)):
-                    table = expander._table(plan, i)
-                    ref = reference_lift_table(raw, a,
-                                               Flat(target.goal, hyps))
-                    assert (None if table is None else (
-                        table.copies, table.n, table.tvars)) == ref
-                    tables += 1
-                    lifted += table is not None
-                    merging += table is not None and sum(
-                        len(pvs) for copies in table.copies.values()
-                        for pvs, _, _ in copies) > len(table.copies)
-    # premises; lifted premises; lifted premises with merged copies
-    assert (tables, lifted, merging) == (2478, 455, 43)
+        for plan, refs in _reference_tables(grammar):
+            table = plan.table and {pv: sorted(cs)
+                                    for pv, cs in plan.table.items()}
+            for ref in refs:
+                if ref is not None and all(
+                        cs == [pv] for pv, cs in ref.items()):
+                    # terms in the goal's coordinates need no renaming
+                    # of term variables
+                    renamed += 1
+                    ref = None
+                assert table == ref
+                tables += 1
+                lifted += table is not None
+                merging += table is not None and sum(
+                    len(cs) for cs in table.values()) > len(table)
+    # premises; lifted premises; lifted premises with merged copies;
+    # premises the reference lifts by a term renaming alone (lifted
+    # too when tables came from the reference: 455 in all)
+    assert (tables, lifted, merging, renamed) == (2478, 428, 43, 27)
 
 
 @contextmanager
@@ -419,6 +457,7 @@ def counting(monkeypatch, module, name):
         return orig(*args)
 
     with monkeypatch.context() as m:
+        m.setattr(module, name, wrapper)
         for mod_name, mod in list(sys.modules.items()):
             if (mod_name.split(".")[0] == "proofenum"
                     and vars(mod).get(name) is orig):
@@ -443,24 +482,23 @@ def test_enumerate_terms_cleans_each_production_at_most_twice(monkeypatch):
 
 def test_saturation_keeps_no_cleaning_trace(monkeypatch):
     # Saturation needs only normal forms; the small-step chain and its
-    # trace are built for expansion's lift plans alone.
+    # trace are the reference for the tests and for bench/tracing.py.
     with counting(monkeypatch, proofenum.ljb, "normalize_chain") as calls:
         g = build_grammar(d_family(4), Session())
     assert len(g.nonterminals) == 1054
     assert calls == []
 
 
-def test_expansion_flattens_each_nonterminal_once(monkeypatch):
-    # Lift plans take a premise's flattening from its nonterminal, by
-    # position, so no flattening is built twice in one call; and only
-    # once the premise has terms, so only nonterminals that expansion
-    # reaches with productions are flattened.
-    for goal, h, flattened in [(d_family(5), 9, 27), (d_family(3), 11, 59),
-                               (phi(parse_sysf_type(SYSF_A2)), 24, 10)]:
+def test_expansion_flattens_no_sequent(monkeypatch):
+    # Lift plans are occurrence ids alone: a premise's table sends each
+    # occurrence of the left-hand side to its position in the cleaned
+    # premise context, so expansion builds no flattening (it built one
+    # per nonterminal it reached with productions: 27, 59 and 10 here).
+    for goal, h in [(d_family(5), 9), (d_family(3), 11),
+                    (phi(parse_sysf_type(SYSF_A2)), 24)]:
         with counting(monkeypatch, proofenum.expand, "flatten_det") as calls:
-            enumerate_terms(goal, h)
-        sequents = {(c.key, g.key) for c, g in calls}
-        assert len(calls) == len(sequents) == flattened
+            assert enumerate_terms(goal, h)
+        assert calls == []
         # saturation exposes a context once, and expansion once more
         with counting(monkeypatch, proofenum.ljb, "expose") as exposed:
             enumerate_terms(goal, h)
@@ -503,14 +541,24 @@ def test_lift_names_proof_binders_without_a_search(monkeypatch):
 
 
 def test_renaming_matches_equal_formulas_without_walking(monkeypatch):
-    # Every pair _renaming compares on D_4 at height 9 is one formula
-    # twice, so the matcher answers each in one entry without walking
-    # it (the walk made 1,686 entries).
+    # enumerate_terms matches no formulas: its lift plans compare no
+    # flattenings.  Every pair the reference's alpha-equivalence check
+    # compares on the nonterminals that expansion of D_4 at height 9
+    # reaches is one formula twice, so the matcher answers each in one
+    # entry without walking it (the walk made 1,686 entries).
     with counting(monkeypatch, proofenum.syntax, "match_formula") as calls, \
-            counting(monkeypatch, proofenum.expand, "_renaming") as plans:
+            counting(monkeypatch, proofenum.expand, "_renaming") as pairs:
         enumerate_terms(d_family(4), 9)
-    assert sum(len(src.hyps) + 1 for src, _ in plans) == 62
-    assert len(calls) == 62
+    assert calls == pairs == []
+    grammar = build_grammar(d_family(4), Session(), max_height=9)
+    expander, top = _Expander(grammar), _Top({}, 0, frozenset())
+    for pi in enumerate_schemes(grammar, 9):
+        expander.H(grammar.start, pi, d_family(4), top)
+    with counting(monkeypatch, proofenum.syntax, "match_formula") as calls, \
+            counting(monkeypatch, conftest, "_renaming") as pairs:
+        for _ in _reference_tables(grammar, expander._plans):
+            pass
+    assert sum(len(src.hyps) + 1 for src, _ in pairs) == len(calls) == 126
 
 
 def test_relabel_rejects_non_matching_flattenings():

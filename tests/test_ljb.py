@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
-                           LJBSequent, _restructure, annotate, apply_rforall,
-                           apply_rimpl, canon, expose, merge_pairs, normalize,
-                           normalize_chain, render_ljb_sequent, MergeStep)
+from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent,
+                           _restructure, annotate, canon, expose,
+                           merge_pairs, normalize, normalize_chain,
+                           render_ljb_sequent, rule_step, MergeStep)
 from proofenum.grammar import scheme_check
 from proofenum.ljplus import LamPf, LamTm, Spine
 from proofenum.expand import Session
@@ -182,26 +182,25 @@ def test_expose_restructure_releases_innermost():
     assert got == "R(y), R(y) -> Q, [P(x), [S]_{x}]_{y}"
 
 
+def right_rule(s):
+    """The premise of the one rule instance rule_step finds for s, whose
+    goal is not atomic: the premise of R-forall or R-impl."""
+    [(ctx, (goal,), exposed, merged)] = rule_step(s)
+    assert exposed is None and merged is None
+    return LJBSequent(ctx, goal)
+
+
 def test_rforall_brackets_whole_context():
     s = LJBSequent(LJBContext((fml("P(y) -> Q"),)),
                    parse_formula("forall y. Q"))
-    out = apply_rforall(s)
+    out = right_rule(s)
     assert render_ljb_sequent(out) == "[P(y) -> Q]_{y} |- Q"
 
 
 def test_rimpl_extends_and_normalizes():
     s = LJBSequent(LJBContext((fml("P"),)), parse_formula("P -> Q"))
-    out = apply_rimpl(s)
+    out = right_rule(s)
     assert render_ljb_sequent(out) == "P |- Q"  # duplicate P merged
-
-
-def test_right_rules_reject_other_goals():
-    # saturation dispatches on the goal first, so a wrong goal is a bug
-    s = LJBSequent(LJBContext((fml("P"),)), parse_formula("P"))
-    with pytest.raises(InvariantError):
-        apply_rforall(s)
-    with pytest.raises(InvariantError):
-        apply_rimpl(s)
 
 
 def test_scheme_check_simple():
@@ -294,7 +293,7 @@ def test_rimpl_inserts_into_the_normal_level():
         tops = [it.formula for it in ctx.items if isinstance(it, Fml)]
         for lhs in [parse_formula(rng.choice(_GOAL_PARTS))] + tops[:2]:
             s = LJBSequent(ctx, parse_formula(f"({render(lhs)}) -> Q"))
-            got, want = apply_rimpl(s), _rimpl_by_cleaning(s)
+            got, want = right_rule(s), _rimpl_by_cleaning(s)
             assert got == want and repr(got) == repr(want)
             assert got.context.normal and canon(got.context) is got.context
             if lhs in tops:
@@ -324,7 +323,7 @@ def test_rforall_splits_the_level_once():
                 cases.append(normalize(LJBContext(ctx.items + (twin,))))
             for c in cases:
                 s = LJBSequent(c, goal)
-                got, want = apply_rforall(s), _rforall_by_cleaning(s)
+                got, want = right_rule(s), _rforall_by_cleaning(s)
                 assert got == want and repr(got) == repr(want)
                 assert got.context.normal
                 assert canon(got.context) is got.context
@@ -343,9 +342,9 @@ def test_right_rules_keep_the_twin_that_sorts_first():
     # the twin already in the context sorts after the new item, whose
     # id is -1 (or whose ids are smaller), so the new item replaces it
     ctx = normalize(LJBContext((fml("P", 3), fml("Q", 1))))
-    out = apply_rimpl(LJBSequent(ctx, parse_formula("P -> Q"))).context
+    out = right_rule(LJBSequent(ctx, parse_formula("P -> Q"))).context
     assert [it.fids for it in out.items] == [(-1,), (1,)]
-    out = apply_rimpl(LJBSequent(out, parse_formula("P -> Q"))).context
+    out = right_rule(LJBSequent(out, parse_formula("P -> Q"))).context
     assert [it.fids for it in out.items] == [(-1,), (1,)]
     # P(x) goes into a bracket that ties with [P(x)]_{x}, whose id is 5
     twin = bracket("x", fml("P(x)", 5))
@@ -353,7 +352,7 @@ def test_right_rules_keep_the_twin_that_sorts_first():
     for fid, want in [(0, (0,)), (9, (5,))]:
         s = LJBSequent(normalize(LJBContext((fml("P(x)", fid), twin))),
                        goal)
-        out = apply_rforall(s)
+        out = right_rule(s)
         assert out == _rforall_by_cleaning(s)
         assert [it.fids for it in out.context.items] == [want]
 
