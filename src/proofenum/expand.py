@@ -17,8 +17,8 @@ from .ljb import (Fml, InvariantError, LJBContext, LJBSequent, annotate,
 from .ljplus import (LamPf, LamTm, LJPlusSequent, ProofTerm, Spine,
                      sort_proofs, term_height)
 from .syntax import (Formula, NotNegative, Record, _set, all_names,
-                     decompose_negative, ensure_distinct_binders, fresh_name,
-                     is_negative, match_formula, rename, render, union_all)
+                     decompose_negative, fresh_name, is_negative,
+                     match_formula, rename, render, union_all)
 
 Scheme = ProofTerm
 
@@ -248,7 +248,7 @@ def funcG(ctx: LJBContext, goal: Formula,
     canon(ctx) whose cleaned images they are.  ctx is annotated.
     Raises InvariantError when the two flattenings differ on an
     occurrence."""
-    nf, _, _, merged = premises(ctx, (goal,), merges=True)
+    nf, _, _, merged = premises(ctx, (goal,))
     src, dst = flatten_det(nf, goal), flatten_det(canon(ctx), goal)
     tmap, pmap = _renaming(src, dst)
     if not (merged or tmap or pmap):
@@ -346,26 +346,20 @@ class _Expander:
 
     def _plans_of(self, nt: int) -> List[_Plan]:
         """The lift plans of nt's productions, one per rule instance of
-        its annotated sequent.  Hypothesis h_i of a (canonical)
-        nonterminal's flattening is the i-th occurrence of its context:
-        of the annotated one, or of the instance's cleaned premise one,
-        and R-> adds h_n, which has no occurrence id (see rule_step)."""
+        its sequent.  Hypothesis h_i of a (canonical) nonterminal's
+        flattening is the i-th occurrence of its context, or of the
+        instance's cleaned premise context, and R-> adds h_n."""
         prods = self._by_lhs.get(nt, ())
         if not prods:
             return []
         seq = self._grammar.nonterminals[nt].sequent
-        ctx = annotate(seq.context)
-        fids = tuple(chain.from_iterable(it.fids for it in ctx.items))
+        fids = tuple(chain.from_iterable(it.fids for it in seq.context.items))
         plans = []
-        steps = rule_step(LJBSequent(ctx, seq.goal), merges=True)
-        for p, (premise_ctx, _, exposed, merged) in zip(prods, steps):
-            pvar, dst = None, fids
-            if p.kind == "spine":
-                pvar = f"h{exposed.fid}"
-            elif p.kind == "impl":
-                pvar, dst = f"h{len(fids)}", fids + (-1,)
+        for p, (premise_ctx, _, hyp, merged) in zip(prods, rule_step(seq)):
+            dst = fids + (hyp.fid,) if p.kind == "impl" else fids
             src = tuple(chain.from_iterable(
                 it.fids for it in premise_ctx.items))
+            pvar = None if hyp is None else f"h{dst.index(hyp.fid)}"
             plans.append(_Plan(p, pvar, None if src == dst
                                else _copy_table(src, merged, dst)))
         return plans
@@ -394,8 +388,7 @@ def enumerate_terms(goal: Formula, max_height: int,
     height <= max_height, via the scheme grammar.  The terms prove goal
     as given: the grammar works on a copy with distinct binders, and
     expansion builds each term straight onto goal."""
-    grammar = build_grammar(ensure_distinct_binders(goal), Session(), cap,
-                            max_height)
+    grammar = build_grammar(goal, Session(), cap, max_height)
     expander, top, out = _Expander(grammar), _Top({}, 0, frozenset()), []
     for pi in enumerate_schemes(grammar, max_height):
         out += expander.H(grammar.start, pi, goal, top)

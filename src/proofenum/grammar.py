@@ -11,7 +11,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .ljb import LJBContext, LJBSequent, render_ljb_sequent, rule_step
 from .ljplus import (LamPf, LamTm, ProofTerm, Spine, sort_proofs,
                      term_height)
-from .syntax import (Forall, Formula, Record, _set,
+from .syntax import (Atom, Forall, Formula, Record, _set,
                      ensure_distinct_binders, is_positive, render)
 
 Scheme = ProofTerm
@@ -81,9 +81,9 @@ def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP,
 def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
              max_height: Optional[int] = None) -> Grammar:
     """The grammar of the sequents reachable from start_seq, as in
-    build_grammar: one production per rule instance of rule_step, on
-    the contexts as they are (no occurrence ids, no merges recorded),
-    with the cleaned premise sequents as its premises."""
+    build_grammar: one production per rule instance of rule_step, with
+    the cleaned premise sequents as its premises.  A nonterminal keeps
+    the sequent it was first reached with, occurrence ids included."""
     ids: Dict[Tuple[str, str], int] = {}
     nts: List[Nonterminal] = []
     prods: List[Production] = []
@@ -108,13 +108,13 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
             break  # FIFO: every later entry is at least as deep
         depth += 1  # of the premises
         goal = nt.sequent.goal
-        for ctx, goals, exposed, _ in rule_step(nt.sequent):
+        for ctx, goals, hyp, _ in rule_step(nt.sequent):
             premises = tuple([intern(ctx, a, depth) for a in goals])
-            if exposed is not None:
+            if isinstance(goal, Atom):
                 prods.append(Production(
                     lhs=nt.id, kind="spine", premises=premises,
-                    head=session.canonical_var(exposed.formula),
-                    occurrence_id=exposed.occurrence_id))
+                    head=session.canonical_var(hyp.formula),
+                    occurrence_id=hyp.occurrence_id))
             elif isinstance(goal, Forall):
                 prods.append(Production(lhs=nt.id, kind="forall",
                                         premises=premises, var=goal.var))

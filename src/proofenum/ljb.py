@@ -202,18 +202,6 @@ def apply_step(ctx: LJBContext, step: CleaningStep) -> LJBContext:
     return canon(_rebuild(ctx, step.parent, fn))
 
 
-def merge_pairs(ctx: LJBContext, step: MergeStep) -> List[Tuple[int, int]]:
-    """(dropped fid, kept fid) pairs for a merge step on ctx."""
-    level = ctx
-    for idx in step.parent:
-        level = level.items[idx].inner
-    kept = level.items[step.keep].fids
-    dropped = level.items[step.drop].fids
-    if len(kept) != len(dropped):
-        raise InvariantError("merged items have different occurrence counts")
-    return list(zip(dropped, kept))
-
-
 def normalize_chain(ctx: LJBContext):
     """Small-step normalization under the fixed strategy.
 
@@ -291,7 +279,7 @@ _normal = partial(LJBContext, normal=True)
 
 
 def _insert(items: Tuple[Item, ...], item: Item,
-            merged: Optional[Dict[int, int]] = None) -> Tuple[Item, ...]:
+            merged: Dict[int, int]) -> Tuple[Item, ...]:
     """The items of normalize(LJBContext(items + (item,)), merged) for
     the items of a normal level and a clean item: item goes where it
     sorts and, as in normalize, of two items with one key the one that
@@ -304,8 +292,7 @@ def _insert(items: Tuple[Item, ...], item: Item,
     if i == len(items) or items[i].key != item.key:
         return items[:i] + (item,) + items[i:]
     kept, dropped = sorted((items[i], item), key=_canon_key)
-    if merged is not None:
-        merged.update(zip(dropped.fids, kept.fids))
+    merged.update(zip(dropped.fids, kept.fids))
     return items if kept is items[i] else items[:i] + (item,) + items[i + 1:]
 
 
@@ -366,37 +353,41 @@ def _restructure(chain, final_level: LJBContext, final_idx: int) -> LJBContext:
     return canon(LJBContext((core,) + rest + (exposed,)))
 
 
-# The premises of one rule instance: (context, goals, exposed, merged),
-# their goals over one cleaned context, the ExposeEntry of a left rule
-# (None for a right rule), and cleaning's merges (see normalize) when
-# they were asked for, else None.
-Premises = Tuple[LJBContext, Tuple[Formula, ...], Optional[ExposeEntry],
-                 Optional[Dict[int, int]]]
+# The premises of one rule instance: (context, goals, hyp, merged),
+# their goals over one cleaned context, the hypothesis the rule acts on
+# (the ExposeEntry of a left rule, the new Fml of R-impl, None for
+# R-forall) and cleaning's merges (see normalize).
+Premises = Tuple[LJBContext, Tuple[Formula, ...],
+                 Union[ExposeEntry, Fml, None], Dict[int, int]]
 
 
-def premises(raw: LJBContext, goals: Tuple[Formula, ...], merges: bool,
-             exposed: Optional[ExposeEntry] = None) -> Premises:
+def premises(raw: LJBContext, goals: Tuple[Formula, ...],
+             hyp: Optional[ExposeEntry] = None) -> Premises:
     """The premises with goals over the context raw before cleaning."""
-    merged = {} if merges else None
-    return normalize(raw, merged), goals, exposed, merged
+    merged: Dict[int, int] = {}
+    return normalize(raw, merged), goals, hyp, merged
 
 
-def rule_step(s: LJBSequent, merges: bool = False) -> List[Premises]:
+def rule_step(s: LJBSequent) -> List[Premises]:
     """The premises of every rule instance with conclusion s, in the
     order of the grammar's productions: one left rule per occurrence
     that expose finds for an atomic goal, else the one right rule.  The
-    premise context of each instance is cleaned once, and with merges
-    each instance records cleaning's merges in a dict of its own.  The
-    hypothesis R-impl adds has no occurrence id (-1)."""
+    premise context of each instance is cleaned once, and each instance
+    records cleaning's merges in a dict of its own.  The hypothesis
+    R-impl adds has occurrence id 1 + the largest of s's context (0 for
+    none), so a context whose ids are distinct has premises whose ids
+    are distinct."""
     if isinstance(s.goal, Atom):
-        return [premises(e.restructured, e.args, merges, e)
+        return [premises(e.restructured, e.args, e)
                 for e in expose(s.context, s.goal)]
-    merged = {} if merges else None
+    merged: Dict[int, int] = {}
     ctx = normalize(s.context, merged)
     if isinstance(s.goal, Impl):
-        items = _insert(ctx.items, Fml(s.goal.lhs), merged)
+        hyp = Fml(s.goal.lhs, 1 + max(itertools.chain.from_iterable(
+            it.fids for it in s.context.items), default=-1))
+        items = _insert(ctx.items, hyp, merged)
         return [(ctx if items is ctx.items else _normal(items),
-                 (s.goal.rhs,), None, merged)]
+                 (s.goal.rhs,), hyp, merged)]
     # R-forall, normalize(LJBContext((Bracket(binds, ctx),))) from the
     # normal ctx: the items free of the binds leave the bracket, which
     # then holds a normal level and is dropped when empty

@@ -4,10 +4,11 @@ alpha-equivalence, the reference renaming of proof-terms and copy
 tables, and helpers that only the tests use."""
 
 import itertools
+import random
 
 from proofenum.expand import _copies, _renaming, flatten_det
-from proofenum.ljb import (Bracket, Fml, LJBContext, apply_step, canon,
-                           normalize)
+from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
+                           apply_step, canon, normalize)
 from proofenum.ljplus import (IllFormed, LamPf, LamTm, LJPlusSequent,
                               NamedContext, Spine, check_proof,
                               oracle_enumerate, render_proof)
@@ -103,6 +104,13 @@ def random_type(rng):
     return phi(parse_sysf_type(binders + " -> ".join(hyps + [scope[0]])))
 
 
+def seeded_goals(count=300):
+    """count random goals from one seed, every fourth a System F type."""
+    rng = random.Random(4242)
+    return [random_type(rng) if i % 4 == 3 else random_formula(rng)
+            for i in range(count)]
+
+
 def alpha_set(terms):
     return frozenset(render_proof(alpha_normalize(t)) for t in terms)
 
@@ -126,6 +134,19 @@ def replay(ctx, trace):
         cur = apply_step(cur, step)
         chain.append(cur)
     return chain
+
+
+def merge_pairs(ctx, step):
+    """(dropped fid, kept fid) pairs for a merge step on ctx: the
+    reference for the merges normalize records."""
+    level = ctx
+    for idx in step.parent:
+        level = level.items[idx].inner
+    kept = level.items[step.keep].fids
+    dropped = level.items[step.drop].fids
+    if len(kept) != len(dropped):
+        raise InvariantError("merged items have different occurrence counts")
+    return list(zip(dropped, kept))
 
 
 def random_context(rng, budget, depth=0):

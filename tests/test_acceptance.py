@@ -9,16 +9,16 @@ from proofenum.expand import (Duplication, Session, _renaming,
                               funcH)
 from proofenum.grammar import build_grammar, enumerate_schemes
 from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent, MergeStep,
-                           annotate, canon, merge_pairs, normalize,
-                           normalize_chain)
+                           annotate, canon, normalize, normalize_chain)
 from proofenum.ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext,
                               Spine, check_proof, oracle_enumerate,
                               render_proof, term_height)
 from proofenum.syntax import (ensure_distinct_binders, parse_formula, render)
 
 from conftest import (FIG_FORMULA, SYSF_A1, SYSF_A2, alpha_set, corpus,
-                      d_family, erase_formulas, is_normal, oracle_set,
-                      random_context, reference_rename_proof, shape_ok)
+                      d_family, erase_formulas, is_normal, merge_pairs,
+                      oracle_set, random_context, reference_rename_proof,
+                      shape_ok)
 from proofenum.sysf import parse_sysf_type, phi
 
 

@@ -1,5 +1,4 @@
 import gc
-import random
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -28,8 +27,8 @@ from proofenum.syntax import (Atom, Forall, NotNegative, decompose_negative,
 from proofenum.sysf import parse_sysf_type, phi
 
 from conftest import (FIG_FORMULA, SYSF_A1, SYSF_A2, alpha_set, corpus,
-                      d_family, oracle_set, random_formula, random_type,
-                      reference_lift_table)
+                      d_family, oracle_set, reference_lift_table,
+                      seeded_goals)
 
 
 def test_canonical_var_registry():
@@ -414,11 +413,9 @@ def test_plan_tables_match_the_per_premise_reference():
     # context; the reference cleans and flattens the raw premise context
     # for every premise, and checks that its flattening and the target
     # are alpha-equivalent.
-    rng = random.Random(4242)
     goals = [(g, None) for g in corpus()] + [
         (d_family(3), 11), (d_family(4), 9), (d_family(5), 9)]
-    goals += [(random_type(rng) if i % 4 == 3 else random_formula(rng), 8)
-              for i in range(300)]
+    goals += [(g, 8) for g in seeded_goals()]
     tables = lifted = merging = renamed = 0
     for goal, h in goals:
         grammar = build_grammar(goal, Session(), max_height=h)
@@ -503,6 +500,16 @@ def test_expansion_flattens_no_sequent(monkeypatch):
         with counting(monkeypatch, proofenum.ljb, "expose") as exposed:
             enumerate_terms(goal, h)
         assert max(Counter((c.key, a.key) for c, a in exposed).values()) == 2
+
+
+def test_expansion_annotates_no_context(monkeypatch):
+    # Grammar contexts carry distinct occurrence ids as built, so lift
+    # plans read them from the nonterminals' own sequents.
+    for goal, h in [(d_family(5), 9), (d_family(3), 11),
+                    (phi(parse_sysf_type(SYSF_A2)), 24)]:
+        with counting(monkeypatch, proofenum.ljb, "annotate") as calls:
+            assert enumerate_terms(goal, h)
+        assert calls == []
 
 
 def test_calls_leave_no_cyclic_garbage():

@@ -14,7 +14,7 @@ from proofenum.syntax import ensure_distinct_binders, parse_formula
 from proofenum.sysf import parse_sysf_type, phi
 
 from conftest import (FIG_FORMULA, corpus, d_family, fixpoint_is_inhabited,
-                      random_formula, random_type)
+                      random_formula, random_type, seeded_goals)
 
 
 def test_not_positive_rejected():
@@ -109,6 +109,23 @@ def test_height_bound_gives_prefix_of_full_grammar():
             assert g.nonterminals == full.nonterminals[:len(g.nonterminals)]
             assert g.productions == full.productions[:len(g.productions)]
             assert enumerate_schemes(g, h) == enumerate_schemes(full, h)
+
+
+def test_grammar_contexts_have_distinct_occurrence_ids():
+    # R-impl gives its hypothesis an id above every id of the context,
+    # and the other rules only move or drop occurrences, so each context
+    # the grammar reaches holds every id at most once.
+    goals = corpus() + [d_family(k) for k in range(2, 6)] + seeded_goals()
+    contexts = 0
+    for goal in goals:
+        for h in (None, 8):
+            g = build_grammar(goal, Session(), max_height=h)
+            for nt in g.nonterminals:
+                fids = [f for it in nt.sequent.context.items
+                        for f in it.fids]
+                assert len(set(fids)) == len(fids)
+                contexts += len(fids) > 1
+    assert contexts > 5000
 
 
 def test_height_bound_limits_saturation():

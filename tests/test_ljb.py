@@ -3,16 +3,16 @@ import random
 import pytest
 
 from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent,
-                           _restructure, annotate, canon, expose,
-                           merge_pairs, normalize, normalize_chain,
-                           render_ljb_sequent, rule_step, MergeStep)
+                           _restructure, annotate, canon, expose, normalize,
+                           normalize_chain, render_ljb_sequent, rule_step,
+                           MergeStep)
 from proofenum.grammar import scheme_check
 from proofenum.ljplus import LamPf, LamTm, Spine
 from proofenum.expand import Session
-from proofenum.syntax import parse_formula, render, split_arrows
+from proofenum.syntax import Forall, parse_formula, render, split_arrows
 
-from conftest import (erase_formulas, is_normal, random_context,
-                      render_context, replay)
+from conftest import (erase_formulas, is_normal, merge_pairs,
+                      random_context, render_context, replay)
 
 
 def fml(text, fid=-1):
@@ -182,11 +182,19 @@ def test_expose_restructure_releases_innermost():
     assert got == "R(y), R(y) -> Q, [P(x), [S]_{x}]_{y}"
 
 
+def _next_fid(ctx):
+    """The occurrence id of the hypothesis R-impl adds to ctx."""
+    return 1 + max((f for it in ctx.items for f in it.fids), default=-1)
+
+
 def right_rule(s):
     """The premise of the one rule instance rule_step finds for s, whose
-    goal is not atomic: the premise of R-forall or R-impl."""
-    [(ctx, (goal,), exposed, merged)] = rule_step(s)
-    assert exposed is None and merged is None
+    goal is not atomic: the premise of R-forall or R-impl.  R-impl acts
+    on the hypothesis it adds, R-forall on none."""
+    [(ctx, (goal,), hyp, merged)] = rule_step(s)
+    assert isinstance(merged, dict)
+    assert hyp == (None if isinstance(s.goal, Forall)
+                   else Fml(s.goal.lhs, _next_fid(s.context)))
     return LJBSequent(ctx, goal)
 
 
@@ -233,7 +241,8 @@ def test_scheme_check_forall():
 
 
 def _rimpl_by_cleaning(s):
-    extended = LJBContext(s.context.items + (Fml(s.goal.lhs),))
+    extended = LJBContext(s.context.items
+                          + (Fml(s.goal.lhs, _next_fid(s.context)),))
     return LJBSequent(normalize(extended), s.goal.rhs)
 
 
@@ -288,7 +297,7 @@ _GOAL_PARTS = ["Q", "P", "P(x)", "R(x, y)", "P(z) -> Q", "R(w) -> Q"]
 
 def test_rimpl_inserts_into_the_normal_level():
     rng = random.Random(12)
-    replaced = kept = 0
+    kept = 0
     for ctx in _random_normal_contexts(13, 300):
         tops = [it.formula for it in ctx.items if isinstance(it, Fml)]
         for lhs in [parse_formula(rng.choice(_GOAL_PARTS))] + tops[:2]:
@@ -297,13 +306,11 @@ def test_rimpl_inserts_into_the_normal_level():
             assert got == want and repr(got) == repr(want)
             assert got.context.normal and canon(got.context) is got.context
             if lhs in tops:
-                # the new item has id -1: it stays only if the twin
-                # it ties with has a larger id
-                if got.context is ctx:
-                    kept += 1
-                else:
-                    replaced += 1
-    assert kept >= 100 and replaced >= 100
+                # the new item's id is above every id of ctx, so the
+                # twin it ties with sorts first and stays
+                assert got.context is ctx
+                kept += 1
+    assert kept >= 100
 
 
 def test_rforall_splits_the_level_once():
@@ -339,13 +346,19 @@ def test_rforall_splits_the_level_once():
 
 
 def test_right_rules_keep_the_twin_that_sorts_first():
-    # the twin already in the context sorts after the new item, whose
-    # id is -1 (or whose ids are smaller), so the new item replaces it
+    # the item R-impl adds has id 1 + the largest of the context, so
+    # the twin already there sorts first and stays
     ctx = normalize(LJBContext((fml("P", 3), fml("Q", 1))))
     out = right_rule(LJBSequent(ctx, parse_formula("P -> Q"))).context
-    assert [it.fids for it in out.items] == [(-1,), (1,)]
-    out = right_rule(LJBSequent(out, parse_formula("P -> Q"))).context
-    assert [it.fids for it in out.items] == [(-1,), (1,)]
+    assert [it.fids for it in out.items] == [(3,), (1,)]
+    out = right_rule(LJBSequent(out, parse_formula("R -> Q"))).context
+    assert [it.fids for it in out.items] == [(3,), (1,), (4,)]
+    # an occurrence inside a bracket counts too: 5 is the largest id
+    s = LJBSequent(normalize(LJBContext((fml("Q", 0),
+                                         bracket("x", fml("P(x)", 5))))),
+                   parse_formula("R -> Q"))
+    assert [it.fids for it in right_rule(s).context.items] == \
+        [(0,), (6,), (5,)]
     # P(x) goes into a bracket that ties with [P(x)]_{x}, whose id is 5
     twin = bracket("x", fml("P(x)", 5))
     goal = parse_formula("forall x. Q")
