@@ -10,10 +10,9 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from .grammar import (DEFAULT_CAP, Grammar, Production, build_grammar,
-                      enumerate_schemes, fits, productions_by_lhs, saturate,
-                      subschemes)
+                      enumerate_schemes, fits, productions_by_lhs, saturate)
 from .ljb import (Fml, InvariantError, LJBContext, LJBSequent, annotate,
-                  canon, premises, rule_step)
+                  canon, premises)
 from .ljplus import (LamPf, LamTm, LJPlusSequent, ProofTerm, Spine,
                      sort_proofs, term_height)
 from .syntax import (Formula, NotNegative, Record, _set, all_names,
@@ -280,82 +279,114 @@ class _Plan(Record):
 
 
 class _Expander:
-    """The expansion of schemes along one grammar's productions, for one
-    call: each term node is built once, in the top where it lives, and
-    memoized with the sub-scheme, nonterminal, goal and top (Wells &
-    Yakobowski, LOPSTR 2004).  Each top is built once per (top, plan),
-    and R-> binds once per (top, plan, goal), so keys meet; each
-    nonterminal is planned once.  The lists are duplicate-free as built:
-    distinct plans differ at the root head, distinct copies are distinct
-    heads."""
+    """The expansion of schemes along one height-bounded grammar's
+    productions, for one call: each term node is built once, in the top
+    where it lives, and memoized with the sub-scheme, nonterminal, goal
+    and top (Wells & Yakobowski, LOPSTR 2004).  Each top is built once
+    per (top, plan), and R-> binds once per (top, plan, goal), so keys
+    meet; each nonterminal is planned once, from the rule instances the
+    grammar kept.  The lists are duplicate-free as built: distinct plans
+    differ at the root head, distinct copies are distinct heads.
+
+    Each memo entry is two parallel lists, the terms and their skeleton
+    keys: a term's printed form without binder text (render_proof with
+    binder=lambda x: ""), built with the term.  Terms proving one goal
+    in one top carry the same binder text wherever their skeletons
+    agree so far, so their skeleton keys sort as their printed forms
+    do."""
 
     def __init__(self, grammar: Grammar) -> None:
+        if grammar.steps is None:
+            raise ValueError("expansion needs a height-bounded grammar")
         self._grammar = grammar
         self._by_lhs = productions_by_lhs(grammar)
         self._plans: Dict[int, List[_Plan]] = {}
-        self._terms: Dict[tuple, List[ProofTerm]] = {}
+        self._terms: Dict[tuple, Tuple[List[ProofTerm], List[str]]] = {}
         self._tops: Dict[tuple, _Top] = {}
 
     def H(self, nt: int, pi: Scheme, goal: Formula,
-          top: _Top) -> List[ProofTerm]:
+          top: _Top) -> Tuple[List[ProofTerm], List[str]]:
         """The terms proving goal in top that lift terms of nt's
-        flattening collapsing to pi, in no fixed order (a shared list: do
-        not change it).  heads: root names with their premises' goals."""
+        flattening collapsing to pi, in no fixed order, and their
+        skeleton keys (shared lists: do not change them).  One frame per
+        level of pi.  A right rule is nt's one production, and its
+        binders' keys are their bodies'."""
         key = (nt, pi, goal.key, top)
-        out = self._terms.get(key)
-        if out is not None:
-            return out
+        entry = self._terms.get(key)
+        if entry is not None:
+            return entry
         plans = self._plans.get(nt)
         if plans is None:
             plans = self._plans[nt] = self._plans_of(nt)
-        out = self._terms[key] = []
+        terms: List[ProofTerm] = []
+        keys: List[str] = []
         for plan in plans:
             p = plan.production
             if not fits(p, pi):
                 continue
-            inner = top
-            if p.kind == "spine":
-                heads = [(pvs, args) for pvs, args, head
-                         in top.copies.get(plan.pvar, ()) if head == goal]
-            elif p.kind == "forall":
+            if p.kind == "forall":
                 var, body = _bind(goal, top.tvars)
-                heads = [((var,), (body,))]
-            else:
+                sub_terms, keys = self.H(p.premises[0], pi.body, body,
+                                         self._below(top, plan))
+                terms = [LamTm(var, t) for t in sub_terms]
+                break
+            if p.kind == "impl":
                 k = (top, id(plan), goal.key)
-                heads = [((f"h{top.n}",), (goal.rhs,))]
                 inner = self._tops.get(k) or self._tops.setdefault(
                     k, top.bind(plan.pvar, goal))
-            if heads and plan.table is not None:
-                k = (inner, id(plan))
-                inner = self._tops.get(k) or self._tops.setdefault(
-                    k, inner.below(plan.table))
+                sub_terms, keys = self.H(p.premises[0], pi.body, goal.rhs,
+                                         self._below(inner, plan))
+                pvar, annot = f"h{top.n}", goal.lhs
+                terms = [LamPf(pvar, annot, t) for t in sub_terms]
+                break
+            heads = [(pvs, args) for pvs, args, head
+                     in top.copies.get(plan.pvar, ()) if head == goal]
+            if not heads:
+                continue
+            inner = self._below(top, plan)
             for pvs, goals in heads:
-                choice_sets = []
-                for q, sub, g in zip(p.premises, subschemes(pi), goals):
-                    terms = self.H(q, sub, g, inner)
-                    if not terms:
+                term_sets, key_sets = [], []
+                for q, sub, g in zip(p.premises, pi.args, goals):
+                    sub_terms, sub_keys = self.H(q, sub, g, inner)
+                    if not sub_terms:
                         break
-                    choice_sets.append(terms)
+                    term_sets.append(sub_terms)
+                    key_sets.append(sub_keys)
                 else:
-                    tups = list(product(*choice_sets))
-                    out += (Spine(pv, tup) if p.kind == "spine"
-                            else LamTm(pv, tup[0]) if p.kind == "forall"
-                            else LamPf(pv, goal.lhs, tup[0])
-                            for pv in pvs for tup in tups)
-        return out
+                    if not term_sets:
+                        terms += [Spine(pv) for pv in pvs]
+                        keys += pvs
+                        continue
+                    tups = list(product(*term_sets))
+                    texts = [" ".join(k) for k in product(*key_sets)]
+                    for pv in pvs:
+                        terms += [Spine(pv, tup) for tup in tups]
+                        keys += [f"({pv} {text})" for text in texts]
+        entry = self._terms[key] = (terms, keys)
+        return entry
+
+    def _below(self, top: _Top, plan: _Plan) -> _Top:
+        """The top of plan's premises below top, one per (top, plan)."""
+        if plan.table is None:
+            return top
+        k = (top, id(plan))
+        return self._tops.get(k) or self._tops.setdefault(
+            k, top.below(plan.table))
 
     def _plans_of(self, nt: int) -> List[_Plan]:
-        """The lift plans of nt's productions, one per rule instance of
-        its sequent.  Hypothesis h_i of a (canonical) nonterminal's
-        flattening is the i-th occurrence of its context, or of the
-        instance's cleaned premise context, and R-> adds h_n."""
+        """The lift plans of nt's productions, one per rule instance the
+        grammar kept for its sequent.  Hypothesis h_i of a (canonical)
+        nonterminal's flattening is the i-th occurrence of its context,
+        or of the instance's cleaned premise context, and R-> adds
+        h_n."""
         prods = self._by_lhs.get(nt, ())
         if not prods:
             return []
         seq = self._grammar.nonterminals[nt].sequent
         fids = tuple(chain.from_iterable(it.fids for it in seq.context.items))
         plans = []
-        for p, (premise_ctx, _, hyp, merged) in zip(prods, rule_step(seq)):
+        for p, (premise_ctx, _, hyp, merged) in zip(
+                prods, self._grammar.steps[nt]):
             dst = fids + (hyp.fid,) if p.kind == "impl" else fids
             src = tuple(chain.from_iterable(
                 it.fids for it in premise_ctx.items))
@@ -363,6 +394,12 @@ class _Expander:
             plans.append(_Plan(p, pvar, None if src == dst
                                else _copy_table(src, merged, dst)))
         return plans
+
+
+def _sorted(terms: List[ProofTerm], keys: List[str]) -> List[ProofTerm]:
+    """terms in the order of their skeleton keys (see _Expander), which
+    is render_proof's order."""
+    return [terms[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
 
 
 def funcH(session: Session, pi: Scheme, seq: LJBSequent) -> List[ProofTerm]:
@@ -375,8 +412,7 @@ def funcH(session: Session, pi: Scheme, seq: LJBSequent) -> List[ProofTerm]:
     hyps = flatten_det(start.context, seq.goal).hyps
     top = _Top({pv: _copies(((pv, f),)) for _, pv, f in hyps}, len(hyps),
                union_all(f.fvs for _, _, f in hyps))
-    return sort_proofs(_Expander(grammar).H(grammar.start, pi, seq.goal,
-                                            top))
+    return _sorted(*_Expander(grammar).H(grammar.start, pi, seq.goal, top))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +425,11 @@ def enumerate_terms(goal: Formula, max_height: int,
     as given: the grammar works on a copy with distinct binders, and
     expansion builds each term straight onto goal."""
     grammar = build_grammar(goal, Session(), cap, max_height)
-    expander, top, out = _Expander(grammar), _Top({}, 0, frozenset()), []
+    expander, top = _Expander(grammar), _Top({}, 0, frozenset())
+    terms: List[ProofTerm] = []
+    keys: List[str] = []
     for pi in enumerate_schemes(grammar, max_height):
-        out += expander.H(grammar.start, pi, goal, top)
-    return sort_proofs(out)
+        pi_terms, pi_keys = expander.H(grammar.start, pi, goal, top)
+        terms += pi_terms
+        keys += pi_keys
+    return _sorted(terms, keys)

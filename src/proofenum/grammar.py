@@ -8,7 +8,8 @@ from collections import deque
 from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .ljb import LJBContext, LJBSequent, render_ljb_sequent, rule_step
+from .ljb import (LJBContext, LJBSequent, Premises, render_ljb_sequent,
+                  rule_step)
 from .ljplus import (LamPf, LamTm, ProofTerm, Spine, sort_proofs,
                      term_height)
 from .syntax import (Atom, Forall, Formula, Record, _set,
@@ -53,13 +54,21 @@ class Production(Record):
 
 
 class Grammar(Record):
-    __slots__ = ("start", "nonterminals", "productions")
+    """A grammar of schemes.  A height-bounded one keeps, in steps, the
+    rule instances (ljb.rule_step) of each nonterminal it expanded, by
+    id: expansion plans its lifts from them.  A full grammar keeps none
+    (steps is None), since only enumeration asks for a bound.  The
+    instances hold cleaning's merge dicts, so a bounded grammar has no
+    hash."""
+    __slots__ = ("start", "nonterminals", "productions", "steps")
 
     def __init__(self, start: int, nonterminals: Tuple[Nonterminal, ...],
-                 productions: Tuple[Production, ...]):
+                 productions: Tuple[Production, ...],
+                 steps: Optional[Tuple[List[Premises], ...]] = None):
         _set(self, "start", start)
         _set(self, "nonterminals", nonterminals)
         _set(self, "productions", productions)
+        _set(self, "steps", steps)
 
 
 def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP,
@@ -83,10 +92,15 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
     """The grammar of the sequents reachable from start_seq, as in
     build_grammar: one production per rule instance of rule_step, with
     the cleaned premise sequents as its premises.  A nonterminal keeps
-    the sequent it was first reached with, occurrence ids included."""
+    the sequent it was first reached with, occurrence ids included.
+    With max_height, the grammar keeps the rule instances too (steps):
+    the FIFO worklist expands the nonterminals in id order, a prefix of
+    them."""
     ids: Dict[Tuple[str, str], int] = {}
     nts: List[Nonterminal] = []
     prods: List[Production] = []
+    steps: Optional[List[List[Premises]]] = \
+        None if max_height is None else []
     work: deque = deque()
 
     def intern(ctx: LJBContext, goal: Formula, depth: int) -> int:
@@ -108,7 +122,10 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
             break  # FIFO: every later entry is at least as deep
         depth += 1  # of the premises
         goal = nt.sequent.goal
-        for ctx, goals, hyp, _ in rule_step(nt.sequent):
+        instances = rule_step(nt.sequent)
+        if steps is not None:
+            steps.append(instances)
+        for ctx, goals, hyp, _ in instances:
             premises = tuple([intern(ctx, a, depth) for a in goals])
             if isinstance(goal, Atom):
                 prods.append(Production(
@@ -123,7 +140,8 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
                                         premises=premises,
                                         head=session.canonical_var(goal.lhs),
                                         annot=goal.lhs))
-    return Grammar(start, tuple(nts), tuple(prods))
+    return Grammar(start, tuple(nts), tuple(prods),
+                   None if steps is None else tuple(steps))
 
 
 def is_inhabited(g: Grammar) -> bool:
@@ -179,11 +197,9 @@ def _schemes(nt: int, h: int, by_lhs: Dict[int, List[Production]],
     memo[key] = frozenset()  # cycle guard; heights strictly decrease
     out: set = set()
     for p in by_lhs.get(nt, []):
-        if p.kind == "spine":
-            subs = [_schemes(q, h - 1, by_lhs, memo, nodes)
-                    for q in p.premises]
-        else:  # one premise: no comprehension, which costs a frame
-            subs = [_schemes(p.premises[0], h - 1, by_lhs, memo, nodes)]
+        subs = []  # a loop, not a comprehension: one frame per level
+        for q in p.premises:
+            subs.append(_schemes(q, h - 1, by_lhs, memo, nodes))
         tag = (p.kind, p.head, p.var, p.annot and p.annot.key)
         for tup in product(*subs):
             k = (tag, *map(id, tup))

@@ -3,7 +3,7 @@ proof-terms, derivation checking and a brute-force enumerator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Tuple, Union)
@@ -24,16 +24,18 @@ class IllFormed(Exception):
 def _structural(*names: str):
     """__hash__ and __reduce__ of a proof-term class with the fields
     names.  The hash is structural, computed on first use from the
-    children's (cached) hashes and kept in the _hash slot; pickling and
-    copying rebuild the node from its fields, without the cache."""
+    children's (cached) hashes and kept in the _hash slot, which is
+    unset until then; pickling and copying rebuild the node from its
+    fields, without the cache."""
     fields = attrgetter(*names)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash(fields(self))
             _set(self, "_hash", h)
-        return h
+            return h
 
     def __reduce__(self):
         return type(self), fields(self)
@@ -41,41 +43,54 @@ def _structural(*names: str):
     return __hash__, __reduce__
 
 
-def _hash_cache():
-    return field(default=None, init=False, repr=False, compare=False)
+class _Node:
+    """The slot of a proof-term's cached hash (see _structural)."""
+    __slots__ = ("_hash",)
 
 
 # Expansion shares sub-terms between the terms it builds, so a term is a
 # DAG.  Equality stays structural, and only the hash is cached, on first
-# use: a printed key per node would cost memory in proportion to size
-# times depth.  Unlike the Records of the other layers, proof-terms are
-# frozen dataclasses, so that dataclasses.replace rebuilds them with a
-# field changed.
+# use: a printed key kept on every node would cost memory in proportion
+# to size times depth (expansion's sort keys live for one call).  Unlike
+# the Records of the other layers, proof-terms are frozen dataclasses,
+# so that dataclasses.replace rebuilds them with a field changed.  Each
+# __init__ is written out and sets the fields only, which is faster than
+# the generated one; expansion builds every node of its output.
 
 @dataclass(frozen=True, slots=True)
-class Spine:
+class Spine(_Node):
     head: str
     args: tuple = ()
-    _hash: Optional[int] = _hash_cache()
+
+    def __init__(self, head: str, args: tuple = ()):
+        _set(self, "head", head)
+        _set(self, "args", args)
 
     __hash__, __reduce__ = _structural("head", "args")
 
 
 @dataclass(frozen=True, slots=True)
-class LamTm:
+class LamTm(_Node):
     var: str
     body: "ProofTerm"
-    _hash: Optional[int] = _hash_cache()
+
+    def __init__(self, var: str, body: "ProofTerm"):
+        _set(self, "var", var)
+        _set(self, "body", body)
 
     __hash__, __reduce__ = _structural("var", "body")
 
 
 @dataclass(frozen=True, slots=True)
-class LamPf:
+class LamPf(_Node):
     pvar: str
     annot: Formula
     body: "ProofTerm"
-    _hash: Optional[int] = _hash_cache()
+
+    def __init__(self, pvar: str, annot: Formula, body: "ProofTerm"):
+        _set(self, "pvar", pvar)
+        _set(self, "annot", annot)
+        _set(self, "body", body)
 
     __hash__, __reduce__ = _structural("pvar", "annot", "body")
 

@@ -215,6 +215,14 @@ def test_terms_of_deep_church_numerals():
                      "--max-height", "300"])
     assert code == 0
     assert len(out.splitlines()) == 297
+    # Scheme enumeration and expansion take one frame per scheme level
+    # and printing none, so text output goes past height 496, where two
+    # frames per level of grammar._schemes ran out (exit 2).  JSON
+    # output still nests once or more per level.
+    code, out = run(["terms", "--sysf", "forall X. X -> (X->X) -> X",
+                     "--max-height", "900"])
+    assert code == 0
+    assert len(out.splitlines()) == 897
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

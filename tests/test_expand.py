@@ -337,7 +337,8 @@ def test_enumerate_terms_shares_sub_scheme_expansions(monkeypatch):
 def test_expander_memo_lists_are_duplicate_free():
     # Expansion does not deduplicate its lists: distinct lift plans
     # differ at the root head, and lifting is injective, so every
-    # memoized list is duplicate-free as built.
+    # memoized list is duplicate-free as built.  Its skeleton keys are
+    # too, and each is its term's printed form without binder text.
     goals = [(g, 6) for g in corpus()] + [
         (d_family(3), 11),
         (phi(parse_sysf_type("forall X. (X->X) -> (X->X) -> X -> X")), 14),
@@ -349,8 +350,11 @@ def test_expander_memo_lists_are_duplicate_free():
         expander, top = _Expander(grammar), _Top({}, 0, frozenset())
         for pi in enumerate_schemes(grammar, h):
             expander.H(grammar.start, pi, goal, top)
-        for terms in expander._terms.values():
+        for terms, keys in expander._terms.values():
             assert len(set(terms)) == len(terms)
+            assert len(set(keys)) == len(keys) == len(terms)
+            assert keys == [render_proof(t, binder=lambda x: "")
+                            for t in terms]
         lists += len(expander._terms)
     assert lists > 500
 
@@ -413,7 +417,11 @@ def test_plan_tables_match_the_per_premise_reference():
     # context; the reference cleans and flattens the raw premise context
     # for every premise, and checks that its flattening and the target
     # are alpha-equivalent.
-    goals = [(g, None) for g in corpus()] + [
+    # The corpus grammars are full: bounded at a height that holds every
+    # nonterminal, which by the prefix property gives the full grammar
+    # with its rule instances kept.
+    goals = [(g, len(build_grammar(g, Session()).nonterminals))
+             for g in corpus()] + [
         (d_family(3), 11), (d_family(4), 9), (d_family(5), 9)]
     goals += [(g, 8) for g in seeded_goals()]
     tables = lifted = merging = renamed = 0
@@ -496,10 +504,11 @@ def test_expansion_flattens_no_sequent(monkeypatch):
         with counting(monkeypatch, proofenum.expand, "flatten_det") as calls:
             assert enumerate_terms(goal, h)
         assert calls == []
-        # saturation exposes a context once, and expansion once more
+        # saturation exposes a context once, and expansion reads its
+        # lift plans from the rule instances the bounded grammar kept
         with counting(monkeypatch, proofenum.ljb, "expose") as exposed:
             enumerate_terms(goal, h)
-        assert max(Counter((c.key, a.key) for c, a in exposed).values()) == 2
+        assert max(Counter((c.key, a.key) for c, a in exposed).values()) == 1
 
 
 def test_expansion_annotates_no_context(monkeypatch):
@@ -647,9 +656,46 @@ def test_long_chain_expands_once_per_level():
     assert all(check_proof(NamedContext(), t, chain) for t in out)
 
 
+def test_expansion_takes_its_plans_from_the_bounded_grammar(monkeypatch):
+    # A height-bounded grammar keeps the rule instances of the
+    # nonterminals saturation expands, and the expander plans its lifts
+    # from them: rule_step runs once per expanded nonterminal, all from
+    # saturation.
+    orig = proofenum.ljb.rule_step
+    callers = []
+
+    def wrapper(s):
+        callers.append((sys._getframe(1).f_globals["__name__"],
+                        s.context.key, s.goal.key))
+        return orig(s)
+
+    for goal, h in [(d_family(5), 9), (d_family(3), 11),
+                    (phi(parse_sysf_type(SYSF_A2)), 24)]:
+        grammar = build_grammar(goal, Session(), max_height=h)
+        expanded = [(nt.sequent.context.key, nt.sequent.goal.key)
+                    for nt in grammar.nonterminals[:len(grammar.steps)]]
+        callers.clear()
+        with monkeypatch.context() as m:
+            for name, mod in list(sys.modules.items()):
+                if (name.split(".")[0] == "proofenum"
+                        and vars(mod).get("rule_step") is orig):
+                    m.setattr(mod, "rule_step", wrapper)
+            assert enumerate_terms(goal, h)
+        assert callers == [("proofenum.grammar", *k) for k in expanded]
+    full = build_grammar(d_family(3), Session())
+    assert full.steps is None
+    with pytest.raises(ValueError):
+        _Expander(full)
+
+
 def test_deep_church_numerals_do_not_recurse_out():
     # Equal schemes are one object, so the expander's memo lookups do
     # not compare deep schemes node by node (RecursionError from height
     # 252 on before), and output terms are not hashed.  Closed form h - 3.
     church = phi(parse_sysf_type("forall X. X -> (X->X) -> X"))
     assert len(enumerate_terms(church, 300)) == 297
+    # grammar._schemes and _Expander.H take one frame per scheme level;
+    # with a comprehension per spine, _schemes took two, and height 500
+    # raised RecursionError.
+    out = enumerate_terms(church, 900)
+    assert len(out) == 897 and max(map(term_height, out)) == 900

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -64,16 +65,27 @@ def test_sort_proofs_prints_shared_nodes_once():
 
 def test_proof_term_identity():
     # Equality and hash are structural; the hash is cached on first use,
-    # and neither repr, copies nor pickles carry the cache.
+    # and neither repr, copies, pickles nor dataclasses.replace carry
+    # the cache.  A node is built with its fields only: the cache slot
+    # stays unset until the first hash.
     t = LamPf("a", parse_formula("forall x. P(x) -> Q"),
               LamTm("y", Spine("a", (Spine("b"), Spine("c")))))
+    assert not hasattr(t, "_hash") and not hasattr(t.body, "_hash")
     pickled = pickle.dumps(t)
     u = proof_from_json(proof_to_json(t))
     assert u == t and u is not t
     assert hash(u) == hash(t) == hash(t)
     assert pickle.dumps(t) == pickled
-    for v in (copy.deepcopy(t), pickle.loads(pickled)):
-        assert v == t and hash(v) == hash(t)
+    assert t._hash == hash(t)
+    for v in (copy.deepcopy(t), pickle.loads(pickled),
+              dataclasses.replace(t), dataclasses.replace(t, pvar="a")):
+        assert not hasattr(v, "_hash")
+        assert v == t and hash(v) == hash(t) and v is not t
+    swapped = dataclasses.replace(t.body.body, head="b")
+    assert swapped == Spine("b", t.body.body.args) != t.body.body
+    assert dataclasses.replace(t, body=LamTm("y", swapped)) != t
+    assert [f.name for f in dataclasses.fields(t)] == ["pvar", "annot",
+                                                      "body"]
     assert "_hash" not in repr(t) and "_hash" not in repr(Spine("b"))
     assert Spine("s", (Spine("z"), Spine("z"))) == \
         Spine("s", (Spine("z"),) * 2)

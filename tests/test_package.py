@@ -100,8 +100,9 @@ def test_records_of_one_shape_differ_by_class():
 
 
 def test_expansion_takes_the_rule_step_from_ljb():
-    # Expansion follows the rule instances ljb.rule_step decides; it
-    # exposes and cleans nothing of its own.
+    # Expansion follows the rule instances ljb.rule_step decides, as
+    # the height-bounded grammar keeps them; it exposes, cleans and
+    # takes no rule step of its own.
     path = Path(proofenum.__file__).parent / "expand.py"
     tree = ast.parse(path.read_text(), str(path))
     names = set()
@@ -112,4 +113,4 @@ def test_expansion_takes_the_rule_step_from_ljb():
             names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
-    assert names.isdisjoint({"expose", "normalize"})
+    assert names.isdisjoint({"expose", "normalize", "rule_step"})
