@@ -92,27 +92,17 @@ _canon_key = attrgetter("key", "fids")
 
 def canon(ctx: LJBContext) -> LJBContext:
     """Canonical (sorted) representation; multiset semantics unchanged.
-    Levels that are canonical already are returned as they are, and so
-    is a context marked normal, which is sorted at every level."""
+    A context marked normal, which is sorted at every level, is returned
+    as it is.  Cleaning needs no canon: normalize sorts every level."""
     if ctx.normal:
         return ctx
-    items = [it if isinstance(it, Fml) else _canon_bracket(it)
-             for it in ctx.items]
-    items.sort(key=_canon_key)
-    if all(a is b for a, b in zip(items, ctx.items)):
-        return ctx
-    return LJBContext(tuple(items))
-
-
-def _canon_bracket(br: Bracket) -> Bracket:
-    inner = canon(br.inner)
-    return br if inner is br.inner else Bracket(br.binds, inner)
+    return LJBContext(tuple(sorted(
+        [it if isinstance(it, Fml) else Bracket(it.binds, canon(it.inner))
+         for it in ctx.items], key=_canon_key)))
 
 
 def annotate(ctx: LJBContext) -> LJBContext:
-    """Assign occurrence ids 0.. in traversal order of the canonical form.
-    Occurrence ids do not change a context's shape, so a level marked
-    normal stays marked."""
+    """Assign occurrence ids 0.. in traversal order of the canonical form."""
     return _annotate(canon(ctx), itertools.count())
 
 
@@ -120,7 +110,7 @@ def _annotate(c: LJBContext, fids) -> LJBContext:
     out = [Fml(it.formula, next(fids)) if isinstance(it, Fml)
            else Bracket(it.binds, _annotate(it.inner, fids))
            for it in c.items]
-    return LJBContext(tuple(out), normal=c.normal)
+    return LJBContext(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +329,11 @@ def _expose(level: LJBContext, goal_atom: Atom, chain, crossed: frozenset,
 
 
 def _restructure(chain, final_level: LJBContext, final_idx: int) -> LJBContext:
+    # Left unsorted: normalize sorts every level and keeps the first of
+    # equal keys by (key, fids) whatever the order, so a permutation of
+    # final_level (the level itself at top level) cleans the same.
     if not chain:
-        # rest + (exposed,) below is a permutation of final_level, so
-        # both have this canonical form
-        return canon(final_level)
+        return final_level
     exposed = final_level.items[final_idx]
     rest = final_level.items[:final_idx] + final_level.items[final_idx + 1:]
     core: Optional[Item] = None
@@ -350,7 +341,7 @@ def _restructure(chain, final_level: LJBContext, final_idx: int) -> LJBContext:
         gamma = level.items[:idx] + level.items[idx + 1:]
         inner = gamma if core is None else (core,) + gamma
         core = Bracket(binds, LJBContext(inner))
-    return canon(LJBContext((core,) + rest + (exposed,)))
+    return LJBContext((core,) + rest + (exposed,))
 
 
 # The premises of one rule instance: (context, goals, hyp, merged),

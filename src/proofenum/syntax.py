@@ -31,9 +31,11 @@ class Record:
     parameters of its __init__, which is written out (a generated one
     costs several times more to define at import) and stores each in
     the slot of that name with _set, and other values in further slots.
-    Nothing else writes a slot.  Records of one class with equal fields
-    are equal, the hash agrees, repr shows the fields, and pickling and
-    copying call __init__ again on the fields."""
+    Nothing else writes a slot, with one exception: ljb.normalize sets
+    the normal mark of a context that it finds normal.  Records of one
+    class with equal fields are equal, the hash agrees, repr shows the
+    fields, and pickling and copying call __init__ again on the
+    fields."""
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
@@ -278,15 +280,11 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
 
     def peek(self):
         return self.toks[self.i][0]
-
-    def pos(self):
-        return self.toks[self.i][1]
 
     def next(self):
         tok = self.toks[self.i]
@@ -408,24 +406,7 @@ def match_formula(a: Formula, b: Formula, sig: dict,
     """Extend the injective free-variable renaming sig so that sig(a) is
     alpha-equivalent to b; return the extension or None.  bnd pairs the
     binders in scope, innermost last.  sig itself is never changed.
-
-    Outside every binder, formulas with equal keys are equal up to node
-    identity (keys are injective), so each free variable of a maps to
-    itself: only those are checked against sig, without a walk."""
-    if not bnd and (a is b or a == b):
-        new = []
-        for v in a.fvs:
-            w = sig.get(v)
-            if w is None:
-                new.append(v)
-            elif w != v:
-                return None
-        if new:
-            if not set(sig.values()).isdisjoint(new):
-                return None
-            sig = dict(sig)
-            sig.update(zip(new, new))
-        return sig
+    Both formulas are walked node by node, equal ones too."""
     if type(a) is not type(b):
         return None
     if isinstance(a, Atom):

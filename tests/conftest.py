@@ -326,8 +326,8 @@ def reference_lift_table(raw, goal, target):
 
 
 def reference_match_formula(a, b, sig, bnd):
-    """The matcher syntax.match_formula, walking both formulas always:
-    the reference for its shortcut on equal formulas."""
+    """The walk of syntax.match_formula, written out apart from it:
+    the reference the tests check it against."""
 
     def match_t(s, t, sig, bnd):
         if isinstance(s, Var) and isinstance(t, Var):

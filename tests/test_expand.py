@@ -5,7 +5,6 @@ from contextlib import contextmanager
 
 import pytest
 
-import conftest
 import proofenum.expand
 import proofenum.ljb
 import proofenum.syntax
@@ -14,7 +13,7 @@ from proofenum.expand import (Duplication, Flat, Session, _bind, _copy_table,
                               _Expander, _Top, _renaming, enumerate_terms,
                               flatten_det, funcF, funcG, funcH)
 from proofenum.grammar import (build_grammar, enumerate_schemes,
-                               productions_by_lhs)
+                               is_inhabited, productions_by_lhs)
 from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
                            LJBSequent, annotate, canon, expose, normalize,
                            normalize_chain)
@@ -386,15 +385,15 @@ def _raw_premises(grammar, nt, prods):
              [target], f"h{n}")]
 
 
-def _reference_tables(grammar, nts=None):
-    """Per rule instance of each nonterminal of grammar (or of nts) that
-    has productions: its lift plan and, per premise, the reference's
+def _reference_tables(grammar):
+    """Per rule instance of each nonterminal of grammar that has
+    productions: its lift plan and, per premise, the reference's
     copy table projected to proof variables (h_j -> sorted copies), or
     None when the reference lifts by a term renaming alone or not at
     all."""
     expander = _Expander(grammar)
     by_lhs = productions_by_lhs(grammar)
-    for nt in range(len(grammar.nonterminals)) if nts is None else nts:
+    for nt in range(len(grammar.nonterminals)):
         prods = by_lhs.get(nt, [])
         raws = _raw_premises(grammar, nt, prods) if prods else []
         plans = expander._plans_of(nt)
@@ -556,25 +555,22 @@ def test_lift_names_proof_binders_without_a_search(monkeypatch):
     assert calls == []
 
 
-def test_renaming_matches_equal_formulas_without_walking(monkeypatch):
-    # enumerate_terms matches no formulas: its lift plans compare no
-    # flattenings.  Every pair the reference's alpha-equivalence check
-    # compares on the nonterminals that expansion of D_4 at height 9
-    # reaches is one formula twice, so the matcher answers each in one
-    # entry without walking it (the walk made 1,686 entries).
-    with counting(monkeypatch, proofenum.syntax, "match_formula") as calls, \
-            counting(monkeypatch, proofenum.expand, "_renaming") as pairs:
-        enumerate_terms(d_family(4), 9)
-    assert calls == pairs == []
-    grammar = build_grammar(d_family(4), Session(), max_height=9)
-    expander, top = _Expander(grammar), _Top({}, 0, frozenset())
-    for pi in enumerate_schemes(grammar, 9):
-        expander.H(grammar.start, pi, d_family(4), top)
-    with counting(monkeypatch, proofenum.syntax, "match_formula") as calls, \
-            counting(monkeypatch, conftest, "_renaming") as pairs:
-        for _ in _reference_tables(grammar, expander._plans):
-            pass
-    assert sum(len(src.hyps) + 1 for src, _ in pairs) == len(calls) == 126
+def test_workloads_call_no_canon_annotate_or_matcher(monkeypatch):
+    # Deciding (saturation and emptiness) and enumeration sort no
+    # context with canon: cleaning sorts every level itself, so expose
+    # leaves its contexts unsorted.  Nor do they annotate a context or
+    # match formulas: lift plans compare no flattenings.
+    church = phi(parse_sysf_type("forall X. X -> (X->X) -> X"))
+    with counting(monkeypatch, proofenum.ljb, "canon") as sorts, \
+            counting(monkeypatch, proofenum.ljb, "annotate") as annotated, \
+            counting(monkeypatch, proofenum.syntax,
+                     "match_formula") as matched:
+        for k in (3, 4, 5):
+            assert is_inhabited(build_grammar(d_family(k), Session()))
+        for goal, h in [(d_family(4), 9),
+                        (phi(parse_sysf_type(SYSF_A2)), 24), (church, 40)]:
+            assert enumerate_terms(goal, h)
+    assert sorts == annotated == matched == []
 
 
 def test_relabel_rejects_non_matching_flattenings():

@@ -162,7 +162,8 @@ def test_expose_side_condition():
     assert len(entries) == 1
     # the exposed formula is released from its bracket; the emptied
     # bracket remains until cleaning
-    assert render_context(entries[0].restructured) == "P(y) -> Q, []_{y}"
+    assert render_context(canon(entries[0].restructured)) == \
+        "P(y) -> Q, []_{y}"
     nf = normalize(entries[0].restructured)
     assert render_context(nf) == "P(y) -> Q"
 
@@ -176,7 +177,7 @@ def test_expose_restructure_releases_innermost():
     ctx = annotate(LJBContext((outer, fml("S"))))
     entries = expose(ctx, parse_formula("Q"))
     assert len(entries) == 1
-    got = render_context(entries[0].restructured)
+    got = render_context(canon(entries[0].restructured))
     # siblings of the exposed item are released with it; the crossed
     # bind sets wrap the remaining layers inside out
     assert got == "R(y), R(y) -> Q, [P(x), [S]_{x}]_{y}"

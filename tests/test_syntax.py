@@ -149,6 +149,21 @@ def test_deep_formulas_compare_without_recursion():
     assert a != parse_formula(" -> ".join(["P"] * 900 + ["Q"]))
 
 
+def test_match_formula_walks_deep_formulas():
+    # The matcher walks both formulas node by node, at the depth the
+    # test above parses.
+    chain = " -> ".join(["P(x)"] * 901)
+    a, b = parse_formula(chain), parse_formula(chain)
+    assert match_formula(a, b, {}) == {"x": "x"}
+    assert alpha_eq(a, b)
+    assert not alpha_eq(a, parse_formula(" -> ".join(["P(x)"] * 900
+                                                     + ["P(y)"])))
+    f = parse_formula("forall y. " + " -> ".join(["P(y)"] * 901))
+    g = parse_formula("forall z. " + " -> ".join(["P(z)"] * 901))
+    assert match_formula(f, g, {}) == {}
+    assert alpha_eq(f, g)
+
+
 def test_match_formula_on_equal_formulas():
     # Outside every binder, equal formulas map each free variable to
     # itself, whether they are one object or two.
