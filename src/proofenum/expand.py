@@ -12,12 +12,12 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
 from .grammar import (DEFAULT_CAP, Grammar, Production, build_grammar,
                       enumerate_schemes, fits, productions_by_lhs, saturate)
 from .ljb import (Fml, InvariantError, LJBContext, LJBSequent, annotate,
-                  canon, premises)
+                  premises)
 from .ljplus import (LamPf, LamTm, LJPlusSequent, ProofTerm, Spine,
                      sort_proofs, term_height)
-from .syntax import (Formula, NotNegative, Record, _set, all_names,
+from .syntax import (Formula, NotNegative, Record, all_names,
                      decompose_negative, fresh_name, is_negative,
-                     match_formula, rename, render, union_all)
+                     match_formula, rename, render, slot_setters, union_all)
 
 Scheme = ProofTerm
 
@@ -194,9 +194,12 @@ class Duplication(Record):
     __slots__ = ("sigma1", "sigma2", "copies")
 
     def __init__(self, sigma1: dict, sigma2: dict, copies: dict):
-        _set(self, "sigma1", sigma1)
-        _set(self, "sigma2", sigma2)
-        _set(self, "copies", copies)
+        _dup_sigma1(self, sigma1)
+        _dup_sigma2(self, sigma2)
+        _dup_copies(self, copies)
+
+
+_dup_sigma1, _dup_sigma2, _dup_copies = slot_setters(Duplication)
 
 
 def funcF(u: ProofTerm, source: LJPlusSequent, target: LJPlusSequent,
@@ -243,12 +246,12 @@ def _copy_table(src: Sequence[int], merged: Dict[int, int],
 def funcG(ctx: LJBContext, goal: Formula,
           terms: Sequence[ProofTerm]) -> List[ProofTerm]:
     """Lift terms proving the flattening of normalize(ctx) with goal
-    back across cleaning to all the terms proving the flattening of
-    canon(ctx) whose cleaned images they are.  ctx is annotated.
+    back across cleaning to all the terms proving the flattening of ctx
+    whose cleaned images they are.  ctx is annotated, so canonical.
     Raises InvariantError when the two flattenings differ on an
     occurrence."""
     nf, _, _, merged = premises(ctx, (goal,))
-    src, dst = flatten_det(nf, goal), flatten_det(canon(ctx), goal)
+    src, dst = flatten_det(nf, goal), flatten_det(ctx, goal)
     tmap, pmap = _renaming(src, dst)
     if not (merged or tmap or pmap):
         return list(terms)
@@ -273,9 +276,12 @@ class _Plan(Record):
 
     def __init__(self, production: Production, pvar: Optional[str],
                  table: Optional[Dict[str, List[str]]]):
-        _set(self, "production", production)
-        _set(self, "pvar", pvar)
-        _set(self, "table", table)
+        _plan_production(self, production)
+        _plan_pvar(self, pvar)
+        _plan_table(self, table)
+
+
+_plan_production, _plan_pvar, _plan_table = slot_setters(_Plan)
 
 
 class _Expander:

@@ -12,8 +12,8 @@ from .ljb import (LJBContext, LJBSequent, Premises, render_ljb_sequent,
                   rule_step)
 from .ljplus import (LamPf, LamTm, ProofTerm, Spine, sort_proofs,
                      term_height)
-from .syntax import (Atom, Forall, Formula, Record, _set,
-                     ensure_distinct_binders, is_positive, render)
+from .syntax import (Atom, Forall, Formula, Record, ensure_distinct_binders,
+                     is_positive, render, slot_setters)
 
 Scheme = ProofTerm
 
@@ -32,8 +32,8 @@ class Nonterminal(Record):
     __slots__ = ("id", "sequent")
 
     def __init__(self, id: int, sequent: LJBSequent):
-        _set(self, "id", id)
-        _set(self, "sequent", sequent)
+        _nt_id(self, id)
+        _nt_sequent(self, sequent)
 
 
 class Production(Record):
@@ -44,13 +44,13 @@ class Production(Record):
                  premises: Tuple[int, ...], head: Optional[str] = None,
                  var: Optional[str] = None, annot: Optional[Formula] = None,
                  occurrence_id: Optional[int] = None):
-        _set(self, "lhs", lhs)
-        _set(self, "kind", kind)
-        _set(self, "premises", premises)
-        _set(self, "head", head)
-        _set(self, "var", var)
-        _set(self, "annot", annot)
-        _set(self, "occurrence_id", occurrence_id)
+        _prod_lhs(self, lhs)
+        _prod_kind(self, kind)
+        _prod_premises(self, premises)
+        _prod_head(self, head)
+        _prod_var(self, var)
+        _prod_annot(self, annot)
+        _prod_occurrence_id(self, occurrence_id)
 
 
 class Grammar(Record):
@@ -59,16 +59,23 @@ class Grammar(Record):
     id: expansion plans its lifts from them.  A full grammar keeps none
     (steps is None), since only enumeration asks for a bound.  The
     instances hold cleaning's merge dicts, so a bounded grammar has no
-    hash."""
-    __slots__ = ("start", "nonterminals", "productions", "steps")
+    hash.  by_lhs is unset until productions_by_lhs fills it."""
+    __slots__ = ("start", "nonterminals", "productions", "steps", "by_lhs")
 
     def __init__(self, start: int, nonterminals: Tuple[Nonterminal, ...],
                  productions: Tuple[Production, ...],
                  steps: Optional[Tuple[List[Premises], ...]] = None):
-        _set(self, "start", start)
-        _set(self, "nonterminals", nonterminals)
-        _set(self, "productions", productions)
-        _set(self, "steps", steps)
+        _gr_start(self, start)
+        _gr_nonterminals(self, nonterminals)
+        _gr_productions(self, productions)
+        _gr_steps(self, steps)
+
+
+_nt_id, _nt_sequent = slot_setters(Nonterminal)
+(_prod_lhs, _prod_kind, _prod_premises, _prod_head, _prod_var, _prod_annot,
+ _prod_occurrence_id) = slot_setters(Production)
+(_gr_start, _gr_nonterminals, _gr_productions, _gr_steps,
+ _gr_by_lhs) = slot_setters(Grammar)
 
 
 def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP,
@@ -105,8 +112,9 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
 
     def intern(ctx: LJBContext, goal: Formula, depth: int) -> int:
         k = (ctx.key, goal.key)
-        if k in ids:
-            return ids[k]
+        i = ids.get(k)
+        if i is not None:
+            return i
         if len(nts) >= cap:
             raise CapExceeded(f"more than {cap} nonterminals")
         nt = Nonterminal(len(nts), LJBSequent(ctx, goal))
@@ -129,17 +137,16 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
             premises = tuple([intern(ctx, a, depth) for a in goals])
             if isinstance(goal, Atom):
                 prods.append(Production(
-                    lhs=nt.id, kind="spine", premises=premises,
-                    head=session.canonical_var(hyp.formula),
-                    occurrence_id=hyp.occurrence_id))
+                    nt.id, "spine", premises,
+                    session.canonical_var(hyp.formula), None, None,
+                    hyp.occurrence_id))
             elif isinstance(goal, Forall):
-                prods.append(Production(lhs=nt.id, kind="forall",
-                                        premises=premises, var=goal.var))
+                prods.append(Production(nt.id, "forall", premises, None,
+                                        goal.var))
             else:
-                prods.append(Production(lhs=nt.id, kind="impl",
-                                        premises=premises,
-                                        head=session.canonical_var(goal.lhs),
-                                        annot=goal.lhs))
+                prods.append(Production(
+                    nt.id, "impl", premises,
+                    session.canonical_var(goal.lhs), None, goal.lhs))
     return Grammar(start, tuple(nts), tuple(prods),
                    None if steps is None else tuple(steps))
 
@@ -151,28 +158,32 @@ def is_inhabited(g: Grammar) -> bool:
     known productive, and a nonterminal that becomes productive
     decrements the count of every production it is a premise of."""
     waiting = [len(p.premises) for p in g.productions]
-    uses: Dict[int, List[int]] = {}
+    uses: List[List[int]] = [[] for _ in g.nonterminals]
     for i, p in enumerate(g.productions):
         for q in p.premises:
-            uses.setdefault(q, []).append(i)
-    productive: set = set()
+            uses[q].append(i)
+    productive = [False] * len(g.nonterminals)
     work = [i for i, n in enumerate(waiting) if n == 0]
     while work:
         nt = g.productions[work.pop()].lhs
-        if nt in productive:
+        if productive[nt]:
             continue
-        productive.add(nt)
-        for i in uses.get(nt, ()):
+        productive[nt] = True
+        for i in uses[nt]:
             waiting[i] -= 1
             if waiting[i] == 0:
                 work.append(i)
-    return g.start in productive
+    return productive[g.start]
 
 
 def productions_by_lhs(g: Grammar) -> Dict[int, List[Production]]:
-    by_lhs: Dict[int, List[Production]] = {}
-    for p in g.productions:
-        by_lhs.setdefault(p.lhs, []).append(p)
+    """g's productions by lhs, built once and kept on g: do not change."""
+    by_lhs = getattr(g, "by_lhs", None)
+    if by_lhs is None:
+        by_lhs = {}
+        for p in g.productions:
+            by_lhs.setdefault(p.lhs, []).append(p)
+        _gr_by_lhs(g, by_lhs)
     return by_lhs
 
 

@@ -9,8 +9,8 @@ from functools import partial
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple, Union
 
-from .syntax import (Atom, Formula, Impl, Record, _set, key_hash,
-                     render, split_arrows, union_all)
+from .syntax import (Atom, Formula, Impl, Record, key_hash, render,
+                     slot_setters, split_arrows, union_all)
 
 STEP_CAP = 10 ** 6
 
@@ -32,19 +32,23 @@ class InvariantError(RuntimeError):
 # Like formulas, items and contexts compute their canonical key once: the
 # rendered string, which orders canonical contexts and identifies the
 # sequents of the grammar.  Items also keep their free variables and their
-# occurrence ids.  They hash by key but compare and print their fields.
+# occurrence ids, and a formula item the split_arrows of its formula, for
+# expose.  They hash by key but compare and print their fields.
 
 
 class Fml(Record):
-    __slots__ = ("formula", "fid", "key", "fvs", "fids")
+    __slots__ = ("formula", "fid", "key", "fvs", "fids", "args", "head")
     __hash__ = key_hash
 
     def __init__(self, formula: Formula, fid: int = -1):
-        _set(self, "formula", formula)
-        _set(self, "fid", fid)
-        _set(self, "key", formula.key)
-        _set(self, "fvs", formula.fvs)
-        _set(self, "fids", (fid,))
+        _fml_formula(self, formula)
+        _fml_fid(self, fid)
+        _fml_key(self, formula.key)
+        _fml_fvs(self, formula.fvs)
+        _fml_fids(self, (fid,))
+        args, head = split_arrows(formula)
+        _fml_args(self, args)
+        _fml_head(self, head)
 
 
 class Bracket(Record):
@@ -52,12 +56,12 @@ class Bracket(Record):
     __hash__ = key_hash
 
     def __init__(self, binds: frozenset, inner: "LJBContext"):
-        _set(self, "binds", binds)
-        _set(self, "inner", inner)
-        _set(self, "key", f"[{inner.key}]_{{{','.join(sorted(binds))}}}")
+        _br_binds(self, binds)
+        _br_inner(self, inner)
+        _br_key(self, f"[{inner.key}]_{{{','.join(sorted(binds))}}}")
         fvs = union_all(it.fvs for it in inner.items)
-        _set(self, "fvs", fvs - binds if not fvs.isdisjoint(binds) else fvs)
-        _set(self, "fids", tuple(itertools.chain.from_iterable(
+        _br_fvs(self, fvs - binds if not fvs.isdisjoint(binds) else fvs)
+        _br_fids(self, tuple(itertools.chain.from_iterable(
             it.fids for it in inner.items)))
 
 
@@ -65,21 +69,21 @@ Item = Union[Fml, Bracket]
 
 
 class LJBContext(Record):
-    __slots__ = ("items", "key", "normal")
+    __slots__ = ("items", "key", "normal", "top")  # top: see rule_step
     __hash__ = key_hash
 
     def __init__(self, items: Tuple[Item, ...] = (), *, normal: bool = False):
-        _set(self, "items", items)
-        _set(self, "key", ", ".join([it.key for it in items]))
-        _set(self, "normal", normal)  # normalize(ctx) returns ctx itself
+        _ctx_items(self, items)
+        _ctx_key(self, ", ".join([it.key for it in items]))
+        _ctx_normal(self, normal)  # normalize(ctx) returns ctx itself
 
 
 class LJBSequent(Record):
     __slots__ = ("context", "goal")
 
     def __init__(self, context: LJBContext, goal: Formula):
-        _set(self, "context", context)
-        _set(self, "goal", goal)
+        _seq_context(self, context)
+        _seq_goal(self, goal)
 
 
 def render_ljb_sequent(s: LJBSequent) -> str:
@@ -87,6 +91,12 @@ def render_ljb_sequent(s: LJBSequent) -> str:
     return f"{ctx} |- {s.goal.key}" if ctx else f"|- {s.goal.key}"
 
 
+# Each record's slot setters, bound once (see syntax.Record).
+(_fml_formula, _fml_fid, _fml_key, _fml_fvs, _fml_fids, _fml_args,
+ _fml_head) = slot_setters(Fml)
+_br_binds, _br_inner, _br_key, _br_fvs, _br_fids = slot_setters(Bracket)
+_ctx_items, _ctx_key, _ctx_normal, _ctx_top = slot_setters(LJBContext)
+_seq_context, _seq_goal = slot_setters(LJBSequent)
 _canon_key = attrgetter("key", "fids")
 
 
@@ -121,28 +131,31 @@ class SplitStep(Record):
     __slots__ = ("parent", "bracket", "inner")
 
     def __init__(self, parent: Tuple[int, ...], bracket: int, inner: int):
-        _set(self, "parent", parent)
-        _set(self, "bracket", bracket)
-        _set(self, "inner", inner)
+        _split_parent(self, parent)
+        _split_bracket(self, bracket)
+        _split_inner(self, inner)
 
 
 class DropStep(Record):
     __slots__ = ("parent", "bracket")
 
     def __init__(self, parent: Tuple[int, ...], bracket: int):
-        _set(self, "parent", parent)
-        _set(self, "bracket", bracket)
+        _drop_parent(self, parent)
+        _drop_bracket(self, bracket)
 
 
 class MergeStep(Record):
     __slots__ = ("parent", "keep", "drop")
 
     def __init__(self, parent: Tuple[int, ...], keep: int, drop: int):
-        _set(self, "parent", parent)
-        _set(self, "keep", keep)
-        _set(self, "drop", drop)
+        _merge_parent(self, parent)
+        _merge_keep(self, keep)
+        _merge_drop(self, drop)
 
 
+_split_parent, _split_bracket, _split_inner = slot_setters(SplitStep)
+_drop_parent, _drop_bracket = slot_setters(DropStep)
+_merge_parent, _merge_keep, _merge_drop = slot_setters(MergeStep)
 CleaningStep = Union[SplitStep, DropStep, MergeStep]
 
 
@@ -258,7 +271,7 @@ def normalize(ctx: LJBContext,
                 merged.update(zip(x.fids, prev.fids))
     if len(items) == len(ctx.items) and all(
             a is b for a, b in zip(items, ctx.items)):
-        _set(ctx, "normal", True)
+        _ctx_normal(ctx, True)
         return ctx
     return _normal(tuple(items))
 
@@ -295,11 +308,15 @@ class ExposeEntry(Record):
 
     def __init__(self, occurrence_id: int, restructured: LJBContext,
                  formula: Formula, fid: int, args: Tuple[Formula, ...]):
-        _set(self, "occurrence_id", occurrence_id)
-        _set(self, "restructured", restructured)
-        _set(self, "formula", formula)
-        _set(self, "fid", fid)
-        _set(self, "args", args)
+        _entry_id(self, occurrence_id)
+        _entry_restructured(self, restructured)
+        _entry_formula(self, formula)
+        _entry_fid(self, fid)
+        _entry_args(self, args)
+
+
+(_entry_id, _entry_restructured, _entry_formula, _entry_fid,
+ _entry_args) = slot_setters(ExposeEntry)
 
 
 def expose(ctx: LJBContext, goal_atom: Formula) -> List[ExposeEntry]:
@@ -309,23 +326,23 @@ def expose(ctx: LJBContext, goal_atom: Formula) -> List[ExposeEntry]:
         raise InvariantError(f"expose needs an atomic goal, got "
                              f"{render(goal_atom)}")
     entries: List[ExposeEntry] = []
-    _expose(ctx, goal_atom, [], frozenset(), entries)
+    _expose(ctx, goal_atom.key, [], frozenset(), entries)
     return entries
 
 
-def _expose(level: LJBContext, goal_atom: Atom, chain, crossed: frozenset,
+def _expose(level: LJBContext, goal_key: str, chain, crossed: frozenset,
             entries: List[ExposeEntry]) -> None:
     for idx, it in enumerate(level.items):
         if isinstance(it, Bracket):
-            _expose(it.inner, goal_atom, chain + [(level, idx, it.binds)],
+            _expose(it.inner, goal_key, chain + [(level, idx, it.binds)],
                     crossed | it.binds, entries)
             continue
-        args, head = split_arrows(it.formula)
-        if head != goal_atom or not head.fvs.isdisjoint(crossed):
+        head = it.head
+        if head.key != goal_key or not head.fvs.isdisjoint(crossed):
             continue
         entries.append(ExposeEntry(
             len(entries), _restructure(chain, level, idx), it.formula,
-            it.fid, args))
+            it.fid, it.args))
 
 
 def _restructure(chain, final_level: LJBContext, final_idx: int) -> LJBContext:
@@ -367,18 +384,24 @@ def rule_step(s: LJBSequent) -> List[Premises]:
     records cleaning's merges in a dict of its own.  The hypothesis
     R-impl adds has occurrence id 1 + the largest of s's context (0 for
     none), so a context whose ids are distinct has premises whose ids
-    are distinct."""
+    are distinct.  When the hypothesis stays, R-impl keeps its id as
+    the largest (top) of the context it builds, for the next R-impl."""
     if isinstance(s.goal, Atom):
         return [premises(e.restructured, e.args, e)
                 for e in expose(s.context, s.goal)]
     merged: Dict[int, int] = {}
     ctx = normalize(s.context, merged)
     if isinstance(s.goal, Impl):
-        hyp = Fml(s.goal.lhs, 1 + max(itertools.chain.from_iterable(
-            it.fids for it in s.context.items), default=-1))
+        top = getattr(s.context, "top", None)
+        if top is None:
+            top = max(itertools.chain.from_iterable(
+                it.fids for it in s.context.items), default=-1)
+        hyp = Fml(s.goal.lhs, top + 1)
         items = _insert(ctx.items, hyp, merged)
-        return [(ctx if items is ctx.items else _normal(items),
-                 (s.goal.rhs,), hyp, merged)]
+        if items is not ctx.items:  # hyp stays
+            ctx = _normal(items)
+            _ctx_top(ctx, hyp.fid)
+        return [(ctx, (s.goal.rhs,), hyp, merged)]
     # R-forall, normalize(LJBContext((Bracket(binds, ctx),))) from the
     # normal ctx: the items free of the binds leave the bracket, which
     # then holds a normal level and is dropped when empty

@@ -8,9 +8,9 @@ from operator import attrgetter
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Tuple, Union)
 
-from .syntax import (Atom, Forall, Formula, NotNegative, Record, _set,
+from .syntax import (Atom, Forall, Formula, NotNegative, Record,
                      decompose_negative, fresh_name, match_formula,
-                     parse_formula, rename, render, union_all)
+                     parse_formula, rename, render, slot_setters, union_all)
 
 
 class IllFormed(Exception):
@@ -34,7 +34,7 @@ def _structural(*names: str):
             return self._hash
         except AttributeError:
             h = hash(fields(self))
-            _set(self, "_hash", h)
+            _node_hash(self, h)
             return h
 
     def __reduce__(self):
@@ -54,8 +54,10 @@ class _Node:
 # to size times depth (expansion's sort keys live for one call).  Unlike
 # the Records of the other layers, proof-terms are frozen dataclasses,
 # so that dataclasses.replace rebuilds them with a field changed.  Each
-# __init__ is written out and sets the fields only, which is faster than
-# the generated one; expansion builds every node of its output.
+# __init__ is written out and sets the fields only, through the slots'
+# descriptors (syntax.slot_setters): the generated one stores each with
+# object.__setattr__, at over twice the cost, and expansion builds every
+# node of its output.
 
 @dataclass(frozen=True, slots=True)
 class Spine(_Node):
@@ -63,8 +65,8 @@ class Spine(_Node):
     args: tuple = ()
 
     def __init__(self, head: str, args: tuple = ()):
-        _set(self, "head", head)
-        _set(self, "args", args)
+        _spine_head(self, head)
+        _spine_args(self, args)
 
     __hash__, __reduce__ = _structural("head", "args")
 
@@ -75,8 +77,8 @@ class LamTm(_Node):
     body: "ProofTerm"
 
     def __init__(self, var: str, body: "ProofTerm"):
-        _set(self, "var", var)
-        _set(self, "body", body)
+        _lamtm_var(self, var)
+        _lamtm_body(self, body)
 
     __hash__, __reduce__ = _structural("var", "body")
 
@@ -88,13 +90,17 @@ class LamPf(_Node):
     body: "ProofTerm"
 
     def __init__(self, pvar: str, annot: Formula, body: "ProofTerm"):
-        _set(self, "pvar", pvar)
-        _set(self, "annot", annot)
-        _set(self, "body", body)
+        _lampf_pvar(self, pvar)
+        _lampf_annot(self, annot)
+        _lampf_body(self, body)
 
     __hash__, __reduce__ = _structural("pvar", "annot", "body")
 
 
+_node_hash, = slot_setters(_Node)
+_spine_head, _spine_args = slot_setters(Spine)
+_lamtm_var, _lamtm_body = slot_setters(LamTm)
+_lampf_pvar, _lampf_annot, _lampf_body = slot_setters(LamPf)
 ProofTerm = Union[Spine, LamTm, LamPf]
 
 
@@ -212,7 +218,7 @@ class NamedContext(Record):
     __slots__ = ("hyps",)
 
     def __init__(self, hyps: Tuple[Tuple[str, Formula], ...] = ()):
-        _set(self, "hyps", hyps)
+        _named_hyps(self, hyps)
 
     def lookup(self, pvar: str) -> Optional[Formula]:
         return next((f for name, f in self.hyps if name == pvar), None)
@@ -231,8 +237,12 @@ class LJPlusSequent(Record):
     __slots__ = ("context", "goal")
 
     def __init__(self, context: NamedContext, goal: Formula):
-        _set(self, "context", context)
-        _set(self, "goal", goal)
+        _ljp_context(self, context)
+        _ljp_goal(self, goal)
+
+
+_named_hyps, = slot_setters(NamedContext)
+_ljp_context, _ljp_goal = slot_setters(LJPlusSequent)
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,12 @@ class Record:
     every layer but proof-terms.  Its fields are the positional
     parameters of its __init__, which is written out (a generated one
     costs several times more to define at import) and stores each in
-    the slot of that name with _set, and other values in further slots.
-    Nothing else writes a slot, with one exception: ljb.normalize sets
-    the normal mark of a context that it finds normal.  Records of one
-    class with equal fields are equal, the hash agrees, repr shows the
-    fields, and pickling and copying call __init__ again on the
-    fields."""
+    the slot of that name, and other values in further slots, through
+    the slot's own descriptor (slot_setters), at under half the cost of
+    object.__setattr__.  Nothing else writes a slot but the caches
+    filled on first use.  Records of one class with equal fields are
+    equal, the hash agrees, repr shows the fields, and pickling and
+    copying call __init__ again on the fields."""
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
@@ -86,7 +86,11 @@ class Node(Record):
         return type(other) is type(self) and other.key == self.key
 
 
-_set = object.__setattr__
+def slot_setters(cls) -> list:
+    """The __set__ of each of cls's own slots, in __slots__ order."""
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
 _EMPTY: frozenset = frozenset()
 
 
@@ -103,19 +107,19 @@ class Var(Node):
     __slots__ = ("name", "key", "fvs")
 
     def __init__(self, name: str):
-        _set(self, "name", name)
-        _set(self, "key", name)
-        _set(self, "fvs", frozenset((name,)))
+        _var_name(self, name)
+        _var_key(self, name)
+        _var_fvs(self, frozenset((name,)))
 
 
 class Fn(Node):
     __slots__ = ("symbol", "args", "key", "fvs")
 
     def __init__(self, symbol: str, args: tuple):
-        _set(self, "symbol", symbol)
-        _set(self, "args", args)
-        _set(self, "key", f"{symbol}({', '.join(a.key for a in args)})")
-        _set(self, "fvs", union_all(a.fvs for a in args))
+        _fn_symbol(self, symbol)
+        _fn_args(self, args)
+        _fn_key(self, f"{symbol}({', '.join(a.key for a in args)})")
+        _fn_fvs(self, union_all(a.fvs for a in args))
 
 
 FoTerm = Union[Var, Fn]
@@ -125,46 +129,52 @@ class Atom(Node):
     __slots__ = ("pred", "args", "key", "fvs", "bvs")
 
     def __init__(self, pred: str, args: tuple = ()):
-        _set(self, "pred", pred)
-        _set(self, "args", args)
-        _set(self, "bvs", _EMPTY)
+        _atom_pred(self, pred)
+        _atom_args(self, args)
+        _atom_bvs(self, _EMPTY)
         if len(args) == 1:
-            _set(self, "key", f"{pred}({args[0].key})")
-            _set(self, "fvs", args[0].fvs)
+            _atom_key(self, f"{pred}({args[0].key})")
+            _atom_fvs(self, args[0].fvs)
         elif args:
-            _set(self, "key", f"{pred}({', '.join(a.key for a in args)})")
-            _set(self, "fvs", union_all(a.fvs for a in args))
+            _atom_key(self, f"{pred}({', '.join(a.key for a in args)})")
+            _atom_fvs(self, union_all(a.fvs for a in args))
         else:
-            _set(self, "key", pred)
-            _set(self, "fvs", _EMPTY)
+            _atom_key(self, pred)
+            _atom_fvs(self, _EMPTY)
 
 
 class Impl(Node):
     __slots__ = ("lhs", "rhs", "key", "fvs", "bvs")
 
     def __init__(self, lhs: "Formula", rhs: "Formula"):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "key", f"{lhs.key} -> {rhs.key}" if type(lhs) is Atom
-             else f"({lhs.key}) -> {rhs.key}")
+        _impl_lhs(self, lhs)
+        _impl_rhs(self, rhs)
+        _impl_key(self, f"{lhs.key} -> {rhs.key}" if type(lhs) is Atom
+                  else f"({lhs.key}) -> {rhs.key}")
         a, b = lhs.fvs, rhs.fvs
-        _set(self, "fvs", a if b <= a else b if a <= b else a | b)
+        _impl_fvs(self, a if b <= a else b if a <= b else a | b)
         a, b = lhs.bvs, rhs.bvs
-        _set(self, "bvs", a if b <= a else b if a <= b else a | b)
+        _impl_bvs(self, a if b <= a else b if a <= b else a | b)
 
 
 class Forall(Node):
     __slots__ = ("var", "body", "key", "fvs", "bvs")
 
     def __init__(self, var: str, body: "Formula"):
-        _set(self, "var", var)
-        _set(self, "body", body)
-        _set(self, "key", f"forall {var}. {body.key}")
+        _all_var(self, var)
+        _all_body(self, body)
+        _all_key(self, f"forall {var}. {body.key}")
         fvs = body.fvs
-        _set(self, "fvs", fvs - {var} if var in fvs else fvs)
-        _set(self, "bvs", body.bvs | {var})
+        _all_fvs(self, fvs - {var} if var in fvs else fvs)
+        _all_bvs(self, body.bvs | {var})
 
 
+# Each node's slot setters, bound once (see Record).
+_var_name, _var_key, _var_fvs = slot_setters(Var)
+_fn_symbol, _fn_args, _fn_key, _fn_fvs = slot_setters(Fn)
+_atom_pred, _atom_args, _atom_key, _atom_fvs, _atom_bvs = slot_setters(Atom)
+_impl_lhs, _impl_rhs, _impl_key, _impl_fvs, _impl_bvs = slot_setters(Impl)
+_all_var, _all_body, _all_key, _all_fvs, _all_bvs = slot_setters(Forall)
 Formula = Union[Atom, Impl, Forall]
 
 

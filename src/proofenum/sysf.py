@@ -7,32 +7,35 @@ from typing import Union
 
 from .ljplus import LamPf, LamTm, ProofTerm, render_proof
 from .syntax import (Atom, Forall, Formula, Impl, Record, SyntaxError_, Var,
-                     _set, is_positive, parse_formula)
+                     is_positive, parse_formula, slot_setters)
 
 
 class TVar(Record):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        _set(self, "name", name)
+        _tvar_name(self, name)
 
 
 class Arrow(Record):
     __slots__ = ("lhs", "rhs")
 
     def __init__(self, lhs: "FType", rhs: "FType"):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
+        _arrow_lhs(self, lhs)
+        _arrow_rhs(self, rhs)
 
 
 class ForallT(Record):
     __slots__ = ("var", "body")
 
     def __init__(self, var: str, body: "FType"):
-        _set(self, "var", var)
-        _set(self, "body", body)
+        _forall_var(self, var)
+        _forall_body(self, body)
 
 
+_tvar_name, = slot_setters(TVar)
+_arrow_lhs, _arrow_rhs = slot_setters(Arrow)
+_forall_var, _forall_body = slot_setters(ForallT)
 FType = Union[TVar, Arrow, ForallT]
 
 PRED = "eps"

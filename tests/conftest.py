@@ -1,5 +1,5 @@
 """Shared fixtures: the formula corpus, random goals, small comparison
-helpers, the reference checks of cleaning, emptiness and
+helpers, the reference checks of cleaning, exposure, emptiness and
 alpha-equivalence, the reference renaming of proof-terms and copy
 tables, and helpers that only the tests use."""
 
@@ -7,13 +7,14 @@ import itertools
 import random
 
 from proofenum.expand import _copies, _renaming, flatten_det
-from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
-                           apply_step, canon, normalize)
+from proofenum.ljb import (Bracket, ExposeEntry, Fml, InvariantError,
+                           LJBContext, _restructure, apply_step, canon,
+                           normalize)
 from proofenum.ljplus import (IllFormed, LamPf, LamTm, LJPlusSequent,
                               NamedContext, Spine, check_proof,
                               oracle_enumerate, render_proof)
 from proofenum.syntax import (Atom, Fn, Forall, Impl, Var, fresh_name,
-                              parse_formula, rename, union_all)
+                              parse_formula, rename, split_arrows, union_all)
 from proofenum.sysf import parse_sysf_type, phi
 
 FIG_FORMULA = "((forall y. (P(y)->Q) -> (P(y)->Q)) -> Q) -> Q"
@@ -173,6 +174,30 @@ def random_context(rng, budget, depth=0):
                 text = f"{text} -> Q"
             items.append(Fml(parse_formula(text)))
     return LJBContext(tuple(items))
+
+
+def reference_expose(ctx, goal_atom):
+    """The entries of ljb.expose(ctx, goal_atom), found by splitting
+    every hypothesis with split_arrows at each call and comparing its
+    head with the goal: the reference for expose, which reads the head
+    each formula item keeps."""
+    entries = []
+
+    def scan(level, chain, crossed):
+        for idx, it in enumerate(level.items):
+            if isinstance(it, Bracket):
+                scan(it.inner, chain + [(level, idx, it.binds)],
+                     crossed | it.binds)
+                continue
+            args, head = split_arrows(it.formula)
+            if head != goal_atom or not head.fvs.isdisjoint(crossed):
+                continue
+            entries.append(ExposeEntry(
+                len(entries), _restructure(chain, level, idx), it.formula,
+                it.fid, args))
+
+    scan(ctx, [], frozenset())
+    return entries
 
 
 def fixpoint_is_inhabited(g):

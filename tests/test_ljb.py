@@ -6,13 +6,15 @@ from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent,
                            _restructure, annotate, canon, expose, normalize,
                            normalize_chain, render_ljb_sequent, rule_step,
                            MergeStep)
-from proofenum.grammar import scheme_check
+from proofenum.grammar import build_grammar, scheme_check
 from proofenum.ljplus import LamPf, LamTm, Spine
 from proofenum.expand import Session
-from proofenum.syntax import Forall, parse_formula, render, split_arrows
+from proofenum.syntax import (Atom, Forall, Impl, parse_formula, render,
+                              split_arrows)
 
-from conftest import (erase_formulas, is_normal, merge_pairs,
-                      random_context, render_context, replay)
+from conftest import (corpus, d_family, erase_formulas, is_normal,
+                      merge_pairs, random_context, reference_expose,
+                      render_context, replay, seeded_goals)
 
 
 def fml(text, fid=-1):
@@ -183,6 +185,41 @@ def test_expose_restructure_releases_innermost():
     assert got == "R(y), R(y) -> Q, [P(x), [S]_{x}]_{y}"
 
 
+def _formula_items(ctx):
+    for it in ctx.items:
+        if isinstance(it, Fml):
+            yield it
+        else:
+            yield from _formula_items(it.inner)
+
+
+def test_expose_matches_the_split_arrows_scan():
+    # Entries are records, so == compares their order, occurrence ids,
+    # restructured contexts (fids included), formulas and arguments.
+    rng = random.Random(21)
+    goals = [parse_formula(t) for t in ("Q", "P", "P(x)", "R(x, y)", "R(z)")]
+    cases = []
+    for _ in range(300):
+        ctx = random_context(rng, [12])
+        cases += [(c, g) for c in (ctx, annotate(ctx)) for g in goals]
+    for k in (3, 4):
+        g = build_grammar(d_family(k), Session())
+        cases += [(nt.sequent.context, nt.sequent.goal)
+                  for nt in g.nonterminals
+                  if isinstance(nt.sequent.goal, Atom)]
+    entries = crossed = 0
+    for ctx, goal in cases:
+        got, want = expose(ctx, goal), reference_expose(ctx, goal)
+        assert got == want
+        assert [e.restructured.key for e in got] == \
+            [e.restructured.key for e in want]
+        entries += len(got)
+        crossed += sum(e.restructured is not ctx for e in got)
+        for it in _formula_items(ctx):
+            assert (it.args, it.head) == split_arrows(it.formula)
+    assert len(cases) > 3300 and entries > 2000 and crossed > 1000
+
+
 def _next_fid(ctx):
     """The occurrence id of the hypothesis R-impl adds to ctx."""
     return 1 + max((f for it in ctx.items for f in it.fids), default=-1)
@@ -210,6 +247,25 @@ def test_rimpl_extends_and_normalizes():
     s = LJBSequent(LJBContext((fml("P"),)), parse_formula("P -> Q"))
     out = right_rule(s)
     assert render_ljb_sequent(out) == "P |- Q"  # duplicate P merged
+
+
+def test_rimpl_numbers_its_hypothesis_above_the_context():
+    # R-impl's hypothesis has id 1 + the largest id of the conclusion's
+    # context, also where that context was built by an R-impl, which
+    # keeps its largest id on it (top).
+    goals = corpus() + [d_family(k) for k in (3, 4)] + seeded_goals(60)
+    chained = 0
+    for goal in goals:
+        for nt in build_grammar(goal, Session()).nonterminals:
+            s = nt.sequent
+            if not isinstance(s.goal, Impl):
+                continue
+            [(_, _, hyp, _)] = rule_step(s)
+            assert hyp.fid == _next_fid(s.context)
+            top = getattr(s.context, "top", None)
+            assert top in (None, hyp.fid - 1)
+            chained += top is not None
+    assert chained > 500
 
 
 def test_scheme_check_simple():

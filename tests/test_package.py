@@ -13,6 +13,7 @@ from proofenum.expand import Session
 from proofenum.grammar import build_grammar
 from proofenum.ljb import (Bracket, DropStep, Fml, LJBContext, LJBSequent,
                            MergeStep, SplitStep)
+from proofenum.ljplus import LamPf, LamTm, Spine
 from proofenum.syntax import parse_formula
 from proofenum.sysf import TVar
 
@@ -58,6 +59,49 @@ def test_only_proof_terms_are_dataclasses():
                   if isinstance(obj, type) and dataclasses.is_dataclass(obj)
                   and obj.__module__ == name]
     assert sorted(found) == ["LamPf", "LamTm", "Spine"]
+
+
+def test_inits_store_through_slot_descriptors():
+    # A slot descriptor's __set__ costs under half of object.__setattr__,
+    # called by that name or through an alias such as _set, and
+    # saturation and expansion build every node through an __init__.
+    # The caches filled on first use (a proof-term's hash, a context's
+    # normal mark) are set elsewhere.
+    found = []
+    for path in sorted(Path(proofenum.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for init in ast.walk(tree):
+            if not (isinstance(init, ast.FunctionDef)
+                    and init.name == "__init__"):
+                continue
+            for node in ast.walk(init):
+                func = getattr(node, "func", None)
+                if (isinstance(func, ast.Name) and func.id == "_set"
+                        or isinstance(func, ast.Attribute)
+                        and func.attr == "__setattr__"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_replace_builds_the_proof_term_built_directly():
+    f, g = parse_formula("forall x. P(x) -> Q"), parse_formula("Q")
+    spine = Spine("a", (Spine("b"),))
+    pairs = [
+        (dataclasses.replace(spine, head="c"), Spine("c", (Spine("b"),))),
+        (dataclasses.replace(spine, args=()), Spine("a")),
+        (dataclasses.replace(LamTm("x", spine), var="y"), LamTm("y", spine)),
+        (dataclasses.replace(LamTm("x", spine), body=Spine("b")),
+         LamTm("x", Spine("b"))),
+        (dataclasses.replace(LamPf("h", f, spine), pvar="k"),
+         LamPf("k", f, spine)),
+        (dataclasses.replace(LamPf("h", f, spine), annot=g),
+         LamPf("h", g, spine)),
+        (dataclasses.replace(LamPf("h", f, spine), body=Spine("h")),
+         LamPf("h", f, Spine("h"))),
+    ]
+    for got, want in pairs:
+        assert type(got) is type(want) and got == want
+        assert hash(got) == hash(want) and repr(got) == repr(want)
 
 
 def _records():
