@@ -156,6 +156,17 @@ class _Top:
         return _Top(copies, self.n, self.tvars)
 
 
+def _identity_top(hyps: Sequence[Tuple[str, Formula]]) -> _Top:
+    """The top of the context hyps, (proof variable, formula) pairs, in
+    which each hypothesis is its own one copy.  Its proof binders are
+    h<n>, h<n+1>, ... from the least n, at least the number of hyps,
+    above every k of a hypothesis named h<k>, so that none clashes."""
+    n = max([len(hyps)] + [int(pv[1:]) + 1 for pv, _ in hyps
+                           if pv[:1] == "h" and pv[1:].isdecimal()])
+    return _Top({pv: _copies(((pv, f),)) for pv, f in hyps}, n,
+                union_all(f.fvs for _, f in hyps))
+
+
 def _bind(goal: Formula, taken: frozenset) -> Tuple[str, Formula]:
     """The binder name and body of a term binder proving the forall
     goal in a context whose free term variables are taken: goal's own
@@ -205,19 +216,16 @@ _dup_sigma1, _dup_sigma2, _dup_copies = slot_setters(Duplication)
 def funcF(u: ProofTerm, source: LJPlusSequent, target: LJPlusSequent,
           d: Duplication) -> List[ProofTerm]:
     """All duplicated variants of u proving the partial duplication
-    target of source (empty when no copy assignment is consistent).
-    Their proof binders are named h<n>, h<n+1>, ... by place in scope,
-    from the least n, at least the number of target's hypotheses, above
-    every k of a hypothesis named h<k>, so that none clashes."""
-    hyps = target.context.hyps
-    src, tgt = dict(source.context.hyps), dict(hyps)
+    target of source (empty when no copy assignment is consistent):
+    target's identity top lifted by the copies whose formula is the
+    source's renamed by their sigma.  Their proof binders are named by
+    place in scope (see _identity_top)."""
+    src, tgt = dict(source.context.hyps), dict(target.context.hyps)
     sigma = {1: d.sigma1, 2: d.sigma2}
-    copies = {spv: _copies((pv, tgt[pv]) for i, pv in sorted(m.items())
-                           if rename(src[spv], sigma[i]) == tgt[pv])
-              for spv, m in d.copies.items()}
-    n = max([len(hyps)] + [int(pv[1:]) + 1 for pv, _ in hyps
-                           if pv[:1] == "h" and pv[1:].isdecimal()])
-    top = _Top(copies, n, target.context.free_term_vars())
+    table = {spv: [pv for i, pv in sorted(m.items())
+                   if rename(src[spv], sigma[i]) == tgt[pv]]
+             for spv, m in d.copies.items()}
+    top = _identity_top(target.context.hyps).below(table)
     return sort_proofs(set(_lift(u, target.goal, top)))
 
 
@@ -247,20 +255,16 @@ def funcG(ctx: LJBContext, goal: Formula,
           terms: Sequence[ProofTerm]) -> List[ProofTerm]:
     """Lift terms proving the flattening of normalize(ctx) with goal
     back across cleaning to all the terms proving the flattening of ctx
-    whose cleaned images they are.  ctx is annotated, so canonical.
-    Raises InvariantError when the two flattenings differ on an
-    occurrence."""
+    whose cleaned images they are: the identity top of ctx's flattening
+    lifted by cleaning's copy table (_copy_table).  ctx is annotated, so
+    canonical.  Raises InvariantError when the two flattenings differ on
+    an occurrence (_renaming)."""
     nf, _, _, merged = premises(ctx, (goal,))
     src, dst = flatten_det(nf, goal), flatten_det(ctx, goal)
-    tmap, pmap = _renaming(src, dst)
-    if not (merged or tmap or pmap):
-        return list(terms)
-    formula = {pv: f for _, pv, f in dst.hyps}
+    _renaming(src, dst)
     table = _copy_table([fid for fid, _, _ in src.hyps], merged,
                         [fid for fid, _, _ in dst.hyps])
-    top = _Top({pv: _copies((c, formula[c]) for c in cs)
-                for pv, cs in table.items()},
-               len(dst.hyps), union_all(f.fvs for f in formula.values()))
+    top = _identity_top([(pv, f) for _, pv, f in dst.hyps]).below(table)
     return [t for u in terms for t in _lift(u, goal, top)]
 
 
@@ -415,9 +419,8 @@ def funcH(session: Session, pi: Scheme, seq: LJBSequent) -> List[ProofTerm]:
     the grammar bounded at pi's height, from that flattening's identity."""
     start = LJBSequent(annotate(seq.context), seq.goal)
     grammar = saturate(start, session, max_height=term_height(pi))
-    hyps = flatten_det(start.context, seq.goal).hyps
-    top = _Top({pv: _copies(((pv, f),)) for _, pv, f in hyps}, len(hyps),
-               union_all(f.fvs for _, _, f in hyps))
+    top = _identity_top([(pv, f) for _, pv, f
+                         in flatten_det(start.context, seq.goal).hyps])
     return _sorted(*_Expander(grammar).H(grammar.start, pi, seq.goal, top))
 
 

@@ -98,8 +98,10 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
              max_height: Optional[int] = None) -> Grammar:
     """The grammar of the sequents reachable from start_seq, as in
     build_grammar: one production per rule instance of rule_step, with
-    the cleaned premise sequents as its premises.  A nonterminal keeps
-    the sequent it was first reached with, occurrence ids included.
+    the cleaned premise sequents as its premises; a spine production's
+    occurrence_id is its instance's index, that of its entry in expose.
+    A nonterminal keeps the sequent it was first reached with,
+    occurrence ids included.
     With max_height, the grammar keeps the rule instances too (steps):
     the FIFO worklist expands the nonterminals in id order, a prefix of
     them."""
@@ -133,13 +135,12 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
         instances = rule_step(nt.sequent)
         if steps is not None:
             steps.append(instances)
-        for ctx, goals, hyp, _ in instances:
+        for i, (ctx, goals, hyp, _) in enumerate(instances):
             premises = tuple([intern(ctx, a, depth) for a in goals])
             if isinstance(goal, Atom):
                 prods.append(Production(
                     nt.id, "spine", premises,
-                    session.canonical_var(hyp.formula), None, None,
-                    hyp.occurrence_id))
+                    session.canonical_var(hyp.formula), None, None, i))
             elif isinstance(goal, Forall):
                 prods.append(Production(nt.id, "forall", premises, None,
                                         goal.var))
@@ -205,7 +206,6 @@ def _schemes(nt: int, h: int, by_lhs: Dict[int, List[Production]],
     key = (nt, h)
     if key in memo:
         return memo[key]
-    memo[key] = frozenset()  # cycle guard; heights strictly decrease
     out: set = set()
     for p in by_lhs.get(nt, []):
         subs = []  # a loop, not a comprehension: one frame per level

@@ -59,10 +59,10 @@ class Bracket(Record):
         _br_binds(self, binds)
         _br_inner(self, inner)
         _br_key(self, f"[{inner.key}]_{{{','.join(sorted(binds))}}}")
-        fvs = union_all(it.fvs for it in inner.items)
+        fvs = union_all([it.fvs for it in inner.items])
         _br_fvs(self, fvs - binds if not fvs.isdisjoint(binds) else fvs)
         _br_fids(self, tuple(itertools.chain.from_iterable(
-            it.fids for it in inner.items)))
+            [it.fids for it in inner.items])))
 
 
 Item = Union[Fml, Bracket]
@@ -303,35 +303,21 @@ def _insert(items: Tuple[Item, ...], item: Item,
 # Deduction rules
 
 
-class ExposeEntry(Record):
-    __slots__ = ("occurrence_id", "restructured", "formula", "fid", "args")
-
-    def __init__(self, occurrence_id: int, restructured: LJBContext,
-                 formula: Formula, fid: int, args: Tuple[Formula, ...]):
-        _entry_id(self, occurrence_id)
-        _entry_restructured(self, restructured)
-        _entry_formula(self, formula)
-        _entry_fid(self, fid)
-        _entry_args(self, args)
-
-
-(_entry_id, _entry_restructured, _entry_formula, _entry_fid,
- _entry_args) = slot_setters(ExposeEntry)
-
-
-def expose(ctx: LJBContext, goal_atom: Formula) -> List[ExposeEntry]:
+def expose(ctx: LJBContext,
+           goal_atom: Formula) -> List[Tuple[LJBContext, Fml]]:
     """All usable occurrences of hypotheses whose atomic head equals the
-    goal, each with the bracket-restructured context."""
+    goal, in traversal order: each the bracket-restructured context and
+    the formula item itself."""
     if not isinstance(goal_atom, Atom):
         raise InvariantError(f"expose needs an atomic goal, got "
                              f"{render(goal_atom)}")
-    entries: List[ExposeEntry] = []
+    entries: List[Tuple[LJBContext, Fml]] = []
     _expose(ctx, goal_atom.key, [], frozenset(), entries)
     return entries
 
 
 def _expose(level: LJBContext, goal_key: str, chain, crossed: frozenset,
-            entries: List[ExposeEntry]) -> None:
+            entries: List[Tuple[LJBContext, Fml]]) -> None:
     for idx, it in enumerate(level.items):
         if isinstance(it, Bracket):
             _expose(it.inner, goal_key, chain + [(level, idx, it.binds)],
@@ -340,9 +326,7 @@ def _expose(level: LJBContext, goal_key: str, chain, crossed: frozenset,
         head = it.head
         if head.key != goal_key or not head.fvs.isdisjoint(crossed):
             continue
-        entries.append(ExposeEntry(
-            len(entries), _restructure(chain, level, idx), it.formula,
-            it.fid, it.args))
+        entries.append((_restructure(chain, level, idx), it))
 
 
 def _restructure(chain, final_level: LJBContext, final_idx: int) -> LJBContext:
@@ -363,14 +347,15 @@ def _restructure(chain, final_level: LJBContext, final_idx: int) -> LJBContext:
 
 # The premises of one rule instance: (context, goals, hyp, merged),
 # their goals over one cleaned context, the hypothesis the rule acts on
-# (the ExposeEntry of a left rule, the new Fml of R-impl, None for
-# R-forall) and cleaning's merges (see normalize).
-Premises = Tuple[LJBContext, Tuple[Formula, ...],
-                 Union[ExposeEntry, Fml, None], Dict[int, int]]
+# (the Fml of the conclusion's context that a left rule exposes, the new
+# Fml of R-impl, None for R-forall) and cleaning's merges (see
+# normalize).
+Premises = Tuple[LJBContext, Tuple[Formula, ...], Optional[Fml],
+                 Dict[int, int]]
 
 
 def premises(raw: LJBContext, goals: Tuple[Formula, ...],
-             hyp: Optional[ExposeEntry] = None) -> Premises:
+             hyp: Optional[Fml] = None) -> Premises:
     """The premises with goals over the context raw before cleaning."""
     merged: Dict[int, int] = {}
     return normalize(raw, merged), goals, hyp, merged
@@ -387,8 +372,8 @@ def rule_step(s: LJBSequent) -> List[Premises]:
     are distinct.  When the hypothesis stays, R-impl keeps its id as
     the largest (top) of the context it builds, for the next R-impl."""
     if isinstance(s.goal, Atom):
-        return [premises(e.restructured, e.args, e)
-                for e in expose(s.context, s.goal)]
+        return [premises(ctx, hyp.args, hyp)
+                for ctx, hyp in expose(s.context, s.goal)]
     merged: Dict[int, int] = {}
     ctx = normalize(s.context, merged)
     if isinstance(s.goal, Impl):

@@ -7,9 +7,8 @@ import itertools
 import random
 
 from proofenum.expand import _copies, _renaming, flatten_det
-from proofenum.ljb import (Bracket, ExposeEntry, Fml, InvariantError,
-                           LJBContext, _restructure, apply_step, canon,
-                           normalize)
+from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
+                           _restructure, apply_step, canon, normalize)
 from proofenum.ljplus import (IllFormed, LamPf, LamTm, LJPlusSequent,
                               NamedContext, Spine, check_proof,
                               oracle_enumerate, render_proof)
@@ -177,10 +176,11 @@ def random_context(rng, budget, depth=0):
 
 
 def reference_expose(ctx, goal_atom):
-    """The entries of ljb.expose(ctx, goal_atom), found by splitting
-    every hypothesis with split_arrows at each call and comparing its
-    head with the goal: the reference for expose, which reads the head
-    each formula item keeps."""
+    """The (restructured context, formula item) pairs of
+    ljb.expose(ctx, goal_atom), found by splitting every hypothesis with
+    split_arrows at each call and comparing its head with the goal: the
+    reference for expose, which reads the head each formula item
+    keeps."""
     entries = []
 
     def scan(level, chain, crossed):
@@ -189,12 +189,10 @@ def reference_expose(ctx, goal_atom):
                 scan(it.inner, chain + [(level, idx, it.binds)],
                      crossed | it.binds)
                 continue
-            args, head = split_arrows(it.formula)
+            head = split_arrows(it.formula)[1]
             if head != goal_atom or not head.fvs.isdisjoint(crossed):
                 continue
-            entries.append(ExposeEntry(
-                len(entries), _restructure(chain, level, idx), it.formula,
-                it.fid, args))
+            entries.append((_restructure(chain, level, idx), it))
 
     scan(ctx, [], frozenset())
     return entries

@@ -370,9 +370,9 @@ def _raw_premises(grammar, nt, prods):
     if isinstance(goal, Atom):
         out = []
         for p in prods:
-            e = expose(ctx, goal)[p.occurrence_id]
-            _, pvar, f = hyps[e.fid]
-            out.append((e.restructured, e.args, [
+            restructured, hyp = expose(ctx, goal)[p.occurrence_id]
+            _, pvar, f = hyps[hyp.fid]
+            out.append((restructured, hyp.args, [
                 Flat(b, hyps) for b in decompose_negative(f)[0]], pvar))
         return out
     if isinstance(goal, Forall):

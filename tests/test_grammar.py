@@ -7,10 +7,11 @@ from proofenum import scheme_check
 from proofenum.expand import Session
 from proofenum.grammar import (CapExceeded, Grammar, Nonterminal, NotPositive,
                                Production, build_grammar, enumerate_schemes,
-                               grammar_to_json, is_inhabited, render_grammar)
-from proofenum.ljb import LJBContext, LJBSequent
+                               grammar_to_json, is_inhabited,
+                               productions_by_lhs, render_grammar)
+from proofenum.ljb import Fml, LJBContext, LJBSequent, rule_step
 from proofenum.ljplus import Spine, render_proof, term_height
-from proofenum.syntax import ensure_distinct_binders, parse_formula
+from proofenum.syntax import Atom, ensure_distinct_binders, parse_formula
 from proofenum.sysf import parse_sysf_type, phi
 
 from conftest import (FIG_FORMULA, corpus, d_family, fixpoint_is_inhabited,
@@ -126,6 +127,48 @@ def test_grammar_contexts_have_distinct_occurrence_ids():
                 assert len(set(fids)) == len(fids)
                 contexts += len(fids) > 1
     assert contexts > 5000
+
+
+def _formula_items(ctx):
+    """The formula items of ctx, at every level."""
+    levels, out = [ctx], []
+    for c in levels:
+        for it in c.items:
+            if isinstance(it, Fml):
+                out.append(it)
+            else:
+                levels.append(it.inner)
+    return out
+
+
+def test_left_rules_act_on_items_of_their_conclusion():
+    # A left rule's hypothesis is the formula item that expose found in
+    # its conclusion's context, that object and not a copy of it, and a
+    # spine production's occurrence_id is the index of its rule
+    # instance among its left-hand side's, so that of its entry in
+    # expose.  The full grammar's instances are rule_step's again; the
+    # bounded one's are those it keeps.
+    goals = corpus() + [d_family(3), d_family(4)] + seeded_goals()
+    instances = 0
+    for goal in goals:
+        for h in (None, 8):
+            g = build_grammar(goal, Session(), max_height=h)
+            by_lhs = productions_by_lhs(g)
+            expanded = g.nonterminals if g.steps is None \
+                else g.nonterminals[:len(g.steps)]
+            for nt in expanded:
+                seq = nt.sequent
+                steps = rule_step(seq) if g.steps is None else g.steps[nt.id]
+                prods = by_lhs.get(nt.id, [])
+                assert len(steps) == len(prods)
+                if not isinstance(seq.goal, Atom):
+                    continue
+                items = {id(it) for it in _formula_items(seq.context)}
+                for i, ((_, _, hyp, _), p) in enumerate(zip(steps, prods)):
+                    assert type(hyp) is Fml and id(hyp) in items
+                    assert p.kind == "spine" and p.occurrence_id == i
+                instances += len(steps)
+    assert instances > 2000
 
 
 def test_height_bound_limits_saturation():

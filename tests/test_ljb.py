@@ -146,11 +146,11 @@ def test_expose_atomic_heads():
     ctx = annotate(LJBContext((fml("P -> Q"), fml("P"), fml("R -> P"))))
     entries = expose(ctx, parse_formula("Q"))
     assert len(entries) == 1
-    assert render(entries[0].formula) == "P -> Q"
-    assert [render(a) for a in entries[0].args] == ["P"]
+    assert render(entries[0][1].formula) == "P -> Q"
+    assert [render(a) for a in entries[0][1].args] == ["P"]
     # zero-argument heads expose too
     entries_p = expose(ctx, parse_formula("P"))
-    assert {render(e.formula) for e in entries_p} == {"P", "R -> P"}
+    assert {render(hyp.formula) for _, hyp in entries_p} == {"P", "R -> P"}
 
 
 def test_expose_side_condition():
@@ -164,9 +164,8 @@ def test_expose_side_condition():
     assert len(entries) == 1
     # the exposed formula is released from its bracket; the emptied
     # bracket remains until cleaning
-    assert render_context(canon(entries[0].restructured)) == \
-        "P(y) -> Q, []_{y}"
-    nf = normalize(entries[0].restructured)
+    assert render_context(canon(entries[0][0])) == "P(y) -> Q, []_{y}"
+    nf = normalize(entries[0][0])
     assert render_context(nf) == "P(y) -> Q"
 
 
@@ -179,7 +178,7 @@ def test_expose_restructure_releases_innermost():
     ctx = annotate(LJBContext((outer, fml("S"))))
     entries = expose(ctx, parse_formula("Q"))
     assert len(entries) == 1
-    got = render_context(canon(entries[0].restructured))
+    got = render_context(canon(entries[0][0]))
     # siblings of the exposed item are released with it; the crossed
     # bind sets wrap the remaining layers inside out
     assert got == "R(y), R(y) -> Q, [P(x), [S]_{x}]_{y}"
@@ -194,8 +193,10 @@ def _formula_items(ctx):
 
 
 def test_expose_matches_the_split_arrows_scan():
-    # Entries are records, so == compares their order, occurrence ids,
-    # restructured contexts (fids included), formulas and arguments.
+    # Contexts and items are records, so == on the lists compares their
+    # order, occurrence ids (index and fid), restructured contexts (fids
+    # included), formulas and arguments, the reference's from
+    # split_arrows.
     rng = random.Random(21)
     goals = [parse_formula(t) for t in ("Q", "P", "P(x)", "R(x, y)", "R(z)")]
     cases = []
@@ -210,11 +211,13 @@ def test_expose_matches_the_split_arrows_scan():
     entries = crossed = 0
     for ctx, goal in cases:
         got, want = expose(ctx, goal), reference_expose(ctx, goal)
-        assert got == want
-        assert [e.restructured.key for e in got] == \
-            [e.restructured.key for e in want]
+        assert [(i, c, h.formula, h.fid, h.args)
+                for i, (c, h) in enumerate(got)] == \
+            [(i, c, h.formula, h.fid, split_arrows(h.formula)[0])
+             for i, (c, h) in enumerate(want)]
+        assert [c.key for c, _ in got] == [c.key for c, _ in want]
         entries += len(got)
-        crossed += sum(e.restructured is not ctx for e in got)
+        crossed += sum(c is not ctx for c, _ in got)
         for it in _formula_items(ctx):
             assert (it.args, it.head) == split_arrows(it.formula)
     assert len(cases) > 3300 and entries > 2000 and crossed > 1000
@@ -439,6 +442,6 @@ def test_top_level_exposure_reuses_its_context():
         top = sum(isinstance(it, Fml) and split_arrows(it.formula)[1] == goal
                   for it in ctx.items)
         entries = expose(ctx, goal)
-        assert sum(e.restructured is ctx for e in entries) == top
+        assert sum(c is ctx for c, _ in entries) == top
         reused += top
     assert reused >= 100

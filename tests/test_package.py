@@ -158,3 +158,29 @@ def test_expansion_takes_the_rule_step_from_ljb():
         elif isinstance(node, ast.Name):
             names.add(node.id)
     assert names.isdisjoint({"expose", "normalize", "rule_step"})
+
+
+def test_tops_are_built_from_the_identity_and_lifted():
+    # Lifting has one implementation: funcF, funcG and funcH each start
+    # from _identity_top, F and G lift it through _Top.below as a
+    # production's plan does, and a _Top is constructed only by _Top's
+    # own methods, _identity_top and enumerate_terms (the empty top).
+    path = Path(proofenum.__file__).parent / "expand.py"
+    tree = ast.parse(path.read_text(), str(path))
+    calls = {}
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            calls[top.name] = [
+                node for node in ast.walk(top) if isinstance(node, ast.Call)]
+
+    def called(name, fn):
+        return any(isinstance(c.func, ast.Name) and c.func.id == fn
+                   or isinstance(c.func, ast.Attribute) and c.func.attr == fn
+                   for c in calls[name])
+
+    assert {name for name in calls if called(name, "_Top")} == \
+        {"_Top", "_identity_top", "enumerate_terms"}
+    for name in ("funcF", "funcG", "funcH"):
+        assert called(name, "_identity_top"), name
+    for name in ("funcF", "funcG"):
+        assert called(name, "below"), name
