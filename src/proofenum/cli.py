@@ -30,7 +30,7 @@ def _parse_goal(text: str, sysf: bool) -> Formula:
     if sysf:
         t = parse_sysf_type(text)
         if not is_positive_type(t):
-            raise NotPositive(text.strip())
+            raise NotPositive(f"not a positive type: {text.strip()}")
         return phi(t)
     return parse_formula(text)
 

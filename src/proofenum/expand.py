@@ -14,7 +14,7 @@ from .grammar import (DEFAULT_CAP, Grammar, Production, build_grammar,
 from .ljb import (Fml, InvariantError, LJBContext, LJBSequent, annotate,
                   premises)
 from .ljplus import (LamPf, LamTm, LJPlusSequent, ProofTerm, Spine,
-                     sort_proofs, term_height)
+                     render_proof, term_height)
 from .syntax import (Formula, NotNegative, Record, all_names,
                      decompose_negative, fresh_name, is_negative,
                      match_formula, rename, render, slot_setters, union_all)
@@ -226,7 +226,7 @@ def funcF(u: ProofTerm, source: LJPlusSequent, target: LJPlusSequent,
                    if rename(src[spv], sigma[i]) == tgt[pv]]
              for spv, m in d.copies.items()}
     top = _identity_top(target.context.hyps).below(table)
-    return sort_proofs(set(_lift(u, target.goal, top)))
+    return sorted(set(_lift(u, target.goal, top)), key=render_proof)
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +271,14 @@ def funcG(ctx: LJBContext, goal: Formula,
 # ---------------------------------------------------------------------------
 # Expansion of a whole scheme along the grammar's productions
 
-class _Plan(Record):
+class _Plan(NamedTuple):
     """How a production's premises lift onto its left-hand side: table
     (_copy_table) sends the proof variables of the premises' cleaned
     context to their copies in the left-hand side's, or is None for the
     identity.  pvar is what a spine exposes or R-> binds."""
-    __slots__ = ("production", "pvar", "table")
-
-    def __init__(self, production: Production, pvar: Optional[str],
-                 table: Optional[Dict[str, List[str]]]):
-        _plan_production(self, production)
-        _plan_pvar(self, pvar)
-        _plan_table(self, table)
-
-
-_plan_production, _plan_pvar, _plan_table = slot_setters(_Plan)
+    production: Production
+    pvar: Optional[str]
+    table: Optional[Dict[str, List[str]]]
 
 
 class _Expander:
@@ -434,7 +427,7 @@ def enumerate_terms(goal: Formula, max_height: int,
     as given: the grammar works on a copy with distinct binders, and
     expansion builds each term straight onto goal."""
     grammar = build_grammar(goal, Session(), cap, max_height)
-    expander, top = _Expander(grammar), _Top({}, 0, frozenset())
+    expander, top = _Expander(grammar), _identity_top(())
     terms: List[ProofTerm] = []
     keys: List[str] = []
     for pi in enumerate_schemes(grammar, max_height):

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .ljb import (LJBContext, LJBSequent, Premises, render_ljb_sequent,
                   rule_step)
-from .ljplus import (LamPf, LamTm, ProofTerm, Spine, sort_proofs,
-                     term_height)
+from .ljplus import LamPf, LamTm, ProofTerm, Spine, term_height
 from .syntax import (Atom, Forall, Formula, Record, ensure_distinct_binders,
                      is_positive, render, slot_setters)
 
@@ -89,7 +88,7 @@ def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP,
     is a prefix of the full grammar (same ids, sequents and production
     order), and the cap counts only the nonterminals it holds."""
     if not is_positive(goal):
-        raise NotPositive(render(goal))
+        raise NotPositive(f"not a positive formula: {render(goal)}")
     return saturate(LJBSequent(LJBContext(), ensure_distinct_binders(goal)),
                     session, cap, max_height)
 
@@ -190,23 +189,25 @@ def productions_by_lhs(g: Grammar) -> Dict[int, List[Production]]:
 
 def enumerate_schemes(g: Grammar, max_height: int) -> List[Scheme]:
     """All schemes of height <= max_height derivable from the start
-    nonterminal, canonically ordered."""
-    return sort_proofs(_schemes(g.start, max_height, productions_by_lhs(g),
-                                {}, {}))
+    nonterminal, in the order of their skeleton keys (see _schemes),
+    which is render_proof's order."""
+    schemes = _schemes(g.start, max_height, productions_by_lhs(g), {}, {})
+    return sorted(schemes, key=schemes.__getitem__)
 
 
 def _schemes(nt: int, h: int, by_lhs: Dict[int, List[Production]],
-             memo: dict, nodes: dict) -> FrozenSet[Scheme]:
-    """Schemes of height <= h derivable from nt; memo maps (nt, h) to
-    them.  Equal schemes are one object (hash-consing, Filliâtre &
-    Conchon, ML Workshop 2006): nodes maps the constructor and the ids of
-    a node's interned sub-schemes to the node, for one call."""
+             memo: dict, nodes: dict) -> Dict[Scheme, str]:
+    """Schemes of height <= h derivable from nt, each mapped to its
+    skeleton key (README, stage 2); memo maps (nt, h) to them.  Equal
+    schemes are one object (hash-consing, Filliâtre & Conchon, ML
+    Workshop 2006): nodes maps the constructor and the ids of a node's
+    interned sub-schemes to the node and its key, for one call."""
     if h <= 0:
-        return frozenset()
+        return {}
     key = (nt, h)
     if key in memo:
         return memo[key]
-    out: set = set()
+    out: Dict[Scheme, str] = {}
     for p in by_lhs.get(nt, []):
         subs = []  # a loop, not a comprehension: one frame per level
         for q in p.premises:
@@ -214,14 +215,18 @@ def _schemes(nt: int, h: int, by_lhs: Dict[int, List[Production]],
         tag = (p.kind, p.head, p.var, p.annot and p.annot.key)
         for tup in product(*subs):
             k = (tag, *map(id, tup))
-            node = nodes.get(k)
-            if node is None:
-                node = nodes[k] = Spine(p.head, tup) if p.kind == "spine" \
+            entry = nodes.get(k)
+            if entry is None:
+                node = Spine(p.head, tup) if p.kind == "spine" \
                     else LamTm(p.var, tup[0]) if p.kind == "forall" \
                     else LamPf(p.head, p.annot, tup[0])
-            out.add(node)
-    memo[key] = frozenset(out)
-    return memo[key]
+                text = " ".join([sub[u] for sub, u in zip(subs, tup)])
+                skey = text if p.kind != "spine" \
+                    else f"({p.head} {text})" if tup else p.head
+                entry = nodes[k] = node, skey
+            out[entry[0]] = entry[1]
+    memo[key] = out
+    return out
 
 
 def fits(p: Production, pi: Scheme) -> bool:

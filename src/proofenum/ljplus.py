@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Tuple, Union)
+from typing import Callable, FrozenSet, List, Optional, Tuple, Union
 
 from .syntax import (Atom, Forall, Formula, NotNegative, Record,
                      decompose_negative, fresh_name, match_formula,
@@ -123,14 +122,11 @@ def _binder(x: Union[LamTm, LamPf]) -> str:
             else f"\\{x.pvar}:{render(x.annot)}. ")
 
 
-def render_proof(t: ProofTerm, memo: Optional[Dict[int, str]] = None,
+def render_proof(t: ProofTerm,
                  binder: Callable[[Union[LamTm, LamPf]], str] = _binder
                  ) -> str:
     """The printed form of t, with binder(x) as the text of each binder
-    node x.  With memo, the printed form of each spine with arguments is
-    also kept in memo under id(spine) and read back from it, so a spine
-    shared between the terms printed with one memo is printed once.  A
-    memo must not outlive the terms printed with it."""
+    node x."""
     done: List[str] = []  # printed sub-terms, left to right
     todo: list = [t]
     while todo:
@@ -141,35 +137,20 @@ def render_proof(t: ProofTerm, memo: Optional[Dict[int, str]] = None,
         if type(x) is tuple:  # (spine,), its arguments printed last
             x = x[0]
             n = len(x.args)
-            text = f"({x.head} {' '.join(done[-n:])})"
-            del done[-n:]
-            if memo is not None:
-                memo[id(x)] = text
-            done.append(text)
+            done[-n:] = [f"({x.head} {' '.join(done[-n:])})"]
             continue
         binders = ""
         while type(x) is not Spine:
             binders += binder(x)
             x = x.body
         if not x.args:
-            text = x.head
-        else:
-            text = memo.get(id(x)) if memo is not None else None
-        if text is not None:
-            done.append(binders + text)
+            done.append(binders + x.head)
             continue
         if binders:
             todo.append(binders)
         todo.append((x,))
         todo.extend(reversed(x.args))
     return done[0]
-
-
-def sort_proofs(terms: Iterable[ProofTerm]) -> List[ProofTerm]:
-    """terms sorted by render_proof, printing each spine they share
-    once."""
-    memo: Dict[int, str] = {}
-    return sorted(terms, key=lambda t: render_proof(t, memo))
 
 
 def proof_to_json(t: ProofTerm) -> dict:

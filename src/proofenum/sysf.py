@@ -3,11 +3,11 @@ formulas, positivity of types and System F rendering of proof-terms."""
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Callable, Iterable, Union
 
-from .ljplus import LamPf, LamTm, ProofTerm, render_proof
+from .ljplus import LamTm, ProofTerm, Spine, render_proof
 from .syntax import (Atom, Forall, Formula, Impl, Record, SyntaxError_, Var,
-                     is_positive, parse_formula, slot_setters)
+                     all_names, is_positive, parse_formula, slot_setters)
 
 
 class TVar(Record):
@@ -84,26 +84,43 @@ def _up(name: str) -> str:
     return name[:1].upper() + name[1:]
 
 
+def _namer(names: Iterable[str]) -> Callable[[str], str]:
+    """_up where it keeps names apart, else str, which prints them as
+    written: x and X differ only in the case of their first letter."""
+    names = set(names)
+    return _up if len(set(map(_up, names))) == len(names) else str
+
+
 def render_type(t: FType) -> str:
+    return _render_type(t, _namer(all_names(phi(t))))
+
+
+def _render_type(t: FType, up: Callable[[str], str]) -> str:
     if isinstance(t, TVar):
-        return _up(t.name)
+        return up(t.name)
     if isinstance(t, Arrow):
-        lhs = render_type(t.lhs)
+        lhs = _render_type(t.lhs, up)
         if isinstance(t.lhs, (Arrow, ForallT)):
             lhs = f"({lhs})"
-        return f"{lhs} -> {render_type(t.rhs)}"
-    return f"forall {_up(t.var)}. {render_type(t.body)}"
+        return f"{lhs} -> {_render_type(t.rhs, up)}"
+    return f"forall {up(t.var)}. {_render_type(t.body, up)}"
 
 
 def render_sysf_term(t: ProofTerm) -> str:
     """Proof-terms of translated types read back as System F terms: term
-    binders become (uppercase) type abstractions and proof binders keep
-    their System F type annotations.  Spines need no type applications
-    since instantiation happens at binding time."""
-    return render_proof(t, binder=_sysf_binder)
-
-
-def _sysf_binder(x: Union[LamTm, LamPf]) -> str:
-    if type(x) is LamTm:
-        return f"\\{_up(x.var)}. "
-    return f"\\{x.pvar}:{render_type(unphi(x.annot))}. "
+    binders become type abstractions and proof binders keep their System
+    F type annotations, with the type variables of the whole term named
+    as render_type names them.  Spines need no type applications since
+    instantiation happens at binding time."""
+    names, todo = set(), [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is Spine:
+            todo += x.args
+        else:
+            names |= {x.var} if type(x) is LamTm else all_names(x.annot)
+            todo.append(x.body)
+    up = _namer(names)
+    return render_proof(t, binder=lambda x: (
+        f"\\{up(x.var)}. " if type(x) is LamTm
+        else f"\\{x.pvar}:{_render_type(unphi(x.annot), up)}. "))

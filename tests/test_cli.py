@@ -104,6 +104,22 @@ def test_sysf_not_positive():
     assert code == 2
 
 
+def test_not_positive_input_is_named_so(capsys):
+    for command in ("grammar", "schemes", "terms"):
+        code, _ = run([command, "(forall x. P(x)) -> Q"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: not a positive formula: (forall x. P(x)) -> Q\n"
+    code, _ = run(["terms", "--sysf", "(forall X. X) -> Y "])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: not a positive type: (forall X. X) -> Y\n"
+    code, out = run(["check", "(forall x. P(x)) -> Q"])
+    assert code == 2
+    assert out == \
+        "positive: no (not a positive formula: (forall x. P(x)) -> Q)\n"
+
+
 def test_stdin_input(monkeypatch):
     code, out = run(["check", "-"], stdin_text="P -> P\n",
                     monkeypatch=monkeypatch)

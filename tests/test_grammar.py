@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,8 @@ from proofenum.grammar import (CapExceeded, Grammar, Nonterminal, NotPositive,
                                productions_by_lhs, render_grammar)
 from proofenum.ljb import Fml, LJBContext, LJBSequent, rule_step
 from proofenum.ljplus import Spine, render_proof, term_height
-from proofenum.syntax import Atom, ensure_distinct_binders, parse_formula
+from proofenum.syntax import (Atom, ensure_distinct_binders, parse_formula,
+                             render)
 from proofenum.sysf import parse_sysf_type, phi
 
 from conftest import (FIG_FORMULA, corpus, d_family, fixpoint_is_inhabited,
@@ -272,3 +276,35 @@ def test_equal_schemes_are_one_object():
                 by_id[id(t)] = t
                 todo.extend(t.args if isinstance(t, Spine) else (t.body,))
         assert len(set(by_id.values())) == len(by_id) > 20
+
+
+def _workload_goals(monkeypatch):
+    """The inputs of the benchmark's enumerate-* workloads at seeds 1-3,
+    each with its height."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module of a class up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return [(phi(parse_sysf_type(inp.text)) if inp.sysf
+             else parse_formula(inp.text), inp.height)
+            for name in ("enumerate-deep", "enumerate-shallow")
+            for seed in (1, 2, 3)
+            for inp in workloads.WORKLOADS[name](seed)]
+
+
+def test_schemes_come_in_printed_order(monkeypatch):
+    # enumerate_schemes sorts by the skeleton keys that _schemes builds
+    # with the schemes, and nothing is printed; the keys sort as the
+    # printed forms do.
+    goals = [(g, 10) for g in corpus() + [d_family(k) for k in (2, 3, 4)]]
+    goals += [(g, 9) for g in seeded_goals()]
+    goals += _workload_goals(monkeypatch)
+    schemes = 0
+    for goal, h in goals:
+        out = enumerate_schemes(build_grammar(goal, Session(), max_height=h),
+                                h)
+        assert out == sorted(out, key=render_proof), render(goal)
+        schemes += len(out)
+    assert schemes > 500

@@ -8,7 +8,7 @@ from proofenum.ljplus import (IllFormed, LamPf, LamTm, LJPlusSequent,
                               NamedContext, Spine, alpha_eq_sequent,
                               check_proof, oracle_enumerate,
                               proof_from_json, proof_to_json, render_proof,
-                              sort_proofs, term_height)
+                              term_height)
 from proofenum.syntax import parse_formula
 
 from conftest import alpha_normalize, reference_rename_proof
@@ -33,6 +33,11 @@ def test_render_proof():
               LamTm("x", Spine("a", (Spine("b"),))))
     assert render_proof(t) == "\\a:P -> Q. \\x. (a b)"
     assert render_proof(Spine("a")) == "a"
+    # a shared spine prints at each of its places
+    z = Spine("z")
+    a = Spine("s", (z, Spine("s", (z, z))))
+    assert render_proof(Spine("f", (a, a))) == \
+        "(f (s z (s z z)) (s z (s z z)))"
 
 
 def test_render_and_height_of_deep_terms():
@@ -50,17 +55,6 @@ def test_render_and_height_of_deep_terms():
             LamPf("h", parse_formula("P"), binders)
     assert term_height(binders) == n + 1
     assert render_proof(binders) == "\\x. \\h:P. " * (n // 2) + "h"
-
-
-def test_sort_proofs_prints_shared_nodes_once():
-    z = Spine("z")
-    a = Spine("s", (z, Spine("s", (z, z))))
-    terms = [Spine("f", (a, z)), Spine("f", (a, a)), a, Spine("f", (z, a))]
-    memo = {}
-    assert [render_proof(t, memo) for t in terms] == \
-        list(map(render_proof, terms))
-    assert memo[id(a)] == "(s z (s z z))"
-    assert sort_proofs(terms) == sorted(terms, key=render_proof)
 
 
 def test_proof_term_identity():

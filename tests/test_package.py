@@ -143,28 +143,35 @@ def test_records_of_one_shape_differ_by_class():
     assert Fml(p, 0) != Fml(p, 1) and hash(Fml(p, 0)) == hash(Fml(p, 1))
 
 
-def test_expansion_takes_the_rule_step_from_ljb():
-    # Expansion follows the rule instances ljb.rule_step decides, as
-    # the height-bounded grammar keeps them; it exposes, cleans and
-    # takes no rule step of its own.
-    path = Path(proofenum.__file__).parent / "expand.py"
-    tree = ast.parse(path.read_text(), str(path))
+def _names_in(module: str) -> set:
+    """The names that a module of the package imports, reads or looks
+    up as attributes."""
+    path = Path(proofenum.__file__).parent / module
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.alias):
             names.add(node.name)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
-    assert names.isdisjoint({"expose", "normalize", "rule_step"})
+    return names
+
+
+def test_expansion_takes_the_rule_step_from_ljb():
+    # Expansion follows the rule instances ljb.rule_step decides, as
+    # the height-bounded grammar keeps them; it exposes, cleans and
+    # takes no rule step of its own.
+    assert _names_in("expand.py").isdisjoint(
+        {"expose", "normalize", "rule_step"})
 
 
 def test_tops_are_built_from_the_identity_and_lifted():
     # Lifting has one implementation: funcF, funcG and funcH each start
     # from _identity_top, F and G lift it through _Top.below as a
     # production's plan does, and a _Top is constructed only by _Top's
-    # own methods, _identity_top and enumerate_terms (the empty top).
+    # own methods and _identity_top (enumerate_terms starts from the
+    # identity top of the empty context).
     path = Path(proofenum.__file__).parent / "expand.py"
     tree = ast.parse(path.read_text(), str(path))
     calls = {}
@@ -179,8 +186,15 @@ def test_tops_are_built_from_the_identity_and_lifted():
                    for c in calls[name])
 
     assert {name for name in calls if called(name, "_Top")} == \
-        {"_Top", "_identity_top", "enumerate_terms"}
-    for name in ("funcF", "funcG", "funcH"):
+        {"_Top", "_identity_top"}
+    for name in ("funcF", "funcG", "funcH", "enumerate_terms"):
         assert called(name, "_identity_top"), name
     for name in ("funcF", "funcG"):
         assert called(name, "below"), name
+
+
+def test_grammar_prints_no_scheme():
+    # Schemes and terms share one order: enumerate_schemes sorts by the
+    # skeleton keys built with the schemes, as expansion sorts its
+    # terms, and grammar.py prints no scheme to sort it.
+    assert _names_in("grammar.py").isdisjoint({"render_proof", "sort_proofs"})

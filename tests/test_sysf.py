@@ -65,3 +65,20 @@ def test_render_sysf_terms_distinct():
     rendered = [render_sysf_term(t) for t in terms]
     assert len(rendered) == len(set(rendered))
     assert len(rendered) > 0
+
+
+def test_type_variables_apart_only_by_case_print_as_written():
+    # Uppercasing would print x and X as one variable, and the term as
+    # one of another type; where uppercasing keeps the variables of the
+    # type or term apart, it stays.
+    text = "forall x. forall X. x -> X -> x"
+    assert render_type(parse_sysf_type(text)) == text
+    assert [render_sysf_term(t)
+            for t in enumerate_terms(phi(parse_sysf_type(text)), 6)] == \
+        ["\\x. \\X. \\h0:x. \\h1:X. h0"]
+    assert render_type(parse_sysf_type("forall x. forall y. x -> y")) == \
+        "forall X. forall Y. X -> Y"
+    # one naming for the whole term: the annotation x alone would be
+    # uppercased, but the binder X shares the term with it
+    t = LamTm("X", LamPf("a", parse_formula("eps(x)"), Spine("a")))
+    assert render_sysf_term(t) == "\\X. \\a:x. a"
