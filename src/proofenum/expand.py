@@ -385,7 +385,7 @@ class _Expander:
         prods = self._by_lhs.get(nt, ())
         if not prods:
             return []
-        seq = self._grammar.nonterminals[nt].sequent
+        seq = self._grammar.nonterminals[nt]
         fids = tuple(chain.from_iterable(it.fids for it in seq.context.items))
         plans = []
         for p, (premise_ctx, _, hyp, merged) in zip(

@@ -4,14 +4,13 @@ of a scheme against the grammar's productions."""
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from .ljb import (LJBContext, LJBSequent, Premises, render_ljb_sequent,
                   rule_step)
 from .ljplus import LamPf, LamTm, ProofTerm, Spine, term_height
-from .syntax import (Atom, Forall, Formula, Record, ensure_distinct_binders,
+from .syntax import (Atom, Formula, Record, ensure_distinct_binders,
                      is_positive, render, slot_setters)
 
 Scheme = ProofTerm
@@ -25,14 +24,6 @@ class NotPositive(Exception):
 
 class CapExceeded(Exception):
     pass
-
-
-class Nonterminal(Record):
-    __slots__ = ("id", "sequent")
-
-    def __init__(self, id: int, sequent: LJBSequent):
-        _nt_id(self, id)
-        _nt_sequent(self, sequent)
 
 
 class Production(Record):
@@ -53,15 +44,17 @@ class Production(Record):
 
 
 class Grammar(Record):
-    """A grammar of schemes.  A height-bounded one keeps, in steps, the
-    rule instances (ljb.rule_step) of each nonterminal it expanded, by
-    id: expansion plans its lifts from them.  A full grammar keeps none
-    (steps is None), since only enumeration asks for a bound.  The
-    instances hold cleaning's merge dicts, so a bounded grammar has no
-    hash.  by_lhs is unset until productions_by_lhs fills it."""
+    """A grammar of schemes.  Its nonterminals are sequents, and a
+    nonterminal's id is its position in nonterminals.  A height-bounded
+    grammar keeps, in steps, the rule instances (ljb.rule_step) of each
+    nonterminal it expanded, by id: expansion plans its lifts from them.
+    A full grammar keeps none (steps is None), since only enumeration
+    asks for a bound.  The instances hold cleaning's merge dicts, so a
+    bounded grammar has no hash.  by_lhs is unset until
+    productions_by_lhs fills it."""
     __slots__ = ("start", "nonterminals", "productions", "steps", "by_lhs")
 
-    def __init__(self, start: int, nonterminals: Tuple[Nonterminal, ...],
+    def __init__(self, start: int, nonterminals: Tuple[LJBSequent, ...],
                  productions: Tuple[Production, ...],
                  steps: Optional[Tuple[List[Premises], ...]] = None):
         _gr_start(self, start)
@@ -70,7 +63,6 @@ class Grammar(Record):
         _gr_steps(self, steps)
 
 
-_nt_id, _nt_sequent = slot_setters(Nonterminal)
 (_prod_lhs, _prod_kind, _prod_premises, _prod_head, _prod_var, _prod_annot,
  _prod_occurrence_id) = slot_setters(Production)
 (_gr_start, _gr_nonterminals, _gr_productions, _gr_steps,
@@ -101,53 +93,54 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
     occurrence_id is its instance's index, that of its entry in expose.
     A nonterminal keeps the sequent it was first reached with,
     occurrence ids included.
-    With max_height, the grammar keeps the rule instances too (steps):
-    the FIFO worklist expands the nonterminals in id order, a prefix of
-    them."""
-    ids: Dict[Tuple[str, str], int] = {}
-    nts: List[Nonterminal] = []
+    The list of sequents is the FIFO worklist: a sequent's id is its
+    position, given when it is first reached, and the loop expands the
+    sequents in id order while their premises append new ones.  Each
+    breadth-first layer is thus a contiguous range of ids, and
+    layer_end is where the next one starts.  With max_height, the loop
+    stops at the first sequent at distance max_height, and the grammar
+    keeps the rule instances of the sequents it expanded, a prefix of
+    them (steps)."""
+    if cap < 1:
+        raise CapExceeded(f"more than {cap} nonterminals")
+    seqs: List[LJBSequent] = [start_seq]
+    ids: Dict[Tuple[str, str], int] = {
+        (start_seq.context.key, start_seq.goal.key): 0}
     prods: List[Production] = []
     steps: Optional[List[List[Premises]]] = \
         None if max_height is None else []
-    work: deque = deque()
-
-    def intern(ctx: LJBContext, goal: Formula, depth: int) -> int:
-        k = (ctx.key, goal.key)
-        i = ids.get(k)
-        if i is not None:
-            return i
-        if len(nts) >= cap:
-            raise CapExceeded(f"more than {cap} nonterminals")
-        nt = Nonterminal(len(nts), LJBSequent(ctx, goal))
-        ids[k] = nt.id
-        nts.append(nt)
-        work.append((nt, depth))
-        return nt.id
-
-    start = intern(start_seq.context, start_seq.goal, 0)
-    while work:
-        nt, depth = work.popleft()
+    depth, layer_end = 0, 1  # seqs[:layer_end] lie within depth steps
+    for nt, seq in enumerate(seqs):
+        if nt == layer_end:
+            depth, layer_end = depth + 1, len(seqs)
         if max_height is not None and depth >= max_height:
-            break  # FIFO: every later entry is at least as deep
-        depth += 1  # of the premises
-        goal = nt.sequent.goal
-        instances = rule_step(nt.sequent)
+            break
+        goal = seq.goal
+        instances = rule_step(seq)
         if steps is not None:
             steps.append(instances)
         for i, (ctx, goals, hyp, _) in enumerate(instances):
-            premises = tuple([intern(ctx, a, depth) for a in goals])
+            qs = []
+            for a in goals:
+                q = ids.setdefault((ctx.key, a.key), len(seqs))
+                if q == len(seqs):  # reached first here: the next id
+                    if q >= cap:
+                        raise CapExceeded(f"more than {cap} nonterminals")
+                    seqs.append(LJBSequent(ctx, a))
+                qs.append(q)
+            premises = tuple(qs)
             if isinstance(goal, Atom):
                 prods.append(Production(
-                    nt.id, "spine", premises,
+                    nt, "spine", premises,
                     session.canonical_var(hyp.formula), None, None, i))
-            elif isinstance(goal, Forall):
-                prods.append(Production(nt.id, "forall", premises, None,
+            elif hyp is None:  # R-forall
+                prods.append(Production(nt, "forall", premises, None,
                                         goal.var))
             else:
                 prods.append(Production(
-                    nt.id, "impl", premises,
+                    nt, "impl", premises,
                     session.canonical_var(goal.lhs), None, goal.lhs))
-    return Grammar(start, tuple(nts), tuple(prods),
+    return Grammar(0, tuple(seqs), tuple(prods),
                    None if steps is None else tuple(steps))
 
 
@@ -295,8 +288,7 @@ def grammar_to_json(g: Grammar) -> dict:
         prods.append(entry)
     return {
         "start": g.start,
-        "nonterminals": [{"id": nt.id,
-                          "sequent": render_ljb_sequent(nt.sequent)}
-                         for nt in g.nonterminals],
+        "nonterminals": [{"id": i, "sequent": render_ljb_sequent(s)}
+                         for i, s in enumerate(g.nonterminals)],
         "productions": prods,
     }

@@ -221,7 +221,7 @@ def test_terms_equal_the_oracle_exactly():
 
 def _min_heights(grammar):
     inf = float("inf")
-    minh = {nt.id: inf for nt in grammar.nonterminals}
+    minh = {nt: inf for nt in range(len(grammar.nonterminals))}
     changed = True
     while changed:
         changed = False

@@ -364,7 +364,7 @@ def _raw_premises(grammar, nt, prods):
     rules build it, the premise goals, the targets the premises lift
     onto (nt's flattening, with each premise goal in its coordinates)
     and the proof variable a spine exposes or R-> binds."""
-    seq = grammar.nonterminals[nt].sequent
+    seq = grammar.nonterminals[nt]
     ctx, goal = annotate(seq.context), seq.goal
     hyps = flatten_det(ctx, goal).hyps
     if isinstance(goal, Atom):
@@ -668,8 +668,8 @@ def test_expansion_takes_its_plans_from_the_bounded_grammar(monkeypatch):
     for goal, h in [(d_family(5), 9), (d_family(3), 11),
                     (phi(parse_sysf_type(SYSF_A2)), 24)]:
         grammar = build_grammar(goal, Session(), max_height=h)
-        expanded = [(nt.sequent.context.key, nt.sequent.goal.key)
-                    for nt in grammar.nonterminals[:len(grammar.steps)]]
+        expanded = [(seq.context.key, seq.goal.key)
+                    for seq in grammar.nonterminals[:len(grammar.steps)]]
         callers.clear()
         with monkeypatch.context() as m:
             for name, mod in list(sys.modules.items()):

@@ -6,13 +6,15 @@ from pathlib import Path
 
 import pytest
 
+import proofenum
 from proofenum import scheme_check
 from proofenum.expand import Session
-from proofenum.grammar import (CapExceeded, Grammar, Nonterminal, NotPositive,
-                               Production, build_grammar, enumerate_schemes,
+from proofenum.grammar import (CapExceeded, Grammar, NotPositive, Production,
+                               build_grammar, enumerate_schemes,
                                grammar_to_json, is_inhabited,
                                productions_by_lhs, render_grammar)
-from proofenum.ljb import Fml, LJBContext, LJBSequent, rule_step
+from proofenum.ljb import (Fml, LJBContext, LJBSequent, render_ljb_sequent,
+                           rule_step)
 from proofenum.ljplus import Spine, render_proof, term_height
 from proofenum.syntax import (Atom, ensure_distinct_binders, parse_formula,
                              render)
@@ -125,9 +127,8 @@ def test_grammar_contexts_have_distinct_occurrence_ids():
     for goal in goals:
         for h in (None, 8):
             g = build_grammar(goal, Session(), max_height=h)
-            for nt in g.nonterminals:
-                fids = [f for it in nt.sequent.context.items
-                        for f in it.fids]
+            for seq in g.nonterminals:
+                fids = [f for it in seq.context.items for f in it.fids]
                 assert len(set(fids)) == len(fids)
                 contexts += len(fids) > 1
     assert contexts > 5000
@@ -160,10 +161,9 @@ def test_left_rules_act_on_items_of_their_conclusion():
             by_lhs = productions_by_lhs(g)
             expanded = g.nonterminals if g.steps is None \
                 else g.nonterminals[:len(g.steps)]
-            for nt in expanded:
-                seq = nt.sequent
-                steps = rule_step(seq) if g.steps is None else g.steps[nt.id]
-                prods = by_lhs.get(nt.id, [])
+            for nt, seq in enumerate(expanded):
+                steps = rule_step(seq) if g.steps is None else g.steps[nt]
+                prods = by_lhs.get(nt, [])
                 assert len(steps) == len(prods)
                 if not isinstance(seq.goal, Atom):
                     continue
@@ -188,6 +188,72 @@ def test_cap_counts_only_nonterminals_within_height_bound():
         build_grammar(goal, Session(), cap=12)
     g = build_grammar(goal, Session(), cap=12, max_height=8)
     assert len(g.nonterminals) == 10
+
+
+def test_cap_fires_at_the_nonterminal_count():
+    # The cap counts every nonterminal the grammar holds, the start
+    # included: a grammar of n nonterminals is built under cap n and
+    # raises under n - 1, and under cap 0 even a lone start raises.
+    goal = parse_formula("((P -> Q) -> Q) -> Q")
+    assert len(build_grammar(goal, Session()).nonterminals) == 5
+    for goal in [goal] + corpus() + [d_family(k) for k in range(2, 5)]:
+        for h in (None, *range(1, 10)):
+            g = build_grammar(goal, Session(), max_height=h)
+            n = len(g.nonterminals)
+            capped = build_grammar(goal, Session(), cap=n, max_height=h)
+            assert render_grammar(capped) == render_grammar(g)
+            for cap in (n - 1, 0):
+                with pytest.raises(CapExceeded):
+                    build_grammar(goal, Session(), cap=cap, max_height=h)
+    with pytest.raises(CapExceeded):
+        build_grammar(parse_formula("Q"), Session(), cap=0)
+
+
+def _distances(g):
+    """Each nonterminal's breadth-first distance from the start, along
+    the productions of g, computed apart from saturation."""
+    by_lhs = productions_by_lhs(g)
+    dist, layer = {g.start: 0}, [g.start]
+    while layer:
+        nxt = []
+        for nt in layer:
+            for p in by_lhs.get(nt, []):
+                for q in p.premises:
+                    if q not in dist:
+                        dist[q] = dist[nt] + 1
+                        nxt.append(q)
+        layer = nxt
+    return list(dist.values())
+
+
+def test_bounded_grammar_holds_the_breadth_first_layers():
+    # Under max_height h, saturation expands the nonterminals at
+    # distance < h from the start and holds those at distance <= h.
+    layers = 0
+    for goal in [d_family(k) for k in range(2, 5)] + seeded_goals():
+        full = build_grammar(goal, Session())
+        dist = _distances(full)
+        assert len(dist) == len(full.nonterminals)
+        for h in range(1, 10):
+            g = build_grammar(goal, Session(), max_height=h)
+            assert len(g.steps) == sum(d < h for d in dist)
+            assert len(g.nonterminals) == sum(d <= h for d in dist)
+        layers += max(dist)
+    assert layers > 1500
+
+
+def test_nonterminals_are_sequents():
+    # A nonterminal is its sequent, and its id is its position.
+    assert "Nonterminal" not in proofenum.__all__
+    for goal in corpus() + [d_family(3)]:
+        for h in (None, 6):
+            g = build_grammar(goal, Session(), max_height=h)
+            assert all(type(s) is LJBSequent for s in g.nonterminals)
+            d = grammar_to_json(g)
+            assert [nt["id"] for nt in d["nonterminals"]] == \
+                list(range(len(g.nonterminals)))
+            assert [nt["sequent"] for nt in d["nonterminals"]] == \
+                [render_ljb_sequent(s) for s in g.nonterminals]
 
 
 def _with_outer_head(pi, head):
@@ -225,8 +291,7 @@ def _random_grammar(rng):
                    premises=tuple(rng.randrange(n)
                                   for _ in range(rng.choice([0, 1, 1, 2, 3]))))
         for _ in range(rng.randint(0, 12)))
-    return Grammar(rng.randrange(n),
-                   tuple(Nonterminal(i, seq) for i in range(n)), prods)
+    return Grammar(rng.randrange(n), (seq,) * n, prods)
 
 
 def test_linear_emptiness_matches_fixpoint():
@@ -243,7 +308,7 @@ def test_linear_emptiness_matches_fixpoint():
 
 def test_linear_emptiness_on_cycles_without_terminal_productions():
     seq = LJBSequent(LJBContext(), parse_formula("Q"))
-    nts = tuple(Nonterminal(i, seq) for i in range(3))
+    nts = (seq,) * 3
 
     def spine(lhs, *premises):
         return Production(lhs=lhs, kind="spine", head="c0",

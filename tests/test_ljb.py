@@ -205,9 +205,8 @@ def test_expose_matches_the_split_arrows_scan():
         cases += [(c, g) for c in (ctx, annotate(ctx)) for g in goals]
     for k in (3, 4):
         g = build_grammar(d_family(k), Session())
-        cases += [(nt.sequent.context, nt.sequent.goal)
-                  for nt in g.nonterminals
-                  if isinstance(nt.sequent.goal, Atom)]
+        cases += [(seq.context, seq.goal) for seq in g.nonterminals
+                  if isinstance(seq.goal, Atom)]
     entries = crossed = 0
     for ctx, goal in cases:
         got, want = expose(ctx, goal), reference_expose(ctx, goal)
@@ -259,8 +258,7 @@ def test_rimpl_numbers_its_hypothesis_above_the_context():
     goals = corpus() + [d_family(k) for k in (3, 4)] + seeded_goals(60)
     chained = 0
     for goal in goals:
-        for nt in build_grammar(goal, Session()).nonterminals:
-            s = nt.sequent
+        for s in build_grammar(goal, Session()).nonterminals:
             if not isinstance(s.goal, Impl):
                 continue
             [(_, _, hyp, _)] = rule_step(s)
