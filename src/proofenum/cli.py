@@ -13,8 +13,9 @@ from .grammar import (DEFAULT_CAP, CapExceeded, NotPositive, build_grammar,
                       render_grammar)
 from .ljplus import (IllFormed, NamedContext, check_proof, proof_from_json,
                      proof_to_json, render_proof, term_height)
-from .syntax import Formula, NotNegative, SyntaxError_, parse_formula, render
-from .sysf import is_positive_type, parse_sysf_type, phi, render_sysf_term
+from .syntax import (Formula, NotNegative, SyntaxError_, is_positive,
+                     parse_formula, render)
+from .sysf import parse_sysf_type, phi, render_sysf_term
 
 EXIT_OK = 0
 EXIT_UNINHABITED = 1
@@ -28,10 +29,10 @@ def _read_input(arg: str) -> str:
 
 def _parse_goal(text: str, sysf: bool) -> Formula:
     if sysf:
-        t = parse_sysf_type(text)
-        if not is_positive_type(t):
+        goal = phi(parse_sysf_type(text))
+        if not is_positive(goal):
             raise NotPositive(f"not a positive type: {text.strip()}")
-        return phi(t)
+        return goal
     return parse_formula(text)
 
 

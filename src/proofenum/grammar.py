@@ -1,6 +1,5 @@
 """Context-free grammar of schemes: saturation of the reachable bracket
-sequents, emptiness, height-bounded scheme enumeration, and the test
-of a scheme against the grammar's productions."""
+sequents, emptiness and height-bounded scheme enumeration."""
 
 from __future__ import annotations
 
@@ -9,7 +8,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .ljb import (LJBContext, LJBSequent, Premises, render_ljb_sequent,
                   rule_step)
-from .ljplus import LamPf, LamTm, ProofTerm, Spine, term_height
+from .ljplus import LamPf, LamTm, ProofTerm, Spine
 from .syntax import (Atom, Formula, Record, ensure_distinct_binders,
                      is_positive, render, slot_setters)
 
@@ -225,38 +224,14 @@ def _schemes(nt: int, h: int, by_lhs: Dict[int, List[Production]],
 def fits(p: Production, pi: Scheme) -> bool:
     """Whether the root of the scheme pi is an instance of p: a spine
     on head and arity, forall on the variable, impl on head and
-    annotation.  pi's sub-schemes are then matched against p's
-    premises (see subschemes)."""
+    annotation.  Expansion (expand._Expander.H) then matches pi's
+    sub-schemes against p's premises."""
     if p.kind == "spine":
         return (isinstance(pi, Spine) and pi.head == p.head
                 and len(pi.args) == len(p.premises))
     if p.kind == "forall":
         return isinstance(pi, LamTm) and pi.var == p.var
     return isinstance(pi, LamPf) and pi.pvar == p.head and pi.annot == p.annot
-
-
-def subschemes(pi: Scheme) -> Tuple[Scheme, ...]:
-    return pi.args if isinstance(pi, Spine) else (pi.body,)
-
-
-def scheme_check(session, s: LJBSequent, pi: Scheme) -> bool:
-    """Derivability of s |- pi : goal in the bracket calculus with
-    canonical proof variables: some derivation of the grammar of s
-    fits pi node by node."""
-    g = saturate(s, session, max_height=term_height(pi))
-    return _derives(g.start, pi, productions_by_lhs(g), {})
-
-
-def _derives(nt: int, node: Scheme, by_lhs: Dict[int, List[Production]],
-             memo: dict) -> bool:
-    """Whether nt derives the scheme node; memo maps (nt, node) to it."""
-    key = (nt, node)
-    if key not in memo:
-        memo[key] = any(fits(p, node) and all(
-            _derives(q, sub, by_lhs, memo)
-            for q, sub in zip(p.premises, subschemes(node)))
-            for p in by_lhs.get(nt, ()))
-    return memo[key]
 
 
 def render_grammar(g: Grammar) -> str:

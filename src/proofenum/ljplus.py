@@ -8,8 +8,8 @@ from operator import attrgetter
 from typing import Callable, FrozenSet, List, Optional, Tuple, Union
 
 from .syntax import (Atom, Forall, Formula, NotNegative, Record,
-                     decompose_negative, fresh_name, match_formula,
-                     parse_formula, rename, render, slot_setters, union_all)
+                     decompose_negative, fresh_name, parse_formula, rename,
+                     render, slot_setters, union_all)
 
 
 class IllFormed(Exception):
@@ -224,33 +224,6 @@ class LJPlusSequent(Record):
 
 _named_hyps, = slot_setters(NamedContext)
 _ljp_context, _ljp_goal = slot_setters(LJPlusSequent)
-
-
-# ---------------------------------------------------------------------------
-# Alpha-equivalence of sequents
-
-def alpha_eq_sequent(s1: LJPlusSequent, s2: LJPlusSequent) -> bool:
-    """True iff some renaming of term variables (and of proof variables)
-    makes the sequents alpha-equivalent; free variables are treated as
-    bound by the turnstile."""
-    return len(s1.context.hyps) == len(s2.context.hyps) and \
-        _alpha_from(s1, s2, 0, frozenset(), {})
-
-
-def _alpha_from(s1: LJPlusSequent, s2: LJPlusSequent, i: int,
-                used: frozenset, sig: dict) -> bool:
-    """Whether sig extends to match s1's hypotheses from i on with
-    distinct hypotheses of s2 outside used, and then the goals."""
-    h1, h2 = s1.context.hyps, s2.context.hyps
-    if i == len(h1):
-        return match_formula(s1.goal, s2.goal, sig) is not None
-    for j in range(len(h2)):
-        if j in used:
-            continue
-        nxt = match_formula(h1[i][1], h2[j][1], sig)
-        if nxt is not None and _alpha_from(s1, s2, i + 1, used | {j}, nxt):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

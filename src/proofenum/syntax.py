@@ -1,9 +1,8 @@
-"""First-order formulas over -> and forall: parsing, printing, polarity,
-renaming and alpha-equivalence."""
+"""First-order formulas over -> and forall: parsing, printing,
+positivity and negativity, renaming and alpha-equivalence."""
 
 from __future__ import annotations
 
-import enum
 import itertools
 import re
 from typing import Mapping, Optional, Tuple, Union
@@ -178,13 +177,6 @@ _all_var, _all_body, _all_key, _all_fvs, _all_bvs = slot_setters(Forall)
 Formula = Union[Atom, Impl, Forall]
 
 
-class Polarity(enum.Enum):
-    POSITIVE_ONLY = "positive"
-    NEGATIVE_ONLY = "negative"
-    BOTH = "both"
-    NEITHER = "neither"
-
-
 def is_positive(f: Formula) -> bool:
     if isinstance(f, Atom):
         return True
@@ -199,17 +191,6 @@ def is_negative(f: Formula) -> bool:
     if isinstance(f, Impl):
         return is_positive(f.lhs) and is_negative(f.rhs)
     return False
-
-
-def polarity(f: Formula) -> Polarity:
-    p, n = is_positive(f), is_negative(f)
-    if p and n:
-        return Polarity.BOTH
-    if p:
-        return Polarity.POSITIVE_ONLY
-    if n:
-        return Polarity.NEGATIVE_ONLY
-    return Polarity.NEITHER
 
 
 def split_arrows(f: Formula):

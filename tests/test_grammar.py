@@ -7,17 +7,16 @@ from pathlib import Path
 import pytest
 
 import proofenum
-from proofenum import scheme_check
-from proofenum.expand import Session
+from proofenum.expand import Session, funcH
 from proofenum.grammar import (CapExceeded, Grammar, NotPositive, Production,
                                build_grammar, enumerate_schemes,
                                grammar_to_json, is_inhabited,
                                productions_by_lhs, render_grammar)
 from proofenum.ljb import (Fml, LJBContext, LJBSequent, render_ljb_sequent,
                            rule_step)
-from proofenum.ljplus import Spine, render_proof, term_height
-from proofenum.syntax import (Atom, ensure_distinct_binders, parse_formula,
-                             render)
+from proofenum.ljplus import LamPf, LamTm, Spine, render_proof, term_height
+from proofenum.syntax import (Atom, Impl, ensure_distinct_binders,
+                              parse_formula, render)
 from proofenum.sysf import parse_sysf_type, phi
 
 from conftest import (FIG_FORMULA, corpus, d_family, fixpoint_is_inhabited,
@@ -256,10 +255,24 @@ def test_nonterminals_are_sequents():
                 [render_ljb_sequent(s) for s in g.nonterminals]
 
 
-def _with_outer_head(pi, head):
+def _at_outer_spine(pi, edit):
+    """pi with edit applied to the spine under its outer binders, or
+    None where edit gives None."""
     if isinstance(pi, Spine):
-        return Spine(head, pi.args)
-    return replace(pi, body=_with_outer_head(pi.body, head))
+        return edit(pi)
+    body = _at_outer_spine(pi.body, edit)
+    return body and replace(pi, body=body)
+
+
+def _reannotated(pi):
+    """pi with the annotation of its outermost R-> binder changed, or
+    None when its outer binders have no R->."""
+    if isinstance(pi, LamPf):
+        return replace(pi, annot=Impl(pi.annot, pi.annot))
+    if isinstance(pi, LamTm):
+        body = _reannotated(pi.body)
+        return body and replace(pi, body=body)
+    return None
 
 
 def test_scheme_check_accepts_the_grammar_schemes():
@@ -272,9 +285,36 @@ def test_scheme_check_accepts_the_grammar_schemes():
         # heads are c0 .. c(n-1) and cn is unused.
         unused = f"c{len({p.head for p in g.productions if p.head})}"
         for pi in enumerate_schemes(g, 6):
-            assert scheme_check(session, seq, pi)
-            assert not scheme_check(session, seq,
-                                    _with_outer_head(pi, unused))
+            assert funcH(session, pi, seq) != []
+            assert funcH(session, _at_outer_spine(
+                pi, lambda s: Spine(unused, s.args)), seq) == []
+
+
+def test_funcH_is_empty_exactly_off_the_grammar_schemes():
+    # A sequent derives a scheme exactly when funcH expands it to some
+    # term: every scheme of the bounded grammar expands, and none of
+    # its mutants does (with head c<n> unused, its outer spine's last
+    # argument dropped, or its outer R-> annotation changed).
+    two_succ = phi(parse_sysf_type("forall X. (X->X) -> (X->X) -> X -> X"))
+    goals = (corpus() + [d_family(k) for k in (2, 3, 4)] + [two_succ]
+             + seeded_goals())
+    schemes = mutants = 0
+    for goal in goals:
+        goal, session = ensure_distinct_binders(goal), Session()
+        g = build_grammar(goal, session, max_height=9)
+        seq = LJBSequent(LJBContext(), goal)
+        unused = f"c{len({p.head for p in g.productions if p.head})}"
+        for pi in enumerate_schemes(g, 9):
+            assert funcH(session, pi, seq) != []
+            schemes += 1
+            off = [_at_outer_spine(pi, lambda s: Spine(unused, s.args)),
+                   _at_outer_spine(pi, lambda s: Spine(
+                       s.head, s.args[:-1]) if s.args else None),
+                   _reannotated(pi)]
+            for mutant in filter(None, off):
+                assert funcH(session, mutant, seq) == []
+                mutants += 1
+    assert (schemes, mutants) == (267, 724)
 
 
 # ---------------------------------------------------------------------------

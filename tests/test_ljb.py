@@ -6,9 +6,9 @@ from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent,
                            _restructure, annotate, canon, expose, normalize,
                            normalize_chain, render_ljb_sequent, rule_step,
                            MergeStep)
-from proofenum.grammar import build_grammar, scheme_check
+from proofenum.grammar import build_grammar
 from proofenum.ljplus import LamPf, LamTm, Spine
-from proofenum.expand import Session
+from proofenum.expand import Session, funcH
 from proofenum.syntax import (Atom, Forall, Impl, parse_formula, render,
                               split_arrows)
 
@@ -270,15 +270,17 @@ def test_rimpl_numbers_its_hypothesis_above_the_context():
 
 
 def test_scheme_check_simple():
+    # A sequent derives a scheme exactly when funcH expands it to some
+    # term.
     session = Session()
     goal = parse_formula("P -> P")
     c = session.canonical_var(parse_formula("P"))
     s = LJBSequent(LJBContext(), goal)
     good = LamPf(c, parse_formula("P"), Spine(c))
-    assert scheme_check(session, s, good)
+    assert funcH(session, good, s) != []
     bad = LamPf("zz", parse_formula("P"), Spine(c))
-    assert not scheme_check(session, s, bad)
-    assert not scheme_check(session, s, Spine(c))
+    assert funcH(session, bad, s) == []
+    assert funcH(session, Spine(c), s) == []
 
 
 def test_scheme_check_forall():
@@ -287,9 +289,10 @@ def test_scheme_check_forall():
     c = session.canonical_var(parse_formula("P(x)"))
     s = LJBSequent(LJBContext(), goal)
     pi = LamTm("x", LamPf(c, parse_formula("P(x)"), Spine(c)))
-    assert scheme_check(session, s, pi)
-    assert not scheme_check(
-        session, s, LamTm("z", LamPf(c, parse_formula("P(z)"), Spine(c))))
+    assert funcH(session, pi, s) != []
+    assert funcH(session,
+                 LamTm("z", LamPf(c, parse_formula("P(z)"), Spine(c))),
+                 s) == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,9 @@ import pickle
 import pytest
 
 from proofenum.ljplus import (IllFormed, LamPf, LamTm, LJPlusSequent,
-                              NamedContext, Spine, alpha_eq_sequent,
-                              check_proof, oracle_enumerate,
-                              proof_from_json, proof_to_json, render_proof,
-                              term_height)
+                              NamedContext, Spine, check_proof,
+                              oracle_enumerate, proof_from_json,
+                              proof_to_json, render_proof, term_height)
 from proofenum.syntax import parse_formula
 
 from conftest import alpha_normalize, reference_rename_proof
@@ -162,15 +161,6 @@ def test_alpha_normalize():
     t3 = LamTm("x", LamPf("a", parse_formula("P(x)"), Spine("a")))
     t4 = LamTm("y", LamPf("c", parse_formula("P(y)"), Spine("c")))
     assert alpha_normalize(t3) == alpha_normalize(t4)
-
-
-def test_alpha_eq_sequent():
-    s1 = seq([("a", "P(x) -> Q"), ("b", "P(x)")], "Q")
-    s2 = seq([("u", "P(z)"), ("v", "P(z) -> Q")], "Q")
-    assert alpha_eq_sequent(s1, s2)
-    s3 = seq([("u", "P(z)"), ("v", "P(w) -> Q")], "Q")
-    assert not alpha_eq_sequent(s1, s3)
-    assert not alpha_eq_sequent(s1, seq([("a", "P(x) -> Q")], "Q"))
 
 
 def test_oracle_identity():

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import importlib.util
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,30 @@ from proofenum.sysf import TVar
 def test_public_names_resolve():
     for name in proofenum.__all__:
         assert hasattr(proofenum, name), name
+
+
+API = [
+    "Arrow", "Atom", "Bracket", "CapExceeded", "Duplication", "Fml", "Forall",
+    "ForallT", "Formula", "Grammar", "IllFormed", "Impl", "LJBContext",
+    "LJBSequent", "LJPlusSequent", "LamPf", "LamTm", "NamedContext",
+    "NotNegative", "NotPositive", "Production", "ProofTerm", "Session",
+    "Spine", "SyntaxError_", "TVar", "alpha_eq", "build_grammar",
+    "check_proof", "enumerate_schemes", "enumerate_terms", "expose", "funcF",
+    "funcG", "funcH", "is_inhabited", "is_negative", "is_positive",
+    "is_positive_type", "normalize", "oracle_enumerate", "parse_formula",
+    "parse_sysf_type", "phi", "render", "render_proof", "render_sysf_term",
+    "term_height", "unphi",
+]
+
+
+def test_public_api_is_the_documented_one():
+    # The public names are decided, and README's API section gives the
+    # reason each one stays.
+    assert sorted(proofenum.__all__) == API
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`([A-Za-z_]\w*)`", section))
+    assert [name for name in API if name not in documented] == []
 
 
 def test_traced_names_resolve():

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from proofenum.syntax import (Atom, Forall, Fn, Impl, NotNegative, Polarity,
+from proofenum.syntax import (Atom, Forall, Fn, Impl, NotNegative,
                               SyntaxError_, Var, alpha_eq, all_names,
                               decompose_negative, ensure_distinct_binders,
-                              fresh_name, is_positive, match_formula,
-                              parse_formula, polarity, rename, render)
+                              fresh_name, is_negative, is_positive,
+                              match_formula, parse_formula, rename, render)
 
 from conftest import (fold_negative, formula_size, reference_alpha_eq,
                       reference_match_formula)
@@ -46,26 +46,19 @@ def test_parse_errors():
             parse_formula(bad)
 
 
-def test_polarity_basics():
-    assert polarity(parse_formula("P")) is Polarity.BOTH
-    assert polarity(parse_formula("P -> Q")) is Polarity.BOTH
-    assert polarity(parse_formula("forall x. P(x)")) is Polarity.POSITIVE_ONLY
-    assert polarity(
-        parse_formula("(forall x. P(x)) -> Q")) is Polarity.NEGATIVE_ONLY
-    assert polarity(
-        parse_formula("((forall x. P(x)) -> Q) -> Q")) is Polarity.POSITIVE_ONLY
-    assert polarity(
-        parse_formula("((forall x. P(x)) -> Q) -> forall y. P(y)")
-    ) is Polarity.POSITIVE_ONLY
-
-
-def test_polarity_neither():
-    # a forall on the left of a left-nested implication is neither
-    f = parse_formula("(((forall x. P(x)) -> Q) -> Q) -> Q")
-    assert is_positive(parse_formula("((forall x. P(x)) -> Q) -> Q"))
-    assert polarity(f) is Polarity.NEGATIVE_ONLY
-    g = parse_formula("((forall x. P(x)) -> forall y. P(y)) -> Q")
-    assert polarity(g) is Polarity.NEITHER
+def test_positive_and_negative():
+    # (is_positive, is_negative) of each formula: a forall on the left
+    # of a left-nested implication makes the last two neither.
+    cases = [("P", True, True), ("P -> Q", True, True),
+             ("forall x. P(x)", True, False),
+             ("(forall x. P(x)) -> Q", False, True),
+             ("((forall x. P(x)) -> Q) -> Q", True, False),
+             ("((forall x. P(x)) -> Q) -> forall y. P(y)", True, False),
+             ("(((forall x. P(x)) -> Q) -> Q) -> Q", False, True),
+             ("((forall x. P(x)) -> forall y. P(y)) -> Q", False, False)]
+    for text, positive, negative in cases:
+        f = parse_formula(text)
+        assert (is_positive(f), is_negative(f)) == (positive, negative), text
 
 
 def test_decompose_negative():
