@@ -46,19 +46,28 @@ def test_parse_errors():
             parse_formula(bad)
 
 
-def test_positive_and_negative():
-    # (is_positive, is_negative) of each formula: a forall on the left
-    # of a left-nested implication makes the last two neither.
-    cases = [("P", True, True), ("P -> Q", True, True),
-             ("forall x. P(x)", True, False),
-             ("(forall x. P(x)) -> Q", False, True),
-             ("((forall x. P(x)) -> Q) -> Q", True, False),
-             ("((forall x. P(x)) -> Q) -> forall y. P(y)", True, False),
-             ("(((forall x. P(x)) -> Q) -> Q) -> Q", False, True),
-             ("((forall x. P(x)) -> forall y. P(y)) -> Q", False, False)]
-    for text, positive, negative in cases:
-        f = parse_formula(text)
-        assert (is_positive(f), is_negative(f)) == (positive, negative), text
+def _signs(text):
+    # (is_positive, is_negative) of a formula
+    f = parse_formula(text)
+    return is_positive(f), is_negative(f)
+
+
+def test_polarity_basics():
+    assert _signs("P") == (True, True)
+    assert _signs("P -> Q") == (True, True)
+    assert _signs("forall x. P(x)") == (True, False)
+    assert _signs("(forall x. P(x)) -> Q") == (False, True)
+    assert _signs("((forall x. P(x)) -> Q) -> Q") == (True, False)
+    assert _signs(
+        "((forall x. P(x)) -> Q) -> forall y. P(y)") == (True, False)
+
+
+def test_polarity_neither():
+    # a forall on the left of a left-nested implication is neither
+    assert is_positive(parse_formula("((forall x. P(x)) -> Q) -> Q"))
+    assert _signs("(((forall x. P(x)) -> Q) -> Q) -> Q") == (False, True)
+    assert _signs(
+        "((forall x. P(x)) -> forall y. P(y)) -> Q") == (False, False)
 
 
 def test_decompose_negative():
