@@ -314,30 +314,25 @@ class _Parser:
             return f
         if tok is None or tok in (")", ".", ",", "->"):
             raise SyntaxError_(f"expected formula, got {tok!r}", pos)
-        if tok == "forall":
-            return self.formula()
         self.next()
-        if self.peek() == "(":
-            self.next()
-            args = [self.term()]
-            while self.peek() == ",":
-                self.next()
-                args.append(self.term())
-            self.expect(")")
-            return Atom(tok, tuple(args))
-        return Atom(tok)
+        return Atom(tok, self.args())
 
     def term(self) -> FoTerm:
         name = self.ident()
-        if self.peek() == "(":
+        args = self.args()
+        return Fn(name, args) if args else Var(name)
+
+    def args(self) -> tuple:
+        """A symbol's arguments: `(t1, ..., tn)`, n >= 1, or none."""
+        if self.peek() != "(":
+            return ()
+        self.next()
+        args = [self.term()]
+        while self.peek() == ",":
             self.next()
-            args = [self.term()]
-            while self.peek() == ",":
-                self.next()
-                args.append(self.term())
-            self.expect(")")
-            return Fn(name, tuple(args))
-        return Var(name)
+            args.append(self.term())
+        self.expect(")")
+        return tuple(args)
 
 
 def parse_formula(text: str) -> Formula:

@@ -3,80 +3,57 @@ formulas, positivity of types and System F rendering of proof-terms."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 from .ljplus import LamTm, ProofTerm, Spine, render_proof
-from .syntax import (Atom, Forall, Formula, Impl, Record, SyntaxError_, Var,
-                     all_names, is_positive, parse_formula, slot_setters)
+from .syntax import (Atom, Forall, Formula, Impl, SyntaxError_, Var,
+                     all_names, is_positive, parse_formula)
 
-
-class TVar(Record):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        _tvar_name(self, name)
-
-
-class Arrow(Record):
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: "FType", rhs: "FType"):
-        _arrow_lhs(self, lhs)
-        _arrow_rhs(self, rhs)
-
-
-class ForallT(Record):
-    __slots__ = ("var", "body")
-
-    def __init__(self, var: str, body: "FType"):
-        _forall_var(self, var)
-        _forall_body(self, body)
-
-
-_tvar_name, = slot_setters(TVar)
-_arrow_lhs, _arrow_rhs = slot_setters(Arrow)
-_forall_var, _forall_body = slot_setters(ForallT)
-FType = Union[TVar, Arrow, ForallT]
+# A type is the formula parse_formula reads, with no atom taking
+# arguments: a type variable is an Atom, its name the Atom's pred.
+TVar, Arrow, ForallT = Atom, Impl, Forall
 
 PRED = "eps"
 
 
-def parse_sysf_type(text: str) -> FType:
+def parse_sysf_type(text: str) -> Formula:
     """`forall X. T`, right-associative `->`, variables as identifiers."""
-    return _type_of(parse_formula(text))
-
-
-def _type_of(g: Formula) -> FType:
-    if isinstance(g, Atom):
-        if g.args:
+    t = parse_formula(text)
+    todo = [t]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Impl):
+            todo += (g.rhs, g.lhs)
+        elif isinstance(g, Forall):
+            todo.append(g.body)
+        elif g.args:
             raise SyntaxError_(
                 f"type variable {g.pred!r} takes no arguments", 0)
-        return TVar(g.pred)
-    if isinstance(g, Impl):
-        return Arrow(_type_of(g.lhs), _type_of(g.rhs))
-    return ForallT(g.var, _type_of(g.body))
+    return t
 
 
-def phi(t: FType) -> Formula:
-    if isinstance(t, TVar):
-        return Atom(PRED, (Var(t.name),))
-    if isinstance(t, Arrow):
+def phi(t: Formula) -> Formula:
+    if isinstance(t, Atom):
+        if t.args:
+            raise ValueError(f"not a type: {t!r}")
+        return Atom(PRED, (Var(t.pred),))
+    if isinstance(t, Impl):
         return Impl(phi(t.lhs), phi(t.rhs))
     return Forall(t.var, phi(t.body))
 
 
-def unphi(f: Formula) -> FType:
+def unphi(f: Formula) -> Formula:
     if isinstance(f, Atom):
         if f.pred != PRED or len(f.args) != 1 or not isinstance(f.args[0],
                                                                Var):
             raise ValueError(f"not in the image of the translation: {f!r}")
-        return TVar(f.args[0].name)
+        return Atom(f.args[0].name)
     if isinstance(f, Impl):
-        return Arrow(unphi(f.lhs), unphi(f.rhs))
-    return ForallT(f.var, unphi(f.body))
+        return Impl(unphi(f.lhs), unphi(f.rhs))
+    return Forall(f.var, unphi(f.body))
 
 
-def is_positive_type(t: FType) -> bool:
+def is_positive_type(t: Formula) -> bool:
     return is_positive(phi(t))
 
 
@@ -91,16 +68,16 @@ def _namer(names: Iterable[str]) -> Callable[[str], str]:
     return _up if len(set(map(_up, names))) == len(names) else str
 
 
-def render_type(t: FType) -> str:
+def render_type(t: Formula) -> str:
     return _render_type(t, _namer(all_names(phi(t))))
 
 
-def _render_type(t: FType, up: Callable[[str], str]) -> str:
-    if isinstance(t, TVar):
-        return up(t.name)
-    if isinstance(t, Arrow):
+def _render_type(t: Formula, up: Callable[[str], str]) -> str:
+    if isinstance(t, Atom):
+        return up(t.pred)
+    if isinstance(t, Impl):
         lhs = _render_type(t.lhs, up)
-        if isinstance(t.lhs, (Arrow, ForallT)):
+        if isinstance(t.lhs, (Impl, Forall)):
             lhs = f"({lhs})"
         return f"{lhs} -> {_render_type(t.rhs, up)}"
     return f"forall {up(t.var)}. {_render_type(t.body, up)}"

@@ -8,8 +8,8 @@ from proofenum.expand import (Duplication, Session, _renaming,
                               enumerate_terms, flatten_det, funcF, funcG,
                               funcH)
 from proofenum.grammar import build_grammar, enumerate_schemes
-from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent, MergeStep,
-                           annotate, canon, normalize, normalize_chain)
+from proofenum.ljb import (LJBContext, LJBSequent, MergeStep, annotate, canon,
+                           normalize, normalize_chain)
 from proofenum.ljplus import (LamPf, LamTm, LJPlusSequent, NamedContext,
                               Spine, check_proof, oracle_enumerate,
                               render_proof, term_height)

@@ -5,6 +5,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from proofenum.cli import main
+from proofenum.ljplus import proof_from_json, render_proof
 
 from conftest import FIG_FORMULA, SYSF_A2
 
@@ -46,6 +47,21 @@ def test_check_not_positive_json(argv):
     assert json.loads(out) == {"goal": argv[-1].strip(), "positive": False}
 
 
+@pytest.mark.parametrize("argv, goal, code", [
+    (["check", FIG_FORMULA],
+     "((forall y. (P(y) -> Q) -> P(y) -> Q) -> Q) -> Q", 0),
+    (["check", "Q"], "Q", 1),
+    (["check", "--sysf", "forall X. X -> X"],
+     "forall X. eps(X) -> eps(X)", 0),
+    (["check", "--sysf", "forall X. X"], "forall X. eps(X)", 1),
+])
+def test_check_json(argv, goal, code):
+    got, out = run(argv + ["--format", "json"])
+    assert got == code
+    assert json.loads(out) == {"goal": goal, "positive": True,
+                               "inhabited": code == 0}
+
+
 def test_parse_error_exit_code():
     code, _ = run(["terms", "P ->"])
     assert code == 2
@@ -76,6 +92,24 @@ def test_schemes_text():
     lines = [ln for ln in out.splitlines() if ln]
     assert len(lines) == 1
     assert lines[0].startswith("\\c0:")
+
+
+@pytest.mark.parametrize("argv, goal", [
+    (["schemes", FIG_FORMULA, "--max-height", "11"],
+     "((forall y. (P(y) -> Q) -> P(y) -> Q) -> Q) -> Q"),
+    (["schemes", "--sysf", SYSF_A2, "--max-height", "14"],
+     "forall X. forall Y. (((eps(Y) -> eps(X)) -> eps(Y) -> eps(X)) -> "
+     "eps(X)) -> eps(X)"),
+])
+def test_schemes_json_reads_back_as_the_text(argv, goal):
+    code, text = run(argv)
+    assert code == 0 and text
+    code, out = run(argv + ["--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert (data["goal"], data["maxHeight"]) == (goal, int(argv[-1]))
+    assert [render_proof(proof_from_json(s)) for s in data["schemes"]] == \
+        text.splitlines()
 
 
 def test_terms_text():
@@ -144,6 +178,15 @@ def test_verify_rejects_bad_term(monkeypatch):
                     monkeypatch=monkeypatch)
     assert code == 1
     assert "verified 0/1" in out
+
+
+def test_verify_counts_an_ill_formed_term_as_failed(monkeypatch, capsys):
+    # a spine where the goal asks for a proof abstraction
+    spine = json.dumps([{"kind": "spine", "head": "h", "args": []}])
+    code, out = run(["verify", "P -> P"], stdin_text=spine,
+                    monkeypatch=monkeypatch)
+    assert (code, out) == (1, "verified 0/1\n")
+    assert capsys.readouterr().err == "FAIL h\n"
 
 
 def test_bad_max_height():

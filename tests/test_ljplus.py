@@ -97,6 +97,9 @@ def test_check_proof_identity():
     s = seq([], "P -> P")
     t = LamPf("h", parse_formula("P"), Spine("h"))
     assert check_proof(s.context, t, s.goal)
+    # a proof binder may not reuse a name in scope
+    s2 = seq([("h", "Q")], "P -> P")
+    assert not check_proof(s2.context, t, s2.goal)
 
 
 def test_check_proof_wrong_annot():
@@ -115,6 +118,10 @@ def test_check_proof_shape_errors():
         # head applied with wrong arity
         check_proof(NamedContext((("h", parse_formula("P -> Q")),)),
                     Spine("h"), parse_formula("Q"))
+    with pytest.raises(IllFormed):
+        # a spine at a forall goal
+        check_proof(NamedContext(), Spine("h"),
+                    parse_formula("forall x. P(x) -> P(x)"))
 
 
 def test_check_proof_forall():
@@ -128,6 +135,10 @@ def test_check_proof_forall():
     s2 = seq([("g", "P(x) -> Q")], "forall x. Q")
     bad = LamTm("x", Spine("g", (Spine("h"),)))
     assert not check_proof(s2.context, bad, s2.goal)
+    # a renamed binder may not be free in the body it renames
+    s3 = seq([], "forall x. P(x) -> P(y)")
+    bad = LamTm("y", LamPf("h", parse_formula("P(y)"), Spine("h")))
+    assert not check_proof(s3.context, bad, s3.goal)
 
 
 def test_check_proof_spine():
@@ -136,6 +147,11 @@ def test_check_proof_spine():
     assert not check_proof(s.context, Spine("a"), s.goal)
     assert not check_proof(
         s.context, Spine("f", (Spine("f", (Spine("a"),)),)), s.goal)
+    # a head not in the context
+    assert not check_proof(s.context, Spine("g"), s.goal)
+    # a head whose hypothesis is not negative
+    s2 = seq([("u", "forall x. Q")], "Q")
+    assert not check_proof(s2.context, Spine("u"), s2.goal)
 
 
 def test_rename_proof_capture():

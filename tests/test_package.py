@@ -70,6 +70,31 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_every_import_is_read():
+    # An imported name that nothing reads is dead code; pyflakes would
+    # say so, but the suite needs the standard library only.  The
+    # package's __init__.py imports to re-export.
+    root = Path(__file__).resolve().parent.parent
+    found = []
+    for path in sorted([*(root / "src").rglob("*.py"),
+                        *(root / "tests").rglob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_only_proof_terms_are_dataclasses():
     # @dataclass generates and compiles each class's methods at import,
     # which made up a third of the package's import time; the other

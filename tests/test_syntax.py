@@ -41,7 +41,8 @@ def test_parse_structure():
 
 
 def test_parse_errors():
-    for bad in ["", "P ->", "(P", "forall . P", "P)", "P Q", "-> P"]:
+    for bad in ["", "P ->", "(P", "forall . P", "P)", "P Q", "-> P",
+                "P(x", "P(x,)", "P()", "P & Q"]:
         with pytest.raises(SyntaxError_):
             parse_formula(bad)
 

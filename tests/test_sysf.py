@@ -2,7 +2,8 @@ import pytest
 
 from proofenum.expand import enumerate_terms
 from proofenum.ljplus import LamPf, LamTm, Spine
-from proofenum.syntax import SyntaxError_, parse_formula, render
+from proofenum.syntax import (Atom, Forall, Impl, SyntaxError_,
+                              parse_formula, render)
 from proofenum.sysf import (Arrow, ForallT, TVar, is_positive_type,
                             parse_sysf_type, phi, render_sysf_term,
                             render_type, unphi)
@@ -40,6 +41,21 @@ def test_unphi_rejects_foreign_formulas():
         unphi(parse_formula("P(x)"))
     with pytest.raises(ValueError):
         unphi(parse_formula("eps(x, y)"))
+
+
+def test_a_type_is_the_formula_parse_formula_reads():
+    assert TVar is Atom and Arrow is Impl and ForallT is Forall
+    text = "forall X. (X -> Y) -> forall Z. Z"
+    assert parse_sysf_type(text) == parse_formula(text)
+    # the leftmost atom with arguments is named, at offset 0
+    with pytest.raises(SyntaxError_, match=r"^type variable 'X' takes no "
+                       r"arguments \(at offset 0\)$"):
+        parse_sysf_type("X(a) -> Y(b)")
+
+
+def test_phi_rejects_atoms_with_arguments():
+    with pytest.raises(ValueError):
+        phi(parse_formula("P(x)"))
 
 
 def test_is_positive_type():
