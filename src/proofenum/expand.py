@@ -10,7 +10,7 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from .grammar import (DEFAULT_CAP, Grammar, Production, build_grammar,
-                      enumerate_schemes, fits, productions_by_lhs, saturate)
+                      enumerate_schemes, fits, saturate)
 from .ljb import (Fml, InvariantError, LJBContext, LJBSequent, annotate,
                   premises)
 from .ljplus import (LamPf, LamTm, LJPlusSequent, ProofTerm, Spine,
@@ -302,7 +302,6 @@ class _Expander:
         if grammar.steps is None:
             raise ValueError("expansion needs a height-bounded grammar")
         self._grammar = grammar
-        self._by_lhs = productions_by_lhs(grammar)
         self._plans: Dict[int, List[_Plan]] = {}
         self._terms: Dict[tuple, Tuple[List[ProofTerm], List[str]]] = {}
         self._tops: Dict[tuple, _Top] = {}
@@ -382,7 +381,7 @@ class _Expander:
         nonterminal's flattening is the i-th occurrence of its context,
         or of the instance's cleaned premise context, and R-> adds
         h_n."""
-        prods = self._by_lhs.get(nt, ())
+        prods = self._grammar.rules[nt]
         if not prods:
             return []
         seq = self._grammar.nonterminals[nt]

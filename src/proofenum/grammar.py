@@ -3,7 +3,7 @@ sequents, emptiness and height-bounded scheme enumeration."""
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from typing import Dict, List, Optional, Tuple
 
 from .ljb import (LJBContext, LJBSequent, Premises, render_ljb_sequent,
@@ -26,46 +26,50 @@ class CapExceeded(Exception):
 
 
 class Production(Record):
-    __slots__ = ("lhs", "kind", "premises", "head", "var", "annot",
-                 "occurrence_id")
+    __slots__ = ("kind", "premises", "head", "var", "annot")
 
-    def __init__(self, lhs: int, kind: str,  # "spine" | "forall" | "impl"
+    def __init__(self, kind: str,  # "spine" | "forall" | "impl"
                  premises: Tuple[int, ...], head: Optional[str] = None,
-                 var: Optional[str] = None, annot: Optional[Formula] = None,
-                 occurrence_id: Optional[int] = None):
-        _prod_lhs(self, lhs)
+                 var: Optional[str] = None, annot: Optional[Formula] = None):
         _prod_kind(self, kind)
         _prod_premises(self, premises)
         _prod_head(self, head)
         _prod_var(self, var)
         _prod_annot(self, annot)
-        _prod_occurrence_id(self, occurrence_id)
 
 
 class Grammar(Record):
     """A grammar of schemes.  Its nonterminals are sequents, and a
-    nonterminal's id is its position in nonterminals.  A height-bounded
-    grammar keeps, in steps, the rule instances (ljb.rule_step) of each
-    nonterminal it expanded, by id: expansion plans its lifts from them.
+    nonterminal's id is its position in nonterminals; the start is 0.
+    rules[nt] is the tuple of nt's productions, one per rule instance
+    (ljb.rule_step) in order, empty when nt has none or was left
+    unexpanded: a production's left-hand side is its index in rules,
+    and a spine's occurrence id, the index of its entry in expose, is
+    its index in rules[nt].  A height-bounded grammar keeps, in steps,
+    the rule instances of each nonterminal it expanded, by id, so
+    steps[nt][i] is rules[nt][i]'s: expansion plans its lifts from them.
     A full grammar keeps none (steps is None), since only enumeration
     asks for a bound.  The instances hold cleaning's merge dicts, so a
-    bounded grammar has no hash.  by_lhs is unset until
-    productions_by_lhs fills it."""
-    __slots__ = ("start", "nonterminals", "productions", "steps", "by_lhs")
+    bounded grammar has no hash."""
+    __slots__ = ("nonterminals", "rules", "steps")
+    start = 0
 
-    def __init__(self, start: int, nonterminals: Tuple[LJBSequent, ...],
-                 productions: Tuple[Production, ...],
+    def __init__(self, nonterminals: Tuple[LJBSequent, ...],
+                 rules: Tuple[Tuple[Production, ...], ...],
                  steps: Optional[Tuple[List[Premises], ...]] = None):
-        _gr_start(self, start)
         _gr_nonterminals(self, nonterminals)
-        _gr_productions(self, productions)
+        _gr_rules(self, rules)
         _gr_steps(self, steps)
 
+    @property
+    def productions(self) -> Tuple[Production, ...]:
+        """Every production, nonterminal by nonterminal."""
+        return tuple(chain.from_iterable(self.rules))
 
-(_prod_lhs, _prod_kind, _prod_premises, _prod_head, _prod_var, _prod_annot,
- _prod_occurrence_id) = slot_setters(Production)
-(_gr_start, _gr_nonterminals, _gr_productions, _gr_steps,
- _gr_by_lhs) = slot_setters(Grammar)
+
+(_prod_kind, _prod_premises, _prod_head, _prod_var,
+ _prod_annot) = slot_setters(Production)
+_gr_nonterminals, _gr_rules, _gr_steps = slot_setters(Grammar)
 
 
 def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP,
@@ -88,10 +92,9 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
              max_height: Optional[int] = None) -> Grammar:
     """The grammar of the sequents reachable from start_seq, as in
     build_grammar: one production per rule instance of rule_step, with
-    the cleaned premise sequents as its premises; a spine production's
-    occurrence_id is its instance's index, that of its entry in expose.
-    A nonterminal keeps the sequent it was first reached with,
-    occurrence ids included.
+    the cleaned premise sequents as its premises, kept together by
+    nonterminal.  A nonterminal keeps the sequent it was first reached
+    with, occurrence ids included.
     The list of sequents is the FIFO worklist: a sequent's id is its
     position, given when it is first reached, and the loop expands the
     sequents in id order while their premises append new ones.  Each
@@ -105,7 +108,7 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
     seqs: List[LJBSequent] = [start_seq]
     ids: Dict[Tuple[str, str], int] = {
         (start_seq.context.key, start_seq.goal.key): 0}
-    prods: List[Production] = []
+    rules: List[Tuple[Production, ...]] = []
     steps: Optional[List[List[Premises]]] = \
         None if max_height is None else []
     depth, layer_end = 0, 1  # seqs[:layer_end] lie within depth steps
@@ -118,7 +121,8 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
         instances = rule_step(seq)
         if steps is not None:
             steps.append(instances)
-        for i, (ctx, goals, hyp, _) in enumerate(instances):
+        prods = []
+        for ctx, goals, hyp, _ in instances:
             qs = []
             for a in goals:
                 q = ids.setdefault((ctx.key, a.key), len(seqs))
@@ -130,16 +134,16 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
             premises = tuple(qs)
             if isinstance(goal, Atom):
                 prods.append(Production(
-                    nt, "spine", premises,
-                    session.canonical_var(hyp.formula), None, None, i))
+                    "spine", premises, session.canonical_var(hyp.formula)))
             elif hyp is None:  # R-forall
-                prods.append(Production(nt, "forall", premises, None,
-                                        goal.var))
+                prods.append(Production("forall", premises, None, goal.var))
             else:
                 prods.append(Production(
-                    nt, "impl", premises,
+                    "impl", premises,
                     session.canonical_var(goal.lhs), None, goal.lhs))
-    return Grammar(0, tuple(seqs), tuple(prods),
+        rules.append(tuple(prods))
+    rules += [()] * (len(seqs) - len(rules))
+    return Grammar(tuple(seqs), tuple(rules),
                    None if steps is None else tuple(steps))
 
 
@@ -149,45 +153,38 @@ def is_inhabited(g: Grammar) -> bool:
     Programming 1984): each production counts its premises not yet
     known productive, and a nonterminal that becomes productive
     decrements the count of every production it is a premise of."""
-    waiting = [len(p.premises) for p in g.productions]
+    lhs: List[int] = []  # lhs[i] and waiting[i] are the i-th production's
+    waiting: List[int] = []
     uses: List[List[int]] = [[] for _ in g.nonterminals]
-    for i, p in enumerate(g.productions):
-        for q in p.premises:
-            uses[q].append(i)
+    for nt, prods in enumerate(g.rules):
+        for p in prods:
+            for q in p.premises:
+                uses[q].append(len(lhs))
+            lhs.append(nt)
+            waiting.append(len(p.premises))
     productive = [False] * len(g.nonterminals)
-    work = [i for i, n in enumerate(waiting) if n == 0]
+    work = [nt for nt, n in zip(lhs, waiting) if n == 0]
     while work:
-        nt = g.productions[work.pop()].lhs
+        nt = work.pop()
         if productive[nt]:
             continue
         productive[nt] = True
         for i in uses[nt]:
             waiting[i] -= 1
             if waiting[i] == 0:
-                work.append(i)
+                work.append(lhs[i])
     return productive[g.start]
-
-
-def productions_by_lhs(g: Grammar) -> Dict[int, List[Production]]:
-    """g's productions by lhs, built once and kept on g: do not change."""
-    by_lhs = getattr(g, "by_lhs", None)
-    if by_lhs is None:
-        by_lhs = {}
-        for p in g.productions:
-            by_lhs.setdefault(p.lhs, []).append(p)
-        _gr_by_lhs(g, by_lhs)
-    return by_lhs
 
 
 def enumerate_schemes(g: Grammar, max_height: int) -> List[Scheme]:
     """All schemes of height <= max_height derivable from the start
     nonterminal, in the order of their skeleton keys (see _schemes),
     which is render_proof's order."""
-    schemes = _schemes(g.start, max_height, productions_by_lhs(g), {}, {})
+    schemes = _schemes(g.start, max_height, g.rules, {}, {})
     return sorted(schemes, key=schemes.__getitem__)
 
 
-def _schemes(nt: int, h: int, by_lhs: Dict[int, List[Production]],
+def _schemes(nt: int, h: int, rules: Tuple[Tuple[Production, ...], ...],
              memo: dict, nodes: dict) -> Dict[Scheme, str]:
     """Schemes of height <= h derivable from nt, each mapped to its
     skeleton key (README, stage 2); memo maps (nt, h) to them.  Equal
@@ -200,10 +197,10 @@ def _schemes(nt: int, h: int, by_lhs: Dict[int, List[Production]],
     if key in memo:
         return memo[key]
     out: Dict[Scheme, str] = {}
-    for p in by_lhs.get(nt, []):
+    for p in rules[nt]:
         subs = []  # a loop, not a comprehension: one frame per level
         for q in p.premises:
-            subs.append(_schemes(q, h - 1, by_lhs, memo, nodes))
+            subs.append(_schemes(q, h - 1, rules, memo, nodes))
         tag = (p.kind, p.head, p.var, p.annot and p.annot.key)
         for tup in product(*subs):
             k = (tag, *map(id, tup))
@@ -236,34 +233,36 @@ def fits(p: Production, pi: Scheme) -> bool:
 
 def render_grammar(g: Grammar) -> str:
     lines = []
-    for p in g.productions:
-        if p.kind == "spine":
-            rhs = f"({p.head}{''.join(f' S{q}' for q in p.premises)})" \
-                if p.premises else p.head
-        elif p.kind == "forall":
-            rhs = f"\\{p.var}. S{p.premises[0]}"
-        else:
-            rhs = f"\\{p.head}:{render(p.annot)}. S{p.premises[0]}"
-        lines.append(f"S{p.lhs} -> {rhs}")
+    for nt, prods in enumerate(g.rules):
+        for p in prods:
+            if p.kind == "spine":
+                rhs = f"({p.head}{''.join(f' S{q}' for q in p.premises)})" \
+                    if p.premises else p.head
+            elif p.kind == "forall":
+                rhs = f"\\{p.var}. S{p.premises[0]}"
+            else:
+                rhs = f"\\{p.head}:{render(p.annot)}. S{p.premises[0]}"
+            lines.append(f"S{nt} -> {rhs}")
     return "\n".join(lines)
 
 
 def grammar_to_json(g: Grammar) -> dict:
-    prods = []
-    for p in g.productions:
-        entry = {"lhs": p.lhs, "kind": p.kind, "premises": list(p.premises)}
-        if p.head is not None:
-            entry["head"] = p.head
-        if p.var is not None:
-            entry["var"] = p.var
-        if p.annot is not None:
-            entry["annot"] = render(p.annot)
-        if p.occurrence_id is not None:
-            entry["occurrenceId"] = p.occurrence_id
-        prods.append(entry)
+    out = []
+    for nt, prods in enumerate(g.rules):
+        for i, p in enumerate(prods):
+            entry = {"lhs": nt, "kind": p.kind, "premises": list(p.premises)}
+            if p.head is not None:
+                entry["head"] = p.head
+            if p.var is not None:
+                entry["var"] = p.var
+            if p.annot is not None:
+                entry["annot"] = render(p.annot)
+            if p.kind == "spine":
+                entry["occurrenceId"] = i
+            out.append(entry)
     return {
         "start": g.start,
         "nonterminals": [{"id": i, "sequent": render_ljb_sequent(s)}
                          for i, s in enumerate(g.nonterminals)],
-        "productions": prods,
+        "productions": out,
     }

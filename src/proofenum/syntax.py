@@ -434,14 +434,8 @@ def _match_term(s: FoTerm, t: FoTerm, sig: dict, bnd: tuple):
     return sig
 
 
-def alpha_eq(f: Formula, g: Formula, env: Optional[tuple] = None) -> bool:
-    """Alpha-equivalence of formulas; free variables must match exactly
-    unless related by the (optional) renaming env (pairs of names, a
-    later pair overriding an earlier one with the same left name)."""
-    pairs = () if env is None else env
-    seed = dict(pairs)
-    for i, (x, y) in enumerate(pairs):
-        if seed[x] != y:  # overridden, but y stays taken as an image
-            seed[f"\0{i}"] = y
-    sig = match_formula(f, g, seed)
-    return sig is not None and all(sig[v] == v for v in sig.keys() - seed)
+def alpha_eq(f: Formula, g: Formula) -> bool:
+    """Alpha-equivalence of formulas; free variables must match
+    exactly."""
+    sig = match_formula(f, g, {})
+    return sig is not None and all(k == v for k, v in sig.items())

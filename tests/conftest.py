@@ -205,11 +205,11 @@ def fixpoint_is_inhabited(g):
     changed = True
     while changed:
         changed = False
-        for p in g.productions:
-            if p.lhs in productive:
+        for nt, prods in enumerate(g.rules):
+            if nt in productive:
                 continue
-            if all(q in productive for q in p.premises):
-                productive.add(p.lhs)
+            if any(all(q in productive for q in p.premises) for p in prods):
+                productive.add(nt)
                 changed = True
     return g.start in productive
 
@@ -393,31 +393,15 @@ def reference_match_formula(a, b, sig, bnd):
     return None
 
 
-def reference_alpha_eq(f, g, env=None):
-    """Alpha-equivalence under the renaming env (pairs of names, the last
-    pair for a name winning) with its own pair environment: the
+def reference_alpha_eq(f, g):
+    """Alpha-equivalence with its own pair environment of binders: the
     reference for syntax.alpha_eq, which runs the matcher."""
-    pairs = () if env is None else env
-
-    def look(x, left):
-        for a, b in reversed(pairs):
-            if left and a == x:
-                return b
-            if not left and b == x:
-                return a
-        return None
 
     def eq_t(s, t, bnd):
         if isinstance(s, Var) and isinstance(t, Var):
             for a, b in reversed(bnd):
                 if a == s.name or b == t.name:
                     return a == s.name and b == t.name
-            m = look(s.name, True)
-            if m is not None:
-                return m == t.name
-            m = look(t.name, False)
-            if m is not None:
-                return False
             return s.name == t.name
         if isinstance(s, Fn) and isinstance(t, Fn):
             return (s.symbol == t.symbol and len(s.args) == len(t.args)

@@ -225,23 +225,21 @@ def _min_heights(grammar):
     changed = True
     while changed:
         changed = False
-        for p in grammar.productions:
-            need = 1 + max((minh[q] for q in p.premises), default=0)
-            if need < minh[p.lhs]:
-                minh[p.lhs] = need
-                changed = True
+        for nt, prods in enumerate(grammar.rules):
+            for p in prods:
+                need = 1 + max((minh[q] for q in p.premises), default=0)
+                if need < minh[nt]:
+                    minh[nt] = need
+                    changed = True
     return minh
 
 
 def _sample_scheme(grammar, rng, max_height):
     from proofenum.ljplus import LamPf as Pf, LamTm as Tm, Spine as Sp
-    by_lhs = {}
-    for p in grammar.productions:
-        by_lhs.setdefault(p.lhs, []).append(p)
     minh = _min_heights(grammar)
 
     def go(nt, h):
-        prods = [p for p in by_lhs.get(nt, [])
+        prods = [p for p in grammar.rules[nt]
                  if 1 + max((minh[q] for q in p.premises), default=0) <= h]
         if not prods:
             return None
@@ -381,7 +379,8 @@ def test_grammar_construction_deterministic():
         for _ in range(3):
             g = build_grammar(goal, Session())
             runs.append((len(g.nonterminals),
-                         tuple((p.lhs, p.kind, p.premises, p.head, p.var,
+                         tuple((nt, p.kind, p.premises, p.head, p.var,
                                 render(p.annot) if p.annot else None)
-                               for p in g.productions)))
+                               for nt, prods in enumerate(g.rules)
+                               for p in prods)))
         assert runs[0] == runs[1] == runs[2]

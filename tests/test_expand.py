@@ -11,8 +11,7 @@ import proofenum.syntax
 from proofenum.expand import (Duplication, Flat, Session, _bind, _copy_table,
                               _Expander, _Top, _renaming, enumerate_terms,
                               flatten_det, funcF, funcG, funcH)
-from proofenum.grammar import (build_grammar, enumerate_schemes,
-                               is_inhabited, productions_by_lhs)
+from proofenum.grammar import build_grammar, enumerate_schemes, is_inhabited
 from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
                            LJBSequent, annotate, canon, expose, normalize,
                            normalize_chain)
@@ -376,8 +375,8 @@ def _raw_premises(grammar, nt, prods):
     hyps = flatten_det(ctx, goal).hyps
     if isinstance(goal, Atom):
         out = []
-        for p in prods:
-            restructured, hyp = expose(ctx, goal)[p.occurrence_id]
+        for i in range(len(prods)):
+            restructured, hyp = expose(ctx, goal)[i]
             _, pvar, f = hyps[hyp.fid]
             out.append((restructured, hyp.args, [
                 Flat(b, hyps) for b in decompose_negative(f)[0]], pvar))
@@ -399,9 +398,7 @@ def _reference_tables(grammar):
     None when the reference lifts by a term renaming alone or not at
     all."""
     expander = _Expander(grammar)
-    by_lhs = productions_by_lhs(grammar)
-    for nt in range(len(grammar.nonterminals)):
-        prods = by_lhs.get(nt, [])
+    for nt, prods in enumerate(grammar.rules):
         raws = _raw_premises(grammar, nt, prods) if prods else []
         plans = expander._plans_of(nt)
         assert len(plans) == len(raws)
@@ -589,6 +586,20 @@ def test_relabel_rejects_non_matching_flattenings():
             _renaming(Flat(p, ((0, "h0", a), (1, "h1", qx))),
                       Flat(p, ((0, "h0", b), (1, "h1", qx))))
     assert issubclass(InvariantError, RuntimeError)
+
+
+def test_relabel_and_copy_table_reject_missing_occurrences():
+    # _renaming needs every occurrence of its source in its target, and
+    # goals that match; _copy_table needs cleaning to send each
+    # occurrence of its target to one of its source.
+    p, q = parse_formula("P"), parse_formula("Q")
+    with pytest.raises(InvariantError, match="not in the target"):
+        _renaming(Flat(p, ((1, "h0", p),)), Flat(p, ((0, "h0", p),)))
+    with pytest.raises(InvariantError, match="goals"):
+        _renaming(Flat(p, ((0, "h0", p),)), Flat(q, ((0, "h0", p),)))
+    assert _copy_table([0], {1: 0}, [0, 1]) == {"h0": ["h0", "h1"]}
+    with pytest.raises(InvariantError, match="no occurrence"):
+        _copy_table([0], {1: 2}, [0, 1])
 
 
 def _deep_goals():

@@ -10,8 +10,7 @@ import proofenum
 from proofenum.expand import Session, funcH
 from proofenum.grammar import (CapExceeded, Grammar, NotPositive, Production,
                                build_grammar, enumerate_schemes,
-                               grammar_to_json, is_inhabited,
-                               productions_by_lhs, render_grammar)
+                               grammar_to_json, is_inhabited, render_grammar)
 from proofenum.ljb import (Fml, LJBContext, LJBSequent, render_ljb_sequent,
                            rule_step)
 from proofenum.ljplus import LamPf, LamTm, Spine, render_proof, term_height
@@ -111,9 +110,11 @@ def test_height_bound_gives_prefix_of_full_grammar():
         full = build_grammar(goal, Session())
         for h in range(1, 11):
             g = build_grammar(goal, Session(), max_height=h)
-            assert g.start == full.start
             assert g.nonterminals == full.nonterminals[:len(g.nonterminals)]
             assert g.productions == full.productions[:len(g.productions)]
+            expanded = len(g.steps)
+            assert g.rules[:expanded] == full.rules[:expanded]
+            assert not any(g.rules[expanded:])
             assert enumerate_schemes(g, h) == enumerate_schemes(full, h)
 
 
@@ -147,29 +148,31 @@ def _formula_items(ctx):
 
 def test_left_rules_act_on_items_of_their_conclusion():
     # A left rule's hypothesis is the formula item that expose found in
-    # its conclusion's context, that object and not a copy of it, and a
-    # spine production's occurrence_id is the index of its rule
-    # instance among its left-hand side's, so that of its entry in
-    # expose.  The full grammar's instances are rule_step's again; the
-    # bounded one's are those it keeps.
+    # its conclusion's context, that object and not a copy of it, and
+    # each nonterminal has one production per rule instance, in order,
+    # so a spine's index among its left-hand side's productions is that
+    # of its entry in expose.  The full grammar's instances are
+    # rule_step's again; the bounded one's are those it keeps, and its
+    # unexpanded nonterminals have no productions.
     goals = corpus() + [d_family(3), d_family(4)] + seeded_goals()
     instances = 0
     for goal in goals:
         for h in (None, 8):
             g = build_grammar(goal, Session(), max_height=h)
-            by_lhs = productions_by_lhs(g)
+            assert len(g.rules) == len(g.nonterminals)
             expanded = g.nonterminals if g.steps is None \
                 else g.nonterminals[:len(g.steps)]
+            assert not any(g.rules[len(expanded):])
             for nt, seq in enumerate(expanded):
                 steps = rule_step(seq) if g.steps is None else g.steps[nt]
-                prods = by_lhs.get(nt, [])
+                prods = g.rules[nt]
                 assert len(steps) == len(prods)
                 if not isinstance(seq.goal, Atom):
                     continue
                 items = {id(it) for it in _formula_items(seq.context)}
-                for i, ((_, _, hyp, _), p) in enumerate(zip(steps, prods)):
+                for (_, _, hyp, _), p in zip(steps, prods):
                     assert type(hyp) is Fml and id(hyp) in items
-                    assert p.kind == "spine" and p.occurrence_id == i
+                    assert p.kind == "spine"
                 instances += len(steps)
     assert instances > 2000
 
@@ -211,12 +214,11 @@ def test_cap_fires_at_the_nonterminal_count():
 def _distances(g):
     """Each nonterminal's breadth-first distance from the start, along
     the productions of g, computed apart from saturation."""
-    by_lhs = productions_by_lhs(g)
     dist, layer = {g.start: 0}, [g.start]
     while layer:
         nxt = []
         for nt in layer:
-            for p in by_lhs.get(nt, []):
+            for p in g.rules[nt]:
                 for q in p.premises:
                     if q not in dist:
                         dist[q] = dist[nt] + 1
@@ -317,21 +319,55 @@ def test_funcH_is_empty_exactly_off_the_grammar_schemes():
     assert (schemes, mutants) == (267, 724)
 
 
+def test_funcH_is_empty_when_a_premise_fits_no_production():
+    # Each mutant's outer binders and spine fit the productions of the
+    # grammar's schemes, but the spine's first argument, a bare unused
+    # head, fits no production of its premise: that premise expands to
+    # no term, and so does the mutant.
+    mutants = 0
+    for goal in corpus() + [d_family(3)]:
+        goal, session = ensure_distinct_binders(goal), Session()
+        g = build_grammar(goal, session, max_height=8)
+        seq = LJBSequent(LJBContext(), goal)
+        unused = f"c{len({p.head for p in g.productions if p.head})}"
+        for pi in enumerate_schemes(g, 8):
+            mutant = _at_outer_spine(pi, lambda s: s.args and Spine(
+                s.head, (Spine(unused),) + s.args[1:]) or None)
+            if mutant is not None:
+                assert funcH(session, pi, seq) != []
+                assert funcH(session, mutant, seq) == []
+                mutants += 1
+    assert mutants == 13
+
+
 # ---------------------------------------------------------------------------
 # Linear emptiness against the fixpoint sweep
 
 
+def _grammar(n, prods):
+    """A grammar over n nonterminals, all the sequent |- Q, with the
+    productions prods: (lhs, premises) pairs, spines with head c0."""
+    rules = [[] for _ in range(n)]
+    for lhs, premises in prods:
+        rules[lhs].append(Production("spine", premises, "c0"))
+    seq = LJBSequent(LJBContext(), parse_formula("Q"))
+    return Grammar((seq,) * n, tuple(map(tuple, rules)))
+
+
 def _random_grammar(rng):
     """A grammar over a few nonterminals with random premises, often
-    cyclic and sometimes without a production that has no premises."""
+    cyclic and sometimes without a production that has no premises.
+    The start is drawn, and swapped with nonterminal 0."""
     n = rng.randint(1, 8)
-    seq = LJBSequent(LJBContext(), parse_formula("Q"))
-    prods = tuple(
-        Production(lhs=rng.randrange(n), kind="spine", head="c0",
-                   premises=tuple(rng.randrange(n)
-                                  for _ in range(rng.choice([0, 1, 1, 2, 3]))))
-        for _ in range(rng.randint(0, 12)))
-    return Grammar(rng.randrange(n), (seq,) * n, prods)
+    prods = [(rng.randrange(n),
+              tuple(rng.randrange(n)
+                    for _ in range(rng.choice([0, 1, 1, 2, 3]))))
+             for _ in range(rng.randint(0, 12))]
+    start = rng.randrange(n)
+    swap = {0: start, start: 0}
+    return _grammar(n, [(swap.get(lhs, lhs),
+                         tuple(swap.get(q, q) for q in premises))
+                        for lhs, premises in prods])
 
 
 def test_linear_emptiness_matches_fixpoint():
@@ -347,17 +383,10 @@ def test_linear_emptiness_matches_fixpoint():
 
 
 def test_linear_emptiness_on_cycles_without_terminal_productions():
-    seq = LJBSequent(LJBContext(), parse_formula("Q"))
-    nts = (seq,) * 3
-
-    def spine(lhs, *premises):
-        return Production(lhs=lhs, kind="spine", head="c0",
-                          premises=premises)
-
-    cycle = (spine(0, 1), spine(1, 2), spine(2, 0, 1))
-    assert not is_inhabited(Grammar(0, nts, cycle))
-    assert is_inhabited(Grammar(0, nts, cycle + (spine(2),)))
-    assert not is_inhabited(Grammar(0, nts, (spine(0, 0), spine(1))))
+    cycle = [(0, (1,)), (1, (2,)), (2, (0, 1))]
+    assert not is_inhabited(_grammar(3, cycle))
+    assert is_inhabited(_grammar(3, cycle + [(2, ())]))
+    assert not is_inhabited(_grammar(3, [(0, (0,)), (1, ())]))
     rng = random.Random(2024)
     grammars = [_random_grammar(rng) for _ in range(500)]
     verdicts = [is_inhabited(g) for g in grammars]

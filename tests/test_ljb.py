@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from proofenum.ljb import (Bracket, Fml, LJBContext, LJBSequent,
-                           _restructure, annotate, canon, expose, normalize,
-                           normalize_chain, render_ljb_sequent, rule_step,
-                           MergeStep)
+from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
+                           LJBSequent, _restructure, annotate, canon, expose,
+                           normalize, normalize_chain, render_ljb_sequent,
+                           rule_step, MergeStep)
 from proofenum.grammar import build_grammar
 from proofenum.ljplus import LamPf, LamTm, Spine
 from proofenum.expand import Session, funcH
@@ -151,6 +151,13 @@ def test_expose_atomic_heads():
     # zero-argument heads expose too
     entries_p = expose(ctx, parse_formula("P"))
     assert {render(hyp.formula) for _, hyp in entries_p} == {"P", "R -> P"}
+
+
+def test_expose_rejects_a_non_atomic_goal():
+    ctx = annotate(LJBContext((fml("P -> Q"),)))
+    for goal in ("P -> Q", "forall x. Q"):
+        with pytest.raises(InvariantError):
+            expose(ctx, parse_formula(goal))
 
 
 def test_expose_side_condition():

@@ -185,6 +185,23 @@ def test_oracle_identity():
     assert render_proof(out[0]) == "\\h0:P. h0"
 
 
+def test_oracle_skips_hypotheses_that_are_not_negative():
+    # forall x. P(x) is not negative, so no spine takes it as its head.
+    s = seq([("h0", "forall x. P(x)"), ("h1", "P(a)")], "P(a)")
+    assert [render_proof(t) for t in oracle_enumerate(s, 3)] == ["h1"]
+
+
+def test_oracle_primes_a_taken_proof_binder_name():
+    # R-> names its binder h<n> in a context of n hypotheses, primed
+    # until no hypothesis has the name.
+    s = seq([("h1", "P")], "Q -> P")
+    assert [render_proof(t) for t in oracle_enumerate(s, 3)] == \
+        ["\\h1':Q. h1"]
+    s = seq([("h2'", "P"), ("h2", "P")], "Q -> P")
+    assert [render_proof(t) for t in oracle_enumerate(s, 3)] == \
+        ["\\h2'':Q. h2", "\\h2'':Q. h2'"]
+
+
 def test_oracle_heights():
     s = seq([], "((P->Q)->Q)->Q")
     assert oracle_enumerate(s, 8) == []  # no proof exists at any height

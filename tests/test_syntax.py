@@ -133,8 +133,12 @@ def test_alpha_eq():
     assert not alpha_eq(parse_formula("forall x. P(x)"),
                         parse_formula("forall y. P(z)"))
     assert not alpha_eq(parse_formula("P(x)"), parse_formula("P(y)"))
-    assert alpha_eq(parse_formula("P(x)"), parse_formula("P(y)"),
-                    env=(("x", "y"),))
+    # function terms match on their symbol and arity
+    f = parse_formula("forall x. P(f(x, y))")
+    assert alpha_eq(f, parse_formula("forall z. P(f(z, y))"))
+    for other in ("forall x. P(g(x, y))", "forall x. P(f(x))",
+                  "forall x. P(f(x, y, y))"):
+        assert not alpha_eq(f, parse_formula(other))
 
 
 def test_formula_size():
@@ -252,15 +256,8 @@ def test_alpha_eq_agrees_with_the_pair_environment_reference():
     equal = 0
     for _ in range(300):
         f = _random_formula(rng, 4)
-        perm = _random_perm(rng)
-        envs = [None, (), tuple(perm.items()),
-                tuple(zip(rng.sample(NAMES, 2), rng.sample(NAMES, 2))),
-                # not injective: repeated left or right names
-                tuple((rng.choice(NAMES), rng.choice(NAMES))
-                      for _ in range(rng.randint(2, 5)))]
-        for g in _partners(rng, f, perm):
-            for env in envs:
-                got = alpha_eq(f, g, env)
-                assert got == reference_alpha_eq(f, g, env), (f, g, env)
-                equal += got
+        for g in _partners(rng, f, _random_perm(rng)):
+            got = alpha_eq(f, g)
+            assert got == reference_alpha_eq(f, g), (f, g)
+            equal += got
     assert equal > 1000
