@@ -408,9 +408,11 @@ def funcH(session: Session, pi: Scheme, seq: LJBSequent) -> List[ProofTerm]:
     """All proof-terms of the flattening of seq's annotated sequent
     (flatten_det(annotate(seq.context), seq.goal)) that collapse to the
     scheme pi, sorted; none when seq does not derive pi: the expander of
-    the grammar bounded at pi's height, from that flattening's identity."""
+    the grammar bounded at pi's height and pruned (build_grammar), from
+    that flattening's identity."""
     start = LJBSequent(annotate(seq.context), seq.goal)
-    grammar = saturate(start, session, max_height=term_height(pi))
+    grammar = saturate(start, session, max_height=term_height(pi),
+                       prune=True)
     top = _identity_top([(pv, f) for _, pv, f
                          in flatten_det(start.context, seq.goal).hyps])
     return _sorted(*_Expander(grammar).H(grammar.start, pi, seq.goal, top))
@@ -422,10 +424,12 @@ def funcH(session: Session, pi: Scheme, seq: LJBSequent) -> List[ProofTerm]:
 def enumerate_terms(goal: Formula, max_height: int,
                     cap: int = DEFAULT_CAP) -> List[ProofTerm]:
     """The complete set of beta-normal eta-long proof-terms of |- goal of
-    height <= max_height, via the scheme grammar.  The terms prove goal
-    as given: the grammar works on a copy with distinct binders, and
-    expansion builds each term straight onto goal."""
-    grammar = build_grammar(goal, Session(), cap, max_height)
+    height <= max_height, via the scheme grammar bounded at max_height
+    and pruned (build_grammar), so cap counts only its nonterminals.
+    The terms prove goal as given: the grammar works on a copy with
+    distinct binders, and expansion builds each term straight onto
+    goal."""
+    grammar = build_grammar(goal, Session(), cap, max_height, prune=True)
     expander, top = _Expander(grammar), _identity_top(())
     terms: List[ProofTerm] = []
     keys: List[str] = []

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Tuple
 from .ljb import (LJBContext, LJBSequent, Premises, render_ljb_sequent,
                   rule_step)
 from .ljplus import LamPf, LamTm, ProofTerm, Spine
-from .syntax import (Atom, Formula, Record, ensure_distinct_binders,
+from .syntax import (Atom, Forall, Formula, Record, ensure_distinct_binders,
                      is_positive, render, slot_setters)
 
 Scheme = ProofTerm
@@ -45,12 +45,13 @@ class Grammar(Record):
     (ljb.rule_step) in order, empty when nt has none or was left
     unexpanded: a production's left-hand side is its index in rules,
     and a spine's occurrence id, the index of its entry in expose, is
-    its index in rules[nt].  A height-bounded grammar keeps, in steps,
-    the rule instances of each nonterminal it expanded, by id, so
-    steps[nt][i] is rules[nt][i]'s: expansion plans its lifts from them.
-    A full grammar keeps none (steps is None), since only enumeration
-    asks for a bound.  The instances hold cleaning's merge dicts, so a
-    bounded grammar has no hash."""
+    its index in rules[nt], except in a pruned grammar (build_grammar),
+    which keeps only some of the instances.  A height-bounded grammar
+    keeps, in steps, the rule instances of each nonterminal it
+    expanded, by id, so steps[nt][i] is rules[nt][i]'s: expansion plans
+    its lifts from them.  A full grammar keeps none (steps is None),
+    since only enumeration asks for a bound.  The instances hold
+    cleaning's merge dicts, so a bounded grammar has no hash."""
     __slots__ = ("nonterminals", "rules", "steps")
     start = 0
 
@@ -73,7 +74,8 @@ _gr_nonterminals, _gr_rules, _gr_steps = slot_setters(Grammar)
 
 
 def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP,
-                  max_height: Optional[int] = None) -> Grammar:
+                  max_height: Optional[int] = None, *,
+                  prune: bool = False) -> Grammar:
     """Saturate the set of sequents reachable from |- goal and emit one
     production per applicable rule instance.
 
@@ -81,15 +83,31 @@ def build_grammar(goal: Formula, session, cap: int = DEFAULT_CAP,
     max_height from the start are expanded: a derivation of height
     <= max_height uses no others.  The worklist is FIFO, so the result
     is a prefix of the full grammar (same ids, sequents and production
-    order), and the cap counts only the nonterminals it holds."""
+    order), and the cap counts only the nonterminals it holds.
+
+    With prune as well, a rule instance is kept only when each premise
+    goal's least height (its right spine: one right rule per forall
+    and -> above its atom, then a spine) fits in the height left under
+    its nonterminal, max_height - distance - 1; at distance d a
+    nonterminal lies at depth >= d in any derivation, so a derivation
+    of height <= max_height uses no dropped instance.  A dropped
+    instance adds no premise sequent and registers no canonical
+    variable, so the pruned grammar is smaller (D_5 at height 9: 27
+    nonterminals, not 117) and expands every nonterminal it holds, but
+    it is no prefix of the full grammar, and its canonical variables
+    can be numbered otherwise.  Terms show no canonical variables, so
+    enumerate_terms and funcH prune; schemes are written with them, so
+    `proofenum schemes` keeps the prefix and its full grammar's names.
+    prune has no effect without max_height."""
     if not is_positive(goal):
         raise NotPositive(f"not a positive formula: {render(goal)}")
     return saturate(LJBSequent(LJBContext(), ensure_distinct_binders(goal)),
-                    session, cap, max_height)
+                    session, cap, max_height, prune=prune)
 
 
 def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
-             max_height: Optional[int] = None) -> Grammar:
+             max_height: Optional[int] = None, *,
+             prune: bool = False) -> Grammar:
     """The grammar of the sequents reachable from start_seq, as in
     build_grammar: one production per rule instance of rule_step, with
     the cleaned premise sequents as its premises, kept together by
@@ -102,7 +120,8 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
     layer_end is where the next one starts.  With max_height, the loop
     stops at the first sequent at distance max_height, and the grammar
     keeps the rule instances of the sequents it expanded, a prefix of
-    them (steps)."""
+    them (steps); with prune, only those whose premises fit under the
+    height bound, as in build_grammar."""
     if cap < 1:
         raise CapExceeded(f"more than {cap} nonterminals")
     seqs: List[LJBSequent] = [start_seq]
@@ -119,6 +138,15 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
             break
         goal = seq.goal
         instances = rule_step(seq)
+        if prune and max_height is not None:
+            room, kept = max_height - depth - 1, []  # left to premises
+            for inst in instances:
+                for a in inst[1]:
+                    if _least_height(a) > room:
+                        break
+                else:
+                    kept.append(inst)
+            instances = kept
         if steps is not None:
             steps.append(instances)
         prods = []
@@ -145,6 +173,16 @@ def saturate(start_seq: LJBSequent, session, cap: int = DEFAULT_CAP,
     rules += [()] * (len(seqs) - len(rules))
     return Grammar(tuple(seqs), tuple(rules),
                    None if steps is None else tuple(steps))
+
+
+def _least_height(f: Formula) -> int:
+    """A lower bound on the height of a proof of f: the right rules are
+    invertible, so an eta-long normal proof takes one per forall and ->
+    above f's atom, then a spine."""
+    n = 1
+    while type(f) is not Atom:
+        f, n = f.body if type(f) is Forall else f.rhs, n + 1
+    return n
 
 
 def is_inhabited(g: Grammar) -> bool:

@@ -165,23 +165,42 @@ def proof_to_json(t: ProofTerm) -> dict:
 
 def proof_from_json(d: dict) -> ProofTerm:
     """The proof-term that proof_to_json wrote as d.  Raises ValueError
-    on JSON of another shape and KeyError on a missing field."""
-    if not isinstance(d, dict):
-        raise ValueError(f"expected a proof-term object, got {d!r}")
-    kind = d["kind"]
-    if kind == "spine":
-        args = d["args"]
-        if not isinstance(args, list):
-            raise ValueError(f"expected a list of arguments, got {args!r}")
-        return Spine(_json_name(d, "head"),
-                     tuple(proof_from_json(a) for a in args))
-    if kind == "lam_tm":
-        return LamTm(_json_name(d, "var"), proof_from_json(d["body"]))
-    if kind == "lam_pf":
-        return LamPf(_json_name(d, "pvar"),
-                     parse_formula(_json_name(d, "annot")),
-                     proof_from_json(d["body"]))
-    raise ValueError(f"unknown proof-term kind {kind!r}")
+    on JSON of another shape and KeyError on a missing field, at the
+    first bad node in prefix order.  Explicit stacks, not recursion, so
+    that deep terms read back: the nodes are read in prefix order, and
+    built in the reverse order, each from the terms of its children."""
+    nodes = []  # (class, fields, number of children), in prefix order
+    todo = [d]
+    while todo:
+        x = todo.pop()
+        if not isinstance(x, dict):
+            raise ValueError(f"expected a proof-term object, got {x!r}")
+        kind = x["kind"]
+        if kind == "spine":
+            args = x["args"]
+            if not isinstance(args, list):
+                raise ValueError(
+                    f"expected a list of arguments, got {args!r}")
+            nodes.append((Spine, (_json_name(x, "head"),), len(args)))
+            todo.extend(reversed(args))
+        elif kind == "lam_tm":
+            nodes.append((LamTm, (_json_name(x, "var"),), 1))
+            todo.append(x["body"])
+        elif kind == "lam_pf":
+            pvar = _json_name(x, "pvar")
+            annot = parse_formula(_json_name(x, "annot"))
+            nodes.append((LamPf, (pvar, annot), 1))
+            todo.append(x["body"])
+        else:
+            raise ValueError(f"unknown proof-term kind {kind!r}")
+    built: List[ProofTerm] = []  # the first child of a node on top
+    for cls, fields, n in reversed(nodes):
+        if cls is Spine:
+            built.append(Spine(*fields, tuple([built.pop()
+                                               for _ in range(n)])))
+        else:
+            built.append(cls(*fields, built.pop()))
+    return built[0]
 
 
 def _json_name(d: dict, field: str) -> str:
@@ -233,41 +252,50 @@ def check_proof(ctx: NamedContext, t: ProofTerm, goal: Formula) -> bool:
     """Derivability of ctx |- t : goal by the three rules (left rule for
     implication with atomic conclusion, right rules for forall and
     implication).  Shape violations raise IllFormed; a well-shaped term
-    that fails to type merely returns False."""
-    if isinstance(goal, Atom):
-        if not isinstance(t, Spine):
-            raise IllFormed(f"expected a spine at atomic goal {render(goal)}")
-        hyp = ctx.lookup(t.head)
-        if hyp is None:
-            return False
-        try:
-            args, head = decompose_negative(hyp)
-        except NotNegative:
-            return False
-        if len(t.args) != len(args):
-            raise IllFormed(f"head {t.head} expects {len(args)} arguments")
-        if head != goal:
-            return False
-        return all(check_proof(ctx, u, a) for u, a in zip(t.args, args))
-    if isinstance(goal, Forall):
-        if not isinstance(t, LamTm):
-            raise IllFormed(f"expected a term abstraction at {render(goal)}")
-        if t.var in ctx.free_term_vars():
-            return False
-        if t.var == goal.var:
-            body_goal = goal.body
-        else:
-            if t.var in goal.body.fvs:
+    that fails to type merely returns False.  The sub-terms are checked
+    in prefix order, from an explicit stack, and the first that fails
+    decides: a shape violation after it is not reached."""
+    todo = [(ctx, t, goal)]
+    while todo:
+        ctx, t, goal = todo.pop()
+        if isinstance(goal, Atom):
+            if not isinstance(t, Spine):
+                raise IllFormed(
+                    f"expected a spine at atomic goal {render(goal)}")
+            hyp = ctx.lookup(t.head)
+            if hyp is None:
                 return False
-            body_goal = rename(goal.body, {goal.var: t.var})
-        return check_proof(ctx, t.body, body_goal)
-    if not isinstance(t, LamPf):
-        raise IllFormed(f"expected a proof abstraction at {render(goal)}")
-    if t.annot != goal.lhs:
-        return False
-    if t.pvar in ctx.pvars():
-        return False
-    return check_proof(ctx.extend(t.pvar, goal.lhs), t.body, goal.rhs)
+            try:
+                args, head = decompose_negative(hyp)
+            except NotNegative:
+                return False
+            if len(t.args) != len(args):
+                raise IllFormed(f"head {t.head} expects {len(args)} arguments")
+            if head != goal:
+                return False
+            todo.extend((ctx, u, a) for u, a in zip(reversed(t.args),
+                                                     reversed(args)))
+        elif isinstance(goal, Forall):
+            if not isinstance(t, LamTm):
+                raise IllFormed(
+                    f"expected a term abstraction at {render(goal)}")
+            if t.var in ctx.free_term_vars():
+                return False
+            if t.var == goal.var:
+                body_goal = goal.body
+            else:
+                if t.var in goal.body.fvs:
+                    return False
+                body_goal = rename(goal.body, {goal.var: t.var})
+            todo.append((ctx, t.body, body_goal))
+        else:
+            if not isinstance(t, LamPf):
+                raise IllFormed(
+                    f"expected a proof abstraction at {render(goal)}")
+            if t.annot != goal.lhs or t.pvar in ctx.pvars():
+                return False
+            todo.append((ctx.extend(t.pvar, goal.lhs), t.body, goal.rhs))
+    return True
 
 
 # ---------------------------------------------------------------------------

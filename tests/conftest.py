@@ -6,7 +6,8 @@ tables, and helpers that only the tests use."""
 import itertools
 import random
 
-from proofenum.expand import _copies, _renaming, flatten_det
+from proofenum.expand import Session, _copies, _renaming, flatten_det
+from proofenum.grammar import build_grammar, enumerate_schemes
 from proofenum.ljb import (Bracket, Fml, InvariantError, LJBContext,
                            _restructure, apply_step, canon, normalize)
 from proofenum.ljplus import (IllFormed, LamPf, LamTm, LJPlusSequent,
@@ -109,6 +110,21 @@ def seeded_goals(count=300):
     rng = random.Random(4242)
     return [random_type(rng) if i % 4 == 3 else random_formula(rng)
             for i in range(count)]
+
+
+def check_pruned_grammar(goal, h):
+    """Build goal's grammar bounded at h, then the pruned one with the
+    same Session, and check that the pruned grammar derives the same
+    schemes up to h from sequents of the unpruned one and expands all
+    of them.  Returns the two nonterminal counts."""
+    session = Session()
+    g = build_grammar(goal, session, max_height=h)
+    pruned = build_grammar(goal, session, max_height=h, prune=True)
+    assert enumerate_schemes(pruned, h) == enumerate_schemes(g, h)
+    seqs = set(g.nonterminals)
+    assert all(seq in seqs for seq in pruned.nonterminals)
+    assert len(pruned.steps) == len(pruned.nonterminals)
+    return len(g.nonterminals), len(pruned.nonterminals)
 
 
 def alpha_set(terms):

@@ -6,8 +6,9 @@ import pytest
 
 from proofenum.cli import main
 from proofenum.ljplus import proof_from_json, render_proof
+from proofenum.syntax import render
 
-from conftest import FIG_FORMULA, SYSF_A2
+from conftest import FIG_FORMULA, SYSF_A2, d_family
 
 
 def run(argv, stdin_text=None, monkeypatch=None):
@@ -265,6 +266,28 @@ def test_height_bounded_commands_ignore_cap_beyond_bound():
         assert code == 0
         assert (code, out) == run(argv)
         assert out.strip()
+
+
+def test_terms_cap_counts_the_pruned_grammar():
+    # terms saturates only the rule instances whose premises still have
+    # room for a proof under the height bound: 27 of the 117
+    # nonterminals that schemes expands on D_5 at height 9.
+    argv = ["terms", render(d_family(5)), "--max-height", "9"]
+    assert run(argv + ["--cap", "27"])[0] == 0
+    assert run(argv + ["--cap", "26"])[0] == 3
+    assert run(["schemes", *argv[1:], "--cap", "116"])[0] == 3
+
+
+def test_terms_pipe_verify_deep_church_numerals(monkeypatch):
+    # verify reads terms back and checks them with explicit stacks:
+    # two frames per spine level ran out from height 340 on (exit 2).
+    goal = "forall X. X -> (X->X) -> X"
+    code, out = run(["terms", "--sysf", goal, "--max-height", "400",
+                     "--format", "json"])
+    assert code == 0
+    code2, out2 = run(["verify", "--sysf", goal], stdin_text=out,
+                      monkeypatch=monkeypatch)
+    assert (code2, out2) == (0, "verified 397/397\n")
 
 
 def test_terms_of_deep_church_numerals():

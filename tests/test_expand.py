@@ -364,19 +364,22 @@ def test_expander_memo_lists_are_duplicate_free():
     assert lists > 500
 
 
-def _raw_premises(grammar, nt, prods):
+def _raw_premises(grammar, nt):
     """Per production of nt: the premise context of its rule instance
     before cleaning, built from nt's annotated sequent as saturation's
     rules build it, the premise goals, the targets the premises lift
     onto (nt's flattening, with each premise goal in its coordinates)
-    and the proof variable a spine exposes or R-> binds."""
+    and the proof variable a spine exposes or R-> binds.  A pruned
+    grammar keeps some of expose's entries: a spine's is the one that
+    exposes the hypothesis of its kept rule instance."""
     seq = grammar.nonterminals[nt]
     ctx, goal = annotate(seq.context), seq.goal
     hyps = flatten_det(ctx, goal).hyps
     if isinstance(goal, Atom):
+        exposed = [id(hyp) for _, hyp in expose(seq.context, goal)]
         out = []
-        for i in range(len(prods)):
-            restructured, hyp = expose(ctx, goal)[i]
+        for _, _, kept, _ in grammar.steps[nt]:
+            restructured, hyp = expose(ctx, goal)[exposed.index(id(kept))]
             _, pvar, f = hyps[hyp.fid]
             out.append((restructured, hyp.args, [
                 Flat(b, hyps) for b in decompose_negative(f)[0]], pvar))
@@ -399,7 +402,7 @@ def _reference_tables(grammar):
     all."""
     expander = _Expander(grammar)
     for nt, prods in enumerate(grammar.rules):
-        raws = _raw_premises(grammar, nt, prods) if prods else []
+        raws = _raw_premises(grammar, nt) if prods else []
         plans = expander._plans_of(nt)
         assert len(plans) == len(raws)
         for plan, (raw, args, targets, pvar) in zip(plans, raws):
@@ -422,14 +425,19 @@ def test_plan_tables_match_the_per_premise_reference():
     # are alpha-equivalent.
     # The corpus grammars are full: bounded at a height that holds every
     # nonterminal, which by the prefix property gives the full grammar
-    # with its rule instances kept.
-    goals = [(g, len(build_grammar(g, Session()).nonterminals))
+    # with its rule instances kept.  The pruned grammars are those that
+    # enumerate_terms plans from.
+    goals = [(g, len(build_grammar(g, Session()).nonterminals), False)
              for g in corpus()] + [
-        (d_family(3), 11), (d_family(4), 9), (d_family(5), 9)]
-    goals += [(g, 8) for g in seeded_goals()]
+        (d_family(3), 11, False), (d_family(4), 9, False),
+        (d_family(5), 9, False)]
+    goals += [(g, 8, False) for g in seeded_goals()]
+    goals += [(d_family(3), 11, True), (d_family(4), 9, True),
+              (d_family(5), 9, True)]
+    goals += [(g, 8, True) for g in seeded_goals()]
     tables = lifted = merging = renamed = 0
-    for goal, h in goals:
-        grammar = build_grammar(goal, Session(), max_height=h)
+    for goal, h, prune in goals:
+        grammar = build_grammar(goal, Session(), max_height=h, prune=prune)
         for plan, refs in _reference_tables(grammar):
             table = plan.table and {pv: sorted(cs)
                                     for pv, cs in plan.table.items()}
@@ -447,8 +455,8 @@ def test_plan_tables_match_the_per_premise_reference():
                     len(cs) for cs in table.values()) > len(table)
     # premises; lifted premises; lifted premises with merged copies;
     # premises the reference lifts by a term renaming alone (lifted
-    # too when tables came from the reference: 455 in all)
-    assert (tables, lifted, merging, renamed) == (2478, 428, 43, 27)
+    # too when tables came from the reference: 750 in all)
+    assert (tables, lifted, merging, renamed) == (4291, 720, 65, 30)
 
 
 @contextmanager
@@ -671,7 +679,7 @@ def test_expansion_takes_its_plans_from_the_bounded_grammar(monkeypatch):
     # A height-bounded grammar keeps the rule instances of the
     # nonterminals saturation expands, and the expander plans its lifts
     # from them: rule_step runs once per expanded nonterminal, all from
-    # saturation.
+    # saturation.  enumerate_terms builds the pruned grammar.
     orig = proofenum.ljb.rule_step
     callers = []
 
@@ -682,7 +690,7 @@ def test_expansion_takes_its_plans_from_the_bounded_grammar(monkeypatch):
 
     for goal, h in [(d_family(5), 9), (d_family(3), 11),
                     (phi(parse_sysf_type(SYSF_A2)), 24)]:
-        grammar = build_grammar(goal, Session(), max_height=h)
+        grammar = build_grammar(goal, Session(), max_height=h, prune=True)
         expanded = [(seq.context.key, seq.goal.key)
                     for seq in grammar.nonterminals[:len(grammar.steps)]]
         callers.clear()

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import proofenum
-from proofenum.expand import Session, funcH
+from proofenum.expand import Session, _Expander, _identity_top, funcH
 from proofenum.grammar import (CapExceeded, Grammar, NotPositive, Production,
                                build_grammar, enumerate_schemes,
                                grammar_to_json, is_inhabited, render_grammar)
@@ -18,8 +18,9 @@ from proofenum.syntax import (Atom, Impl, ensure_distinct_binders,
                               parse_formula, render)
 from proofenum.sysf import parse_sysf_type, phi
 
-from conftest import (FIG_FORMULA, corpus, d_family, fixpoint_is_inhabited,
-                      random_formula, random_type, seeded_goals)
+from conftest import (FIG_FORMULA, SYSF_A2, check_pruned_grammar, corpus,
+                      d_family, fixpoint_is_inhabited, random_formula,
+                      random_type, seeded_goals)
 
 
 def test_not_positive_rejected():
@@ -182,6 +183,35 @@ def test_height_bound_limits_saturation():
     g = build_grammar(d_family(5), Session(), max_height=9)
     assert len(g.nonterminals) == 117
     assert len(enumerate_schemes(g, 9)) == 1
+
+
+def test_pruning_keeps_the_instances_with_room_for_their_premises():
+    # A pruned grammar keeps a rule instance only when the right spine
+    # of each premise goal fits in the height left under its left-hand
+    # side, and no nonterminal is left unexpanded; expansion reaches
+    # every one of them.  Unpruned: 117/107, 80/74, 92/92 and 47/53.
+    for goal, h, sizes in [(d_family(5), 9, (27, 27)),
+                           (d_family(4), 9, (22, 22)),
+                           (d_family(3), 11, (59, 68)),
+                           (d_family(2), 13, (31, 36)),
+                           (phi(parse_sysf_type(SYSF_A2)), 24, (10, 11))]:
+        g = build_grammar(goal, Session(), max_height=h, prune=True)
+        assert (len(g.nonterminals), len(g.productions)) == sizes
+        assert len(g.steps) == len(g.nonterminals)
+        expander, top = _Expander(g), _identity_top(())
+        for pi in enumerate_schemes(g, h):
+            assert expander.H(g.start, pi, goal, top)[0]
+        assert sorted(expander._plans) == list(range(len(g.nonterminals)))
+
+
+def test_pruned_grammar_derives_the_unpruned_schemes():
+    # Every derivation of height <= h survives pruning, and pruning
+    # only drops rule instances, so the pruned grammar's sequents are
+    # the unpruned one's (built first, with the same Session).
+    goals = corpus() + [d_family(k) for k in range(2, 6)] + seeded_goals()
+    sizes = [check_pruned_grammar(goal, h)
+             for goal in goals for h in range(1, 11)]
+    assert [sum(n) for n in zip(*sizes)] == [18998, 13359]
 
 
 def test_cap_counts_only_nonterminals_within_height_bound():

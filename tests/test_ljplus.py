@@ -154,6 +154,45 @@ def test_check_proof_spine():
     assert not check_proof(s2.context, Spine("u"), s2.goal)
 
 
+def test_check_and_read_back_deep_church_numerals():
+    # check_proof and proof_from_json walk explicit stacks: each took two
+    # frames per spine level, and `terms | verify` on the Church
+    # numerals exited 2 (input nested too deeply) from height 340 on.
+    goal = parse_formula("forall X. eps(X) -> (eps(X) -> eps(X)) -> eps(X)")
+    spine, data = Spine("h0"), {"kind": "spine", "head": "h0", "args": []}
+    for _ in range(2996):
+        spine = Spine("h1", (spine,))
+        data = {"kind": "spine", "head": "h1", "args": [data]}
+    t = LamTm("X", LamPf("h0", parse_formula("eps(X)"), LamPf(
+        "h1", parse_formula("eps(X) -> eps(X)"), spine)))
+    assert term_height(t) == 3000
+    assert check_proof(NamedContext(), t, goal)
+    data = {"kind": "lam_tm", "var": "X", "body": {
+        "kind": "lam_pf", "pvar": "h0", "annot": "eps(X)", "body": {
+            "kind": "lam_pf", "pvar": "h1", "annot": "eps(X) -> eps(X)",
+            "body": data}}}
+    assert render_proof(proof_from_json(data)) == render_proof(t)
+
+
+def test_check_proof_and_read_back_stop_at_the_first_failure():
+    # Arguments are checked left to right, and the first that fails
+    # decides: a term that fails to type before a shape violation is
+    # False, and one after it raises IllFormed.
+    s = seq([("f", "P -> P -> Q"), ("a", "P")], "Q")
+    untyped, ill = Spine("g"), Spine("a", (Spine("a"),))
+    assert not check_proof(s.context, Spine("f", (untyped, ill)), s.goal)
+    with pytest.raises(IllFormed):
+        check_proof(s.context, Spine("f", (ill, untyped)), s.goal)
+    # the first bad node in prefix order decides what proof_from_json
+    # raises
+    for args, exc in [([{"kind": "nope"}, {}], ValueError),
+                      ([{}, {"kind": "nope"}], KeyError)]:
+        with pytest.raises(exc):
+            proof_from_json({"kind": "spine", "head": "f", "args": args})
+    with pytest.raises(ValueError):
+        proof_from_json({"kind": "lam_tm", "var": 1})
+
+
 def test_rename_proof_capture():
     t = LamTm("x", Spine("a"))
     # renaming y -> x under \x must not capture

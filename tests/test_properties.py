@@ -1,6 +1,7 @@
 """Property-based differential tests: on drawn goals, enumerate_terms
 returns the oracle's terms as rendered, name for name, and each one
-type-checks."""
+type-checks; and the pruned grammar derives the unpruned one's
+schemes."""
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,7 +11,7 @@ from proofenum.ljplus import (LJPlusSequent, NamedContext, check_proof,
 from proofenum.syntax import (Atom, Forall, Impl, Var, parse_formula,
                               split_arrows)
 
-from conftest import fold_negative, random_type
+from conftest import check_pruned_grammar, fold_negative, random_type
 
 MAX_TERMS = 300  # goals with more oracle terms are skipped
 
@@ -76,3 +77,9 @@ def test_terms_equal_the_oracle_on_drawn_goals(goal_height):
     assert list(map(render_proof, got)) == list(map(render_proof, want))
     for t in got:
         assert check_proof(seq.context, t, goal)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(goals, st.integers(1, 10))
+def test_pruned_grammar_derives_the_unpruned_schemes(goal_height, h):
+    check_pruned_grammar(goal_height[0], h)
